@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import dp as dp_mod
-from . import harness, invopt, net, road as road_mod
+from . import harness, invopt, mpc, net, road as road_mod
 from .dp import DpConfig, DpSolution, InfeasibleError
 from .qp import QpError
 from .road import IngestError
@@ -48,10 +49,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fingerprint(stage: str, config: dict, input_paths: list[Path] | None = None) -> str:
+def _fingerprint(stage: str, config: dict, input_paths: list[Path] | None = None,
+                 params: VehicleParams | None = None) -> str:
     parts = [f"ecocruise={__version__}", f"stage={stage}"]
     for key in sorted(config):
         parts.append(f"{key}={config[key]!r}")
+    if params is not None:
+        parts.append(f"vehicle={params!r}")
     for path in input_paths or []:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
         parts.append(f"input:{Path(path).name}={digest}")
@@ -70,6 +74,20 @@ def _cache_hit(path: Path, fingerprint: str) -> bool:
     except OSError:
         return False
     return False
+
+
+@contextlib.contextmanager
+def _atomic(out: Path):
+    """Yield a temporary path beside ``out`` and move it over ``out`` only
+    after the writer returns, so an interrupted write never leaves a file
+    whose fingerprint header passes for a finished artifact."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _meta(stage: str, fingerprint: str, config: dict) -> list[str]:
@@ -172,8 +190,8 @@ def cmd_gen_road(args, file_cfg) -> int:
         print(f"cache hit: {out}")
         return EXIT_OK
     profile = road_mod.gen_sinusoidal(seed=seed, length_m=length_km * 1000.0)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    road_mod.write_road_csv(profile, out, header_lines=_meta("gen-road", fp, cfg))
+    with _atomic(out) as tmp:
+        road_mod.write_road_csv(profile, tmp, header_lines=_meta("gen-road", fp, cfg))
     print(f"wrote {out} ({profile.n_steps} segments, max |grade| "
           f"{float(np.max(np.abs(profile.grade))):.4f})")
     return EXIT_OK
@@ -193,7 +211,7 @@ def cmd_solve_dp(args, file_cfg) -> int:
     vavg_band = _merged(args, file_cfg, "vavg_band", float, dp_mod.DEFAULT_VAVG_BAND)
     cfg = {"v_ref": v_ref, "v_i": v_i, "dv": dv, "dvavg": dvavg, "dte": dte,
            "v_span": v_span, "vavg_band": vavg_band}
-    fp = _fingerprint("solve-dp", cfg, [road_path])
+    fp = _fingerprint("solve-dp", cfg, [road_path], params)
     out = Path(args.out)
     if _cache_hit(out, fp):
         print(f"cache hit: {out}")
@@ -202,8 +220,8 @@ def cmd_solve_dp(args, file_cfg) -> int:
     config = DpConfig.default(params, v_ref, v_i=v_i, v_span=v_span, dv=dv,
                               dvavg=dvavg, dte=dte, vavg_band=vavg_band)
     solution = dp_mod.solve(params, profile, config)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dp_mod.write_dp_csv(solution, out, header_lines=_meta("solve-dp", fp, cfg))
+    with _atomic(out) as tmp:
+        dp_mod.write_dp_csv(solution, tmp, header_lines=_meta("solve-dp", fp, cfg))
     print(f"wrote {out} (total fuel {solution.total_fuel:.9g} kg)")
     return EXIT_OK
 
@@ -215,9 +233,9 @@ def cmd_invert(args, file_cfg) -> int:
         raise UsageError("invert requires --out")
     params = _vehicle(args)
     v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
-    horizon = _merged(args, file_cfg, "horizon", int, 60)
+    horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
     cfg = {"v_ref": v_ref, "horizon": horizon}
-    fp = _fingerprint("invert", cfg, [road_path, dp_path])
+    fp = _fingerprint("invert", cfg, [road_path, dp_path], params)
     out = Path(args.out)
     if _cache_hit(out, fp):
         print(f"cache hit: {out}")
@@ -227,8 +245,8 @@ def cmd_invert(args, file_cfg) -> int:
     solution = DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=None)
     lin = linearize(params, v_ref)
     series = invopt.gamma_series(solution, profile, lin, params, horizon, v_ref=v_ref)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    invopt.write_gamma_csv(series, out, ds=params.ds, header_lines=_meta("invert", fp, cfg))
+    with _atomic(out) as tmp:
+        invopt.write_gamma_csv(series, tmp, ds=params.ds, header_lines=_meta("invert", fp, cfg))
     clean = sum(1 for f in series.flags if not f)
     print(f"wrote {out} ({clean}/{len(series)} clean recoveries)")
     return EXIT_OK
@@ -260,8 +278,8 @@ def cmd_train(args, file_cfg) -> int:
     model, history = net.train(dataset, cfg_obj)
     test = net.evaluate(model, dataset.features[history.test_indices],
                         dataset.targets[history.test_indices])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    net.save_model(model, out, fingerprint=fp)
+    with _atomic(out) as tmp:
+        net.save_model(model, tmp, fingerprint=fp)
     print(f"wrote {out} (held-out scaled mse {test.mse_scaled:.3e}, "
           f"mae {test.mae_scaled:.3e}; {len(history.train_loss)} epochs)")
     return EXIT_OK
@@ -291,7 +309,7 @@ def cmd_simulate(args, file_cfg) -> int:
     params = _vehicle(args)
     v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
     v_i = _merged(args, file_cfg, "v_i", float, v_ref)
-    horizon = _merged(args, file_cfg, "horizon", int, 60)
+    horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
     gamma = _merged(args, file_cfg, "gamma", float, 0.0)
     profile = _read_road(road_path)
     artifacts = _artifacts_for(args, {kind})
@@ -312,9 +330,9 @@ def cmd_simulate(args, file_cfg) -> int:
           f"median step {row.median_step_s:.9g} s")
     if args.out:
         cfg = {"controller": kind, "v_ref": v_ref, "v_i": v_i, "gamma": gamma}
-        fp = _fingerprint("simulate", cfg, [road_path])
-        harness.write_sweep_csv([row], Path(args.out),
-                                header_lines=_meta("simulate", fp, cfg))
+        fp = _fingerprint("simulate", cfg, [road_path], params)
+        with _atomic(Path(args.out)) as tmp:
+            harness.write_sweep_csv([row], tmp, header_lines=_meta("simulate", fp, cfg))
     return EXIT_OK
 
 
@@ -327,7 +345,7 @@ def cmd_sweep(args, file_cfg) -> int:
     params = _vehicle(args)
     v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
     v_i = _merged(args, file_cfg, "v_i", float, v_ref)
-    horizon = _merged(args, file_cfg, "horizon", int, 60)
+    horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
     cfg = {"v_ref": v_ref, "v_i": v_i, "horizon": horizon,
            "gammas": ",".join(f"{g:.9g}" for g in ladder)}
     inputs = [road_path]
@@ -335,7 +353,7 @@ def cmd_sweep(args, file_cfg) -> int:
         val = getattr(args, attr, None)
         if val:
             inputs.append(_require_file(val, attr))
-    fp = _fingerprint("sweep", cfg, inputs)
+    fp = _fingerprint("sweep", cfg, inputs, params)
     out = Path(args.out)
     if _cache_hit(out, fp):
         print(f"cache hit: {out}")
@@ -345,8 +363,8 @@ def cmd_sweep(args, file_cfg) -> int:
     artifacts = _artifacts_for(args, {"AT_MPC", "PT_MPC", "DP_REPLAY"})
     rows = harness.pareto_sweep(profile, params, ladder, artifacts, v_ref,
                                 v_i=v_i, horizon=horizon)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    harness.write_sweep_csv(rows, out, header_lines=_meta("sweep", fp, cfg))
+    with _atomic(out) as tmp:
+        harness.write_sweep_csv(rows, tmp, header_lines=_meta("sweep", fp, cfg))
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -389,14 +407,14 @@ def cmd_report(args, file_cfg) -> int:
         fp = _fingerprint("report", {}, [sweep_path])
         meta = "".join(f"# {line}\n" for line in _meta("report", fp, {}))
         front = out_dir / "pareto_fixed_front.csv"
-        with open(front, "w", encoding="utf-8") as fh:
+        with _atomic(front) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(meta)
             fh.write("gamma,avg_velocity_mps,fuel_economy_km_per_kg\n")
             for r in sorted(fixed_rows, key=lambda r: r.gamma or 0.0):
                 fh.write(f"{r.gamma:.9g},{r.avg_velocity_mps:.9g},"
                          f"{r.fuel_economy_km_per_kg:.9g}\n")
         points = out_dir / "pareto_controllers.csv"
-        with open(points, "w", encoding="utf-8") as fh:
+        with _atomic(points) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(meta)
             fh.write("controller,avg_velocity_mps,fuel_economy_km_per_kg\n")
             for name, r in sorted(by_kind.items()):

@@ -43,8 +43,10 @@ class QpResult:
 def _kkt_solve(h_mat, g_mat, grad):
     """Solve the bordered system [[H, G'], [G, 0]] [p; mu] = [-grad; 0].
 
-    Two rounds of iterative refinement; least-squares fallback keeps singular
-    but consistent systems (semidefinite reduced Hessians) deterministic.
+    One factorization when the first solve is accurate to rounding level;
+    otherwise two rounds of iterative refinement.  A least-squares fallback
+    keeps singular but consistent systems (semidefinite reduced Hessians)
+    deterministic.
     """
     n = h_mat.shape[0]
     m = g_mat.shape[0]
@@ -54,16 +56,26 @@ def _kkt_solve(h_mat, g_mat, grad):
         kkt[:n, n:] = g_mat.T
         kkt[n:, :n] = g_mat
     rhs = np.concatenate([-grad, np.zeros(m)])
+    scale = 1.0 + np.max(np.abs(rhs))
+
+    def residual(sol):
+        if not np.all(np.isfinite(sol)):
+            return np.inf
+        return np.max(np.abs(kkt @ sol - rhs)) / scale
+
     try:
         sol = np.linalg.solve(kkt, rhs)
-        for _ in range(2):
-            sol += np.linalg.solve(kkt, rhs - kkt @ sol)
+        # 1e-13 sits a few hundred ulps above what a well-conditioned solve
+        # leaves; beyond it refinement pays (on ill-conditioned full-space
+        # horizon systems it still moves the solution by up to 1e-8)
+        if residual(sol) > 1e-13:
+            for _ in range(2):
+                sol += np.linalg.solve(kkt, rhs - kkt @ sol)
     except np.linalg.LinAlgError:
         sol = None
-    scale = 1.0 + np.max(np.abs(rhs))
-    if sol is None or not np.all(np.isfinite(sol)) or np.max(np.abs(kkt @ sol - rhs)) > 1e-7 * scale:
+    if sol is None or residual(sol) > 1e-7:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        if np.max(np.abs(kkt @ sol - rhs)) > 1e-6 * scale:
+        if residual(sol) > 1e-6:
             raise QpError("KKT subsystem inconsistent (problem may be unbounded)")
     return sol[:n], sol[n:]
 
@@ -133,13 +145,15 @@ def solve_qp(
             if n_in:
                 denom = ain_s @ p
                 slack = b_in - ain_s @ xs
-                for i in range(n_in):
-                    if i in working or denom[i] <= 1e-13:
-                        continue
-                    ratio = max(slack[i], 0.0) / denom[i]
-                    if ratio < alpha - 1e-15:
-                        alpha = ratio
-                        blocking = i
+                moving = denom > 1e-13
+                moving[working] = False
+                ratios = np.full(n_in, np.inf)
+                ratios[moving] = np.maximum(slack[moving], 0.0) / denom[moving]
+                # first row within rounding of the smallest ratio
+                first = int(np.argmax(ratios <= ratios.min() + 1e-15))
+                if ratios[first] < alpha - 1e-15:
+                    alpha = ratios[first]
+                    blocking = first
             xs = xs + alpha * p
             if blocking >= 0:
                 working.append(blocking)
@@ -152,8 +166,7 @@ def solve_qp(
         w_mult = mults[a_eq.shape[0] :]
         if len(working) == 0 or np.min(w_mult, initial=0.0) >= -mult_tol:
             in_mult = np.zeros(n_in)
-            for idx, mu in zip(working, w_mult):
-                in_mult[idx] = max(mu, 0.0)
+            in_mult[working] = np.maximum(w_mult, 0.0)
             x_out = xs * col_scale
             stat = h_mat @ x_out + c_vec
             if a_eq.shape[0]:

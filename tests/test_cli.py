@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ecocruise import cli, road as road_mod
 from ecocruise.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from ecocruise.harness import read_sweep_csv
 from ecocruise.invopt import read_gamma_csv
@@ -180,3 +181,40 @@ class TestPipelineAndReport:
                      "--v-ref", "30", "--out", str(dp_out)])
         assert code == EXIT_OK
         assert "v_ref=30" in dp_out.read_text().splitlines()[2]
+
+
+class TestCacheIntegrity:
+    def test_vehicle_config_invalidates_cached_dp(self, tmp_path, capsys):
+        road = tmp_path / "road.csv"
+        assert main(["gen-road", "--length-km", "3", "--seed", "4", "--out", str(road)]) == EXIT_OK
+        cfg = tmp_path / "vehicle.cfg"
+        cfg.write_text("alpha0 = 0.0035\n")
+        shared = tmp_path / "dp.csv"
+        fresh = tmp_path / "fresh.csv"
+        assert main(["solve-dp", "--road", str(road), "--out", str(shared)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--vehicle-config", str(cfg), "solve-dp", "--road", str(road),
+                     "--out", str(shared)]) == EXIT_OK
+        assert "cache hit" not in capsys.readouterr().out
+        assert main(["--vehicle-config", str(cfg), "solve-dp", "--road", str(road),
+                     "--out", str(fresh)]) == EXIT_OK
+        assert shared.read_text() == fresh.read_text()
+
+    def test_interrupted_write_leaves_no_cache_hit(self, tmp_path, monkeypatch):
+        out = tmp_path / "road.csv"
+        argv = ["gen-road", "--length-km", "3", "--seed", "1", "--out", str(out)]
+        fp = cli._fingerprint("gen-road", {"length_km": 3.0, "seed": 1})
+
+        def interrupted(profile, path, header_lines=None):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"# {line}\n" for line in header_lines)
+                fh.write("position_m,")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(road_mod, "write_road_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert not any(cli._cache_hit(path, fp) for path in tmp_path.iterdir())
+        monkeypatch.undo()
+        assert main(argv) == EXIT_OK
+        assert cli._cache_hit(out, fp)

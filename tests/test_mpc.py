@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecocruise import mpc
+from ecocruise.qp import solve_qp
 from ecocruise.vehicle import VehicleParams, linearize
 
 
@@ -160,6 +162,41 @@ class TestSolve:
         cold = mpc.solve(problem)
         warm = mpc.solve(problem, warm_working=cold.working_set)
         assert np.allclose(cold.as_vector(), warm.as_vector(), atol=1e-9)
+
+
+class TestCondensedMatchesFullSpace:
+    """The condensed solve reproduces the full-space program it eliminates,
+    including windows where torque and velocity bounds bind."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        te_max=st.sampled_from([150.0, 240.0]),
+        gamma=st.floats(-4.0, -1.0).map(lambda e: 10.0**e),
+        n=st.integers(1, 60),
+        grade_seed=st.integers(0, 2**32 - 1),
+        steepness=st.floats(0.0, 0.08),
+        climb=st.floats(-0.05, 0.05),
+        v_init=st.floats(-20.0, 15.0),
+    )
+    def test_same_optimum_and_working_set(self, te_max, gamma, n, grade_seed, steepness,
+                                          climb, v_init):
+        params = VehicleParams(te_max=te_max)
+        lin = linearize(params, 30.0)
+        grades = np.random.default_rng(grade_seed).uniform(-steepness, steepness, n) + climb
+        problem = mpc.build(gamma, lin, grades, v_init, params, v_ref=30.0)
+        sol = mpc.solve(problem)
+        ref = solve_qp(problem.h_mat, problem.c_vec, problem.a_eq, problem.b_eq,
+                       problem.a_in, problem.b_in, mpc._feasible_start(problem))
+        v, te, slack = problem.split(ref.x)
+        full = np.concatenate([v, te, np.maximum(slack, 0.0)])
+        assert np.max(np.abs(sol.as_vector() - full)) <= 1e-8
+        # on degenerate windows the two paths may end with different weakly
+        # active rows: met with equality and carrying no multiplier
+        for row in set(sol.working_set) ^ set(ref.working):
+            assert ref.in_mult[row] <= 1e-9
+            assert abs(problem.a_in[row] @ ref.x - problem.b_in[row]) <= 1e-9
+        assert sol.kkt_residual <= 1e-6
+        assert mpc.kkt_residual(problem, sol) <= 1e-6
 
 
 class TestKktResidual:
