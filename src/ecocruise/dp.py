@@ -146,12 +146,13 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
     grade_coef = (ds * a1 / v_grid)[:, None]  # (nv, 1)
     step_fuel = fuel_per_meter(params, vv, te) * ds  # (nv, nu), kg per segment
 
-    # terminal value: finish with the trip average at or above the set point
-    value = np.where(a_grid[None, :] >= config.v_ref - 1e-12, 0.0, big)
-    value = np.broadcast_to(value, (nv, na)).copy()
-    tables: list[np.ndarray] = [value]
+    # tables[k] is the cost-to-go at step k; terminal value: finish with the
+    # trip average at or above the set point
+    tables = np.empty((p_steps + 1, nv, na))
+    tables[p_steps] = np.where(a_grid[None, :] >= config.v_ref - 1e-12, 0.0, big)
 
     for k in range(p_steps - 1, -1, -1):
+        value = tables[k + 1]
         next_v = base_next_v - grade_coef * road.grade[k]          # (nv, nu)
         ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
         iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
@@ -165,19 +166,31 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
         tv_b = tv[None, :, :]
         ia_b = ia[:, :, None]
         ta_b = ta[:, :, None]
-        j00 = value[iv_b, ia_b]
-        j10 = value[iv_b + 1, ia_b]
-        j01 = value[iv_b, ia_b + 1]
-        j11 = value[iv_b + 1, ia_b + 1]
-        interp = (1 - tv_b) * ((1 - ta_b) * j00 + ta_b * j01) + tv_b * ((1 - ta_b) * j10 + ta_b * j11)
+        # bilinear interpolation (1-tv)((1-ta)j00 + ta j01) + tv((1-ta)j10 + ta j11)
+        # plus stage fuel and penalties, accumulated in place so a stage holds
+        # three (na, nv, nu) arrays rather than seven; the same operations in
+        # the same order give the same bits
+        total = value[iv_b, ia_b]
+        total *= 1 - ta_b
+        part = value[iv_b, ia_b + 1]
+        part *= ta_b
+        total += part
+        del part
+        total *= 1 - tv_b
+        upper = value[iv_b + 1, ia_b]
+        upper *= 1 - ta_b
+        part = value[iv_b + 1, ia_b + 1]
+        part *= ta_b
+        upper += part
+        del part
+        upper *= tv_b
+        total += upper
+        del upper
 
-        total = step_fuel[None, :, :] + interp
-        total = total + np.where(ok_v[None, :, :], 0.0, big)
-        total = total + np.where(ok_a[:, :, None], 0.0, big)
-        value = np.minimum(total.min(axis=2).T, big)               # (nv, na)
-        tables.append(value)
-
-    tables.reverse()  # tables[k] is the cost-to-go at step k
+        total += step_fuel[None, :, :]
+        total += np.where(ok_v[None, :, :], 0.0, big)
+        total += np.where(ok_a[:, :, None], 0.0, big)
+        np.minimum(total.min(axis=2).T, big, out=tables[k])        # (nv, na)
 
     # forward rollout from the exact initial state
     v = float(config.v_i)
@@ -222,7 +235,7 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
         te=np.asarray(tes),
         fuel_per_m=np.asarray(fuels),
     )
-    cost_to_go = tables[0] if config.keep_cost_to_go else None
+    cost_to_go = tables[0].copy() if config.keep_cost_to_go else None
     return DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=cost_to_go)
 
 

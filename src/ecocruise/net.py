@@ -4,7 +4,10 @@ Input is a 100-sample (3 km at 30 m) grade look-ahead plus the cruise set
 point; hidden widths are 250-80-16 with a single rectified output so the
 predicted weight can never go negative.  Training is plain minibatch SGD on
 mean squared error with an L2 penalty on the weights, all implemented on
-numpy arrays so runs are bit-reproducible from a seed.
+numpy arrays so runs are bit-reproducible from a seed.  Training and the
+forward pass run on one BLAS thread (:func:`ecocruise.blas.serial`): a
+multithreaded matrix product rounds differently with the thread count, so
+the same seed would give different weights on hosts with different cores.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import serial
 from .road import RoadProfile, preview
 
 PREVIEW_LEN = 100
@@ -56,6 +60,7 @@ class MlpModel:
     input_scaler: MinMaxScaler
     target_scaler: MinMaxScaler
 
+    @serial
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Rectified forward pass on already-scaled inputs (batch, features)."""
         a = x
@@ -180,6 +185,7 @@ def _loss_and_grads(weights, biases, x, y, l2):
     return loss, grads_w, grads_b
 
 
+@serial
 def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory]:
     """Fit the network; deterministic for a fixed seed.
 

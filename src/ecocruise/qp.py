@@ -16,6 +16,9 @@ certifies its result with the stationarity residual of the original data.
 Columns are equilibrated internally (torques, velocities and slack variables
 live on very different scales here); multipliers are invariant under column
 scaling so certification happens in original units.
+
+The solve runs its BLAS and LAPACK kernels on the calling thread (see
+:func:`ecocruise.blas.serial`).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .blas import serial
 
 
 class QpError(RuntimeError):
@@ -80,6 +85,7 @@ def _kkt_solve(h_mat, g_mat, grad):
     return sol[:n], sol[n:]
 
 
+@serial
 def solve_qp(
     h_mat,
     c_vec,

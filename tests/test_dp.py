@@ -244,3 +244,10 @@ class TestCostToGo:
         table = solve(params, inst.road, cfg).cost_to_go
         assert table is not None
         assert table.shape == (len(cfg.v_grid), len(cfg.vavg_grid))
+
+    def test_retained_table_does_not_pin_the_stage_tables(self, params):
+        road = RoadProfile.from_elevation(np.linspace(0.0, 15.0, 51))
+        config = DpConfig.default(params, 30.0, keep_cost_to_go=True)
+        table = solve(params, road, config).cost_to_go
+        assert table.shape == (len(config.v_grid), len(config.vavg_grid))
+        assert table.base is None
