@@ -22,13 +22,15 @@ import numpy as np
 
 from . import __version__
 from . import dp as dp_mod
-from . import harness, invopt, mpc, net, road as road_mod
+from . import formats, harness, invopt, mpc, net, road as road_mod
 from .dp import DpConfig, DpSolution, InfeasibleError
+from .formats import num
 from .qp import QpError
 from .road import IngestError
 from .vehicle import StepFailure, VehicleParams, linearize, load_vehicle_config
 
 ENV_OUT_DIR = "ECOCRUISE_OUT_DIR"
+DEFAULT_V_REF = 30.0  # cruise set point, m/s
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,19 +100,9 @@ def _meta(stage: str, fingerprint: str, config: dict) -> list[str]:
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ValidationError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+    return {key.replace("-", "_"): value for _, key, value in formats.read_key_values(path)}
 
 
 def _merged(args: argparse.Namespace, file_cfg: dict[str, str], key: str, cast, default):
@@ -146,14 +138,6 @@ def _vehicle(args) -> VehicleParams:
     if getattr(args, "vehicle_config", None):
         return load_vehicle_config(_require_file(args.vehicle_config, "vehicle config"))
     return VehicleParams()
-
-
-def _read_road(path: Path) -> road_mod.RoadProfile:
-    head = path.read_text(encoding="utf-8").lstrip("#").splitlines()
-    header = next((ln for ln in head if ln.strip() and not ln.startswith("#")), "")
-    if "distance_m" in header and "position_m" not in header:
-        return road_mod.ingest_elevation_csv(path)
-    return road_mod.read_road_csv(path)
 
 
 def _parse_ladder(text: str) -> list[float]:
@@ -202,12 +186,12 @@ def cmd_solve_dp(args, file_cfg) -> int:
     if args.out is None:
         raise UsageError("solve-dp requires --out")
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
+    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
     v_i = _merged(args, file_cfg, "v_i", float, v_ref)
     dv = _merged(args, file_cfg, "dv", float, dp_mod.DEFAULT_DV)
     dvavg = _merged(args, file_cfg, "dvavg", float, dp_mod.DEFAULT_DVAVG)
     dte = _merged(args, file_cfg, "dte", float, dp_mod.DEFAULT_DTE)
-    v_span = _merged(args, file_cfg, "v_span", float, 8.0)
+    v_span = _merged(args, file_cfg, "v_span", float, dp_mod.DEFAULT_V_SPAN)
     vavg_band = _merged(args, file_cfg, "vavg_band", float, dp_mod.DEFAULT_VAVG_BAND)
     cfg = {"v_ref": v_ref, "v_i": v_i, "dv": dv, "dvavg": dvavg, "dte": dte,
            "v_span": v_span, "vavg_band": vavg_band}
@@ -216,7 +200,7 @@ def cmd_solve_dp(args, file_cfg) -> int:
     if _cache_hit(out, fp):
         print(f"cache hit: {out}")
         return EXIT_OK
-    profile = _read_road(road_path)
+    profile = road_mod.read_road_csv(road_path)
     config = DpConfig.default(params, v_ref, v_i=v_i, v_span=v_span, dv=dv,
                               dvavg=dvavg, dte=dte, vavg_band=vavg_band)
     solution = dp_mod.solve(params, profile, config)
@@ -232,7 +216,7 @@ def cmd_invert(args, file_cfg) -> int:
     if args.out is None:
         raise UsageError("invert requires --out")
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
+    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
     horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
     cfg = {"v_ref": v_ref, "horizon": horizon}
     fp = _fingerprint("invert", cfg, [road_path, dp_path], params)
@@ -240,7 +224,7 @@ def cmd_invert(args, file_cfg) -> int:
     if _cache_hit(out, fp):
         print(f"cache hit: {out}")
         return EXIT_OK
-    profile = _read_road(road_path)
+    profile = road_mod.read_road_csv(road_path)
     traj = dp_mod.read_dp_csv(dp_path)
     solution = DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=None)
     lin = linearize(params, v_ref)
@@ -257,13 +241,14 @@ def cmd_train(args, file_cfg) -> int:
     gam_path = _require_file(args.gammas, "weight-series file")
     if args.out is None:
         raise UsageError("train requires --out")
-    v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
+    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
+    defaults = net.TrainConfig()
     cfg_obj = net.TrainConfig(
-        learning_rate=_merged(args, file_cfg, "lr", float, 1e-2),
-        epochs=_merged(args, file_cfg, "epochs", int, 500),
-        batch_size=_merged(args, file_cfg, "batch_size", int, 32),
-        l2=_merged(args, file_cfg, "l2", float, 1e-5),
-        seed=_merged(args, file_cfg, "nn_seed", int, 0),
+        learning_rate=_merged(args, file_cfg, "lr", float, defaults.learning_rate),
+        epochs=_merged(args, file_cfg, "epochs", int, defaults.epochs),
+        batch_size=_merged(args, file_cfg, "batch_size", int, defaults.batch_size),
+        l2=_merged(args, file_cfg, "l2", float, defaults.l2),
+        seed=_merged(args, file_cfg, "nn_seed", int, defaults.seed),
     )
     cfg = {"v_ref": v_ref, "lr": cfg_obj.learning_rate, "epochs": cfg_obj.epochs,
            "batch_size": cfg_obj.batch_size, "l2": cfg_obj.l2, "nn_seed": cfg_obj.seed}
@@ -272,7 +257,7 @@ def cmd_train(args, file_cfg) -> int:
     if _cache_hit(out, fp):
         print(f"cache hit: {out}")
         return EXIT_OK
-    profile = _read_road(road_path)
+    profile = road_mod.read_road_csv(road_path)
     series = invopt.read_gamma_csv(gam_path)
     dataset = net.make_dataset(profile, series, v_ref)
     model, history = net.train(dataset, cfg_obj)
@@ -307,23 +292,16 @@ def cmd_simulate(args, file_cfg) -> int:
         raise UsageError(f"--controller must be one of {sorted(_KIND_ALIASES)}")
     kind = _KIND_ALIASES[args.controller]
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
+    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
     v_i = _merged(args, file_cfg, "v_i", float, v_ref)
     horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
     gamma = _merged(args, file_cfg, "gamma", float, 0.0)
-    profile = _read_road(road_path)
+    profile = road_mod.read_road_csv(road_path)
     artifacts = _artifacts_for(args, {kind})
     spec = harness.ControllerSpec(kind=kind, v_ref=v_ref, v_i=v_i,
                                   horizon=horizon, gamma=gamma)
     result = harness.run(spec, profile, params, artifacts)
-    row = harness.SweepRow(
-        controller=kind,
-        gamma=gamma if kind == "FIXED_LMPC" else None,
-        avg_velocity_mps=result.avg_velocity_mps,
-        fuel_economy_km_per_kg=result.fuel_economy_km_per_kg,
-        total_fuel_kg=result.total_fuel_kg,
-        median_step_s=result.median_step_s,
-    )
+    row = harness.SweepRow.of(kind, gamma if kind == "FIXED_LMPC" else None, result)
     print(f"{row.controller}: avg velocity {row.avg_velocity_mps:.9g} m/s, "
           f"fuel economy {row.fuel_economy_km_per_kg:.9g} km/kg, "
           f"total fuel {row.total_fuel_kg:.9g} kg, "
@@ -343,7 +321,7 @@ def cmd_sweep(args, file_cfg) -> int:
     ladder = _parse_ladder(_merged(args, file_cfg, "gammas_flag", str, None)
                            or file_cfg.get("gamma_ladder", "0.0005:0.005:10"))
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, 30.0)
+    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
     v_i = _merged(args, file_cfg, "v_i", float, v_ref)
     horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
     cfg = {"v_ref": v_ref, "v_i": v_i, "horizon": horizon,
@@ -358,7 +336,7 @@ def cmd_sweep(args, file_cfg) -> int:
     if _cache_hit(out, fp):
         print(f"cache hit: {out}")
         return EXIT_OK
-    profile = _read_road(road_path)
+    profile = road_mod.read_road_csv(road_path)
     args.gammas = args.gammas_csv  # _artifacts_for reads .gammas for PT
     artifacts = _artifacts_for(args, {"AT_MPC", "PT_MPC", "DP_REPLAY"})
     rows = harness.pareto_sweep(profile, params, ladder, artifacts, v_ref,
@@ -405,20 +383,25 @@ def cmd_report(args, file_cfg) -> int:
     if args.out_dir:
         out_dir = _out_dir(args.out_dir)
         fp = _fingerprint("report", {}, [sweep_path])
-        meta = "".join(f"# {line}\n" for line in _meta("report", fp, {}))
+        meta = _meta("report", fp, {})
         front = out_dir / "pareto_fixed_front.csv"
-        with _atomic(front) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(meta)
-            fh.write("gamma,avg_velocity_mps,fuel_economy_km_per_kg\n")
-            for r in sorted(fixed_rows, key=lambda r: r.gamma or 0.0):
-                fh.write(f"{r.gamma:.9g},{r.avg_velocity_mps:.9g},"
-                         f"{r.fuel_economy_km_per_kg:.9g}\n")
+        with _atomic(front) as tmp:
+            formats.write_table(
+                tmp,
+                ["gamma", "avg_velocity_mps", "fuel_economy_km_per_kg"],
+                ([num(r.gamma), num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
+                 for r in sorted(fixed_rows, key=lambda r: r.gamma or 0.0)),
+                meta,
+            )
         points = out_dir / "pareto_controllers.csv"
-        with _atomic(points) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(meta)
-            fh.write("controller,avg_velocity_mps,fuel_economy_km_per_kg\n")
-            for name, r in sorted(by_kind.items()):
-                fh.write(f"{name},{r.avg_velocity_mps:.9g},{r.fuel_economy_km_per_kg:.9g}\n")
+        with _atomic(points) as tmp:
+            formats.write_table(
+                tmp,
+                ["controller", "avg_velocity_mps", "fuel_economy_km_per_kg"],
+                ([name, num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
+                 for name, r in sorted(by_kind.items())),
+                meta,
+            )
         print(f"wrote {front} and {points}")
     return EXIT_OK
 

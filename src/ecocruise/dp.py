@@ -19,9 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
+from .formats import num
 from .road import RoadProfile
-from .vehicle import Trajectory, VehicleParams, fuel_per_meter
+from .vehicle import (
+    StepFailure,
+    Trajectory,
+    VehicleParams,
+    fuel_per_meter,
+    next_velocity,
+    rollout,
+    vavg_update,
+)
 
+DEFAULT_V_SPAN = 8.0
 DEFAULT_DV = 0.25
 DEFAULT_DVAVG = 0.1
 DEFAULT_DTE = 10.0
@@ -70,7 +81,7 @@ class DpConfig:
         params: VehicleParams,
         v_ref: float,
         v_i: float | None = None,
-        v_span: float = 8.0,
+        v_span: float = DEFAULT_V_SPAN,
         dv: float = DEFAULT_DV,
         dvavg: float = DEFAULT_DVAVG,
         dte: float = DEFAULT_DTE,
@@ -103,21 +114,6 @@ class DpSolution:
     cost_to_go: np.ndarray | None  # value table at the first step, if retained
 
 
-def vavg_update(s_k: float, vavg_k: float, v_k: float, ds: float):
-    """Trip-average velocity after one more segment.
-
-    Total distance over total elapsed time: the new average harmonically
-    blends the history (distance ``s_k`` at average ``vavg_k``) with one more
-    segment of length ``ds`` traversed at ``v_k``.  ``s_k = 0`` is the start
-    of the trip, where the result is simply ``v_k``.
-    """
-    if np.any(np.asarray(vavg_k) <= 0) or np.any(np.asarray(v_k) <= 0):
-        raise ValueError("velocities must be positive")
-    if s_k < 0 or ds <= 0:
-        raise ValueError("distances must be nonnegative (ds positive)")
-    return (s_k + ds) / (s_k / vavg_k + ds / v_k)
-
-
 def _interp_weights(grid: np.ndarray, values: np.ndarray):
     """Bracketing indices and fractional offsets for linear interpolation."""
     idx = np.clip(np.searchsorted(grid, values, side="right") - 1, 0, len(grid) - 2)
@@ -139,11 +135,6 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
     nv, na, nu = len(v_grid), len(a_grid), len(te_grid)
     vv = v_grid[:, None]                      # (nv, 1)
     te = te_grid[None, :]                     # (1, nu)
-    a0, a1, a2, a3, a4 = params.alpha
-    # grade-free part of the one-step velocity map; the grade term is added
-    # per stage as -ds*a1*phi/v
-    base_next_v = vv + ds * (a0 * te - a2 - a3 * vv - a4 * vv * vv) / vv
-    grade_coef = (ds * a1 / v_grid)[:, None]  # (nv, 1)
     step_fuel = fuel_per_meter(params, vv, te) * ds  # (nv, nu), kg per segment
 
     # tables[k] is the cost-to-go at step k; terminal value: finish with the
@@ -153,12 +144,11 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
 
     for k in range(p_steps - 1, -1, -1):
         value = tables[k + 1]
-        next_v = base_next_v - grade_coef * road.grade[k]          # (nv, nu)
+        next_v = next_velocity(params, vv, te, road.grade[k])     # (nv, nu)
         ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
         iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
 
-        s_k = k * ds
-        next_a = (s_k + ds) / (s_k / a_grid[:, None] + ds / v_grid[None, :])  # (na, nv)
+        next_a = vavg_update(k * ds, a_grid[:, None], v_grid[None, :], ds)  # (na, nv)
         ok_a = (next_a >= config.vavg_min - 1e-12) & (next_a <= config.vavg_max + 1e-12)
         ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
 
@@ -192,18 +182,11 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
         total += np.where(ok_a[:, :, None], 0.0, big)
         np.minimum(total.min(axis=2).T, big, out=tables[k])        # (nv, na)
 
-    # forward rollout from the exact initial state
-    v = float(config.v_i)
-    vavg = float(config.v_i)
-    vs = [v]
-    vavgs = [vavg]
-    tes: list[float] = []
-    fuels: list[float] = []
-    for k in range(p_steps):
-        cand_v = v + ds * (a0 * te_grid - a1 * road.grade[k] - a2 - a3 * v - a4 * v * v) / v
+    def pick(k: int, v: float, vavg: float) -> float:
+        """Re-pick the torque from the continuous state against the tables."""
+        cand_v = next_velocity(params, v, te_grid, road.grade[k])
         cand_ok = (cand_v >= v_grid[0]) & (cand_v <= v_grid[-1])
-        s_k = k * ds
-        next_a = (s_k + ds) / (s_k / vavg + ds / v)
+        next_a = vavg_update(k * ds, vavg, v, ds)
         a_ok = config.vavg_min - 1e-12 <= next_a <= config.vavg_max + 1e-12
 
         table = tables[k + 1]
@@ -221,20 +204,10 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
             raise InfeasibleError(
                 f"no feasible torque at step {k} (position {k * ds:.0f} m, v={v:.2f} m/s)"
             )
-        tes.append(float(te_grid[best]))
-        fuels.append(float(fuel_per_meter(params, v, te_grid[best])))
-        v = float(cand_v[best])
-        vavg = float(next_a)
-        vs.append(v)
-        vavgs.append(vavg)
+        return float(te_grid[best])
 
-    traj = Trajectory(
-        position=np.arange(p_steps + 1) * ds,
-        v=np.asarray(vs),
-        vavg=np.asarray(vavgs),
-        te=np.asarray(tes),
-        fuel_per_m=np.asarray(fuels),
-    )
+    # forward rollout from the exact initial state
+    traj = rollout(params, road, config.v_i, pick)
     cost_to_go = tables[0].copy() if config.keep_cost_to_go else None
     return DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=cost_to_go)
 
@@ -244,31 +217,12 @@ def replay(params: VehicleParams, road: RoadProfile, torque_sequence, v_i: float
     te_seq = np.asarray(torque_sequence, dtype=float)
     if len(te_seq) != road.n_steps:
         raise ValueError(f"torque sequence length {len(te_seq)} != road segments {road.n_steps}")
-    ds = params.ds
-    v = float(v_i)
-    vavg = float(v_i)
-    vs = [v]
-    vavgs = [vavg]
-    fuels = []
-    a0, a1, a2, a3, a4 = params.alpha
-    for k, te in enumerate(te_seq):
-        if v <= 0:
-            raise InfeasibleError(f"velocity collapsed at step {k}")
-        fuels.append(float(fuel_per_meter(params, v, te)))
-        v_next = v + ds * (a0 * te - a1 * road.grade[k] - a2 - a3 * v - a4 * v * v) / v
-        if v_next <= 0:
-            raise InfeasibleError(f"velocity collapsed at step {k} (position {k * ds:.0f} m)")
-        vavg = float(vavg_update(k * ds, vavg, v, ds))
-        v = float(v_next)
-        vs.append(v)
-        vavgs.append(vavg)
-    return Trajectory(
-        position=np.arange(len(te_seq) + 1) * ds,
-        v=np.asarray(vs),
-        vavg=np.asarray(vavgs),
-        te=te_seq.copy(),
-        fuel_per_m=np.asarray(fuels),
-    )
+    if v_i <= 0:
+        raise InfeasibleError("velocity collapsed at step 0")
+    try:
+        return rollout(params, road, v_i, lambda k, v, vavg: float(te_seq[k]))
+    except StepFailure as exc:
+        raise InfeasibleError(str(exc)) from exc
 
 
 def write_dp_csv(solution, path, header_lines: list[str] | None = None) -> None:
@@ -278,30 +232,23 @@ def write_dp_csv(solution, path, header_lines: list[str] | None = None) -> None:
     Accepts a solved optimum or any bare trajectory (closed-loop runs share
     the format)."""
     traj = solution.trajectory if isinstance(solution, DpSolution) else solution
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write("index,position_m,v_mps,vavg_mps,te_nm,fuel_kg_per_m\n")
-        for i in range(len(traj.v)):
-            te = f"{traj.te[i]:.9g}" if i < traj.n_steps else ""
-            fuel = f"{traj.fuel_per_m[i]:.9g}" if i < traj.n_steps else ""
-            fh.write(
-                f"{i},{traj.position[i]:.9g},{traj.v[i]:.9g},{traj.vavg[i]:.9g},{te},{fuel}\n"
-            )
+    formats.write_table(
+        path,
+        ["index", "position_m", "v_mps", "vavg_mps", "te_nm", "fuel_kg_per_m"],
+        (
+            [i, num(traj.position[i]), num(traj.v[i]), num(traj.vavg[i])]
+            + ([num(traj.te[i]), num(traj.fuel_per_m[i])] if i < traj.n_steps else ["", ""])
+            for i in range(len(traj.v))
+        ),
+        header_lines,
+    )
 
 
 def read_dp_csv(path) -> Trajectory:
     """Read back a trajectory written by :func:`write_dp_csv`."""
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in _csv.reader(line for line in fh if not line.startswith("#"))]
-    if not rows or rows[0][:2] != ["index", "position_m"]:
+    columns, rows = formats.read_table(path)
+    if columns[:2] != ["index", "position_m"]:
         raise ValueError(f"{path}: not a trajectory export")
-    body = [r for r in rows[1:] if r and any(c.strip() for c in r)]
-    pos = np.array([float(r[1]) for r in body])
-    v = np.array([float(r[2]) for r in body])
-    vavg = np.array([float(r[3]) for r in body])
-    te = np.array([float(r[4]) for r in body if r[4].strip() != ""])
-    fuel = np.array([float(r[5]) for r in body if r[5].strip() != ""])
+    pos, v, vavg = formats.float_columns(path, rows, (1, 2, 3))
+    te, fuel = formats.float_columns(path, rows[:-1], (4, 5))
     return Trajectory(position=pos, v=v, vavg=vavg, te=te, fuel_per_m=fuel)

@@ -1,0 +1,92 @@
+"""The package's two text formats: comma-separated tables and key-value files.
+
+A table is any number of ``# `` metadata lines, one header row naming the
+columns, then one row per record, every line ending in ``\\n``.  Readers skip
+``#`` and blank lines, also accept the CRLF row endings that earlier
+releases wrote, and name file line numbers in their errors.  Every road,
+trajectory, weight-series, dataset, sweep and report export goes through
+:func:`write_table` and :func:`read_table`.
+
+A key-value file holds one ``key = value`` pair per line; ``#`` starts a
+comment.  Vehicle parameters and CLI configuration use it.
+"""
+
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+
+def num(x) -> str:
+    """A number as every table writes it: 9 significant digits."""
+    return f"{x:.9g}"
+
+
+def write_table(path, columns, rows, header_lines=None) -> None:
+    """Write ``# `` metadata lines, the header row and the rows to ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in header_lines or []:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_table(path, error=ValueError) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header row and ``(file line number, cells)`` for every record.
+
+    A file with no header row raises ``error``.
+    """
+    lineno = 0
+
+    def content(fh):
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip() and not line.startswith("#"):
+                yield line
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        records = [(lineno, cells) for cells in csv.reader(content(fh))]
+    if not records:
+        raise error(f"{path}: empty file")
+    return records[0][1], records[1:]
+
+
+def parse_rows(path, rows, convert, error=ValueError) -> list:
+    """``convert(cells)`` for every row; a row it cannot parse (a bad number
+    or a missing cell) raises ``error`` naming it by :func:`where`."""
+    out = []
+    for i, (lineno, cells) in enumerate(rows):
+        try:
+            out.append(convert(cells))
+        except (ValueError, IndexError) as exc:
+            raise error(f"{path}: {where(i, lineno)}: unparsable {cells!r}") from exc
+    return out
+
+
+def where(i: int, lineno: int) -> str:
+    """Data row ``i`` as a spreadsheet row (the header row is row 1) and as
+    a file line; the two differ when ``#`` or blank lines precede it."""
+    return f"row {i + 2} (line {lineno})"
+
+
+def float_columns(path, rows, columns, error=ValueError) -> np.ndarray:
+    """The given columns of ``rows`` as floats, one array per column."""
+    values = parse_rows(path, rows, lambda cells: [float(cells[j]) for j in columns], error)
+    return np.array(values, dtype=float).reshape(len(rows), len(columns)).T.copy()
+
+
+def read_key_values(path) -> list[tuple[int, str, str]]:
+    """``(line number, key, value)`` for each ``key = value`` line."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, value = line.partition("=")
+            pairs.append((lineno, key.strip(), value.strip()))
+    return pairs

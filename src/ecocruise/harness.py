@@ -14,15 +14,15 @@ stepped every 30 m, with fuel integrated from the per-meter rate.  The cast:
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from statistics import median
 
 import numpy as np
 
-from . import mpc
-from .dp import DpSolution, vavg_update
+from . import formats, mpc
+from .dp import DpSolution
+from .formats import num
 from .invopt import GammaSeries
 from .net import MlpModel, PREVIEW_LEN, predict
 from .road import RoadProfile, preview
@@ -32,8 +32,8 @@ from .vehicle import (
     Trajectory,
     VehicleParams,
     equilibrium_torque,
-    fuel_per_meter,
     linearize,
+    rollout,
 )
 
 CONTROLLER_KINDS = ("AT_MPC", "PT_MPC", "FIXED_LMPC", "PI", "DP_REPLAY")
@@ -77,30 +77,24 @@ class Artifacts:
 
 
 @dataclass(frozen=True)
-class Metrics:
-    total_fuel_kg: float
-    distance_km: float
-    avg_velocity_mps: float
-    fuel_economy_km_per_kg: float
-
-
-@dataclass(frozen=True)
 class SimResult:
+    """A drive and its summary; ``step_runtimes`` times each controller call."""
+
     trajectory: Trajectory
     total_fuel_kg: float
     distance_km: float
     avg_velocity_mps: float
     fuel_economy_km_per_kg: float
-    step_runtimes: np.ndarray
+    step_runtimes: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def median_step_s(self) -> float:
         return float(median(self.step_runtimes)) if len(self.step_runtimes) else 0.0
 
 
-def metrics(trajectory: Trajectory, skip_m: float = 0.0) -> Metrics:
+def metrics(trajectory: Trajectory, skip_m: float = 0.0) -> SimResult:
     """Fuel, distance and harmonic-average velocity, optionally dropping an
-    initial transient stretch."""
+    initial transient stretch; the result carries no step times."""
     if trajectory.n_steps == 0:
         raise ValueError("empty trajectory")
     ds = float(trajectory.position[1] - trajectory.position[0])
@@ -113,7 +107,8 @@ def metrics(trajectory: Trajectory, skip_m: float = 0.0) -> Metrics:
     elapsed = float(np.sum(ds / v))
     avg_v = distance_m / elapsed
     economy = (distance_m / 1000.0) / fuel if fuel > 0 else float("inf")
-    return Metrics(
+    return SimResult(
+        trajectory=trajectory,
         total_fuel_kg=fuel,
         distance_km=distance_m / 1000.0,
         avg_velocity_mps=avg_v,
@@ -236,59 +231,29 @@ def run(
 ) -> SimResult:
     """Drive the road once with the requested controller."""
     artifacts = artifacts or Artifacts()
-    ds = params.ds
-    p_steps = road.n_steps
-    a0, a1, a2, a3, a4 = params.alpha
-
     if spec.kind == "DP_REPLAY":
         if artifacts.dp_solution is None:
             raise ValueError("DP_REPLAY needs a solved global optimum")
         dp_te = artifacts.dp_solution.trajectory.te
-        if len(dp_te) != p_steps:
+        if len(dp_te) != road.n_steps:
             raise ValueError("stored torque schedule does not cover this road")
-        controller = None
+        policy = lambda v, k, road: float(dp_te[k])  # noqa: E731
     else:
-        controller = _make_controller(spec, params, artifacts)
+        policy = _make_controller(spec, params, artifacts).torque
 
-    v = float(spec.v_i)
-    vavg = float(spec.v_i)
-    vs = [v]
-    vavgs = [vavg]
-    tes: list[float] = []
-    fuels: list[float] = []
     runtimes: list[float] = []
-    for k in range(p_steps):
-        tic = time.perf_counter()
-        te = float(dp_te[k]) if controller is None else controller.torque(v, k, road)
-        runtimes.append(time.perf_counter() - tic)
-        fuels.append(float(fuel_per_meter(params, v, te)))
-        v_next = v + ds * (a0 * te - a1 * road.grade[k] - a2 - a3 * v - a4 * v * v) / v
-        if v_next <= 0:
-            raise SimulationError(
-                f"{spec.kind}: velocity collapsed at position {k * ds:.0f} m"
-            )
-        vavg = float(vavg_update(k * ds, vavg, v, ds))
-        v = float(v_next)
-        vs.append(v)
-        vavgs.append(vavg)
-        tes.append(te)
 
-    traj = Trajectory(
-        position=np.arange(p_steps + 1) * ds,
-        v=np.asarray(vs),
-        vavg=np.asarray(vavgs),
-        te=np.asarray(tes),
-        fuel_per_m=np.asarray(fuels),
-    )
-    m = metrics(traj)
-    return SimResult(
-        trajectory=traj,
-        total_fuel_kg=m.total_fuel_kg,
-        distance_km=m.distance_km,
-        avg_velocity_mps=m.avg_velocity_mps,
-        fuel_economy_km_per_kg=m.fuel_economy_km_per_kg,
-        step_runtimes=np.asarray(runtimes),
-    )
+    def timed_torque(k: int, v: float, vavg: float) -> float:
+        tic = time.perf_counter()
+        te = policy(v, k, road)
+        runtimes.append(time.perf_counter() - tic)
+        return te
+
+    try:
+        traj = rollout(params, road, spec.v_i, timed_torque)
+    except StepFailure as exc:
+        raise SimulationError(f"{spec.kind}: {exc}") from exc
+    return replace(metrics(traj), step_runtimes=np.asarray(runtimes))
 
 
 @dataclass(frozen=True)
@@ -300,6 +265,12 @@ class SweepRow:
     total_fuel_kg: float
     median_step_s: float
     error: str = ""
+
+    @staticmethod
+    def of(controller: str, gamma: float | None, result: SimResult) -> "SweepRow":
+        """One drive's summary as a sweep-table row."""
+        return SweepRow(controller, gamma, result.avg_velocity_mps,
+                        result.fuel_economy_km_per_kg, result.total_fuel_kg, result.median_step_s)
 
 
 def pareto_sweep(
@@ -324,17 +295,7 @@ def pareto_sweep(
 
     def attempt(name: str, spec: ControllerSpec, gamma: float | None) -> None:
         try:
-            res = run(spec, road, params, artifacts)
-            rows.append(
-                SweepRow(
-                    controller=name,
-                    gamma=gamma,
-                    avg_velocity_mps=res.avg_velocity_mps,
-                    fuel_economy_km_per_kg=res.fuel_economy_km_per_kg,
-                    total_fuel_kg=res.total_fuel_kg,
-                    median_step_s=res.median_step_s,
-                )
-            )
+            rows.append(SweepRow.of(name, gamma, run(spec, road, params, artifacts)))
         except (SimulationError, StepFailure, ValueError) as exc:
             rows.append(SweepRow(name, gamma, np.nan, np.nan, np.nan, np.nan, error=str(exc)))
 
@@ -353,50 +314,30 @@ def pareto_sweep(
 
 def write_sweep_csv(rows: list[SweepRow], path, header_lines: list[str] | None = None) -> None:
     """Export ``controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,
-    total_fuel_kg,median_step_s[,error]``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["controller", "gamma", "avg_velocity_mps", "fuel_economy_km_per_kg",
-             "total_fuel_kg", "median_step_s", "error"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.controller,
-                    "" if r.gamma is None else f"{r.gamma:.9g}",
-                    f"{r.avg_velocity_mps:.9g}",
-                    f"{r.fuel_economy_km_per_kg:.9g}",
-                    f"{r.total_fuel_kg:.9g}",
-                    f"{r.median_step_s:.9g}",
-                    r.error,
-                ]
-            )
+    total_fuel_kg,median_step_s,error``."""
+    formats.write_table(
+        path,
+        ["controller", "gamma", "avg_velocity_mps", "fuel_economy_km_per_kg",
+         "total_fuel_kg", "median_step_s", "error"],
+        (
+            [r.controller, "" if r.gamma is None else num(r.gamma), num(r.avg_velocity_mps),
+             num(r.fuel_economy_km_per_kg), num(r.total_fuel_kg), num(r.median_step_s), r.error]
+            for r in rows
+        ),
+        header_lines,
+    )
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    if not rows or rows[0][0] != "controller":
+    columns, rows = formats.read_table(path)
+    if columns[0] != "controller":
         raise ValueError(f"{path}: not a sweep export")
-    out = []
-    for lineno, r in enumerate(rows[1:], start=2):
-        if not r or all(not c.strip() for c in r):
-            continue
-        try:
-            out.append(
-                SweepRow(
-                    controller=r[0],
-                    gamma=float(r[1]) if r[1].strip() else None,
-                    avg_velocity_mps=float(r[2]),
-                    fuel_economy_km_per_kg=float(r[3]),
-                    total_fuel_kg=float(r[4]),
-                    median_step_s=float(r[5]),
-                    error=r[6] if len(r) > 6 else "",
-                )
-            )
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return out
+    return formats.parse_rows(path, rows, lambda r: SweepRow(
+        controller=r[0],
+        gamma=float(r[1]) if r[1].strip() else None,
+        avg_velocity_mps=float(r[2]),
+        fuel_economy_km_per_kg=float(r[3]),
+        total_fuel_kg=float(r[4]),
+        median_step_s=float(r[5]),
+        error=r[6] if len(r) > 6 else "",
+    ))

@@ -18,11 +18,12 @@ ever applied.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
+from .formats import num
 from .mpc import DEFAULT_TE_RIDGE
 from .qp import QpError, solve_qp
 from .road import RoadProfile
@@ -310,32 +311,26 @@ def gamma_series(
 def write_gamma_csv(series: GammaSeries, path, ds: float = 30.0,
                     header_lines: list[str] | None = None) -> None:
     """Export ``index,position_m,gamma,residual,flags`` (the training labels)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "position_m", "gamma", "residual", "flags"])
-        for i in range(len(series)):
-            writer.writerow(
-                [
-                    int(series.positions[i]),
-                    f"{series.positions[i] * ds:.9g}",
-                    f"{series.gamma[i]:.9g}",
-                    f"{series.residuals[i]:.9g}",
-                    series.flags[i],
-                ]
-            )
+    formats.write_table(
+        path,
+        ["index", "position_m", "gamma", "residual", "flags"],
+        (
+            [int(series.positions[i]), num(series.positions[i] * ds), num(series.gamma[i]),
+             num(series.residuals[i]), series.flags[i]]
+            for i in range(len(series))
+        ),
+        header_lines,
+    )
 
 
 def read_gamma_csv(path) -> GammaSeries:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    if not rows or rows[0][:3] != ["index", "position_m", "gamma"]:
+    columns, rows = formats.read_table(path)
+    if columns[:3] != ["index", "position_m", "gamma"]:
         raise ValueError(f"{path}: not a gamma-series export")
-    body = [r for r in rows[1:] if r and any(c.strip() for c in r)]
+    index, gamma, residuals = formats.float_columns(path, rows, (0, 2, 3))
     return GammaSeries(
-        positions=np.array([int(r[0]) for r in body]),
-        gamma=np.array([float(r[2]) for r in body]),
-        residuals=np.array([float(r[3]) for r in body]),
-        flags=tuple(r[4] if len(r) > 4 else "" for r in body),
+        positions=index.astype(int),
+        gamma=gamma,
+        residuals=residuals,
+        flags=tuple(r[4] if len(r) > 4 else "" for _, r in rows),
     )

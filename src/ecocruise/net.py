@@ -12,12 +12,12 @@ the same seed would give different weights on hosts with different cores.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
 from .blas import serial
 from .road import RoadProfile, preview
 
@@ -369,21 +369,20 @@ def load_model(path) -> MlpModel:
 
 def write_dataset_csv(dataset: Dataset, path, header_lines: list[str] | None = None) -> None:
     """Export ``g_1..g_100,v_ref,gamma`` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"g_{i}" for i in range(1, PREVIEW_LEN + 1)] + ["v_ref", "gamma"])
-        for row, target in zip(dataset.features, dataset.targets):
-            writer.writerow([f"{v:.9g}" for v in row] + [f"{target:.9g}"])
+    formats.write_table(
+        path,
+        [f"g_{i}" for i in range(1, PREVIEW_LEN + 1)] + ["v_ref", "gamma"],
+        ([formats.num(v) for v in row] + [formats.num(target)]
+         for row, target in zip(dataset.features, dataset.targets)),
+        header_lines,
+    )
 
 
 def read_dataset_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    if not rows or rows[0][0] != "g_1":
+    columns, rows = formats.read_table(path)
+    if columns[0] != "g_1":
         raise ValueError(f"{path}: not a dataset export")
-    body = np.array([[float(v) for v in r] for r in rows[1:] if r], dtype=float)
+    body = formats.float_columns(path, rows, range(PREVIEW_LEN + 2)).T
     return Dataset(
         features=body[:, : PREVIEW_LEN + 1],
         targets=body[:, PREVIEW_LEN + 1],

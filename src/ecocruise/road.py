@@ -8,10 +8,12 @@ in through a two-column CSV and is resampled onto the uniform grid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import formats
+from .formats import num
 
 DEFAULT_DS = 30.0
 MAX_ABS_GRADE = 0.05
@@ -129,42 +131,34 @@ def ingest_elevation_csv(path, ds: float = DEFAULT_DS) -> RoadProfile:
     Distances must be strictly increasing; resampling is linear so no
     curvature is fabricated between survey points.
     """
-    distances: list[float] = []
-    elevations: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        if "distance_m" not in cols or "elevation_m" not in cols:
-            raise IngestError(f"{path}: header must contain distance_m and elevation_m")
-        d_idx, e_idx = cols.index("distance_m"), cols.index("elevation_m")
-        for rowno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                d = float(row[d_idx])
-                e = float(row[e_idx])
-            except (ValueError, IndexError) as exc:
-                raise IngestError(f"{path}: row {rowno}: unparsable row {row!r}") from exc
-            if distances and d <= distances[-1]:
-                raise IngestError(
-                    f"{path}: row {rowno}: distance {d} not increasing (previous {distances[-1]})"
-                )
-            distances.append(d)
-            elevations.append(e)
-    if len(distances) < 2:
-        raise IngestError(f"{path}: need at least 2 data rows, got {len(distances)}")
-
-    d_arr = np.asarray(distances)
-    e_arr = np.asarray(elevations)
+    columns, rows = formats.read_table(path, IngestError)
+    d_arr, e_arr = _samples(path, columns, rows, "distance_m")
+    bad = np.flatnonzero(np.diff(d_arr) <= 0)
+    if len(bad):
+        i = bad[0] + 1
+        raise IngestError(
+            f"{path}: {formats.where(i, rows[i][0])}: distance {d_arr[i]} not increasing "
+            f"(previous {d_arr[i - 1]})"
+        )
     n_segments = int(np.floor((d_arr[-1] - d_arr[0]) / ds + 1e-9))
     if n_segments < 1:
         raise IngestError(f"{path}: span {d_arr[-1] - d_arr[0]:.1f} m shorter than one {ds} m step")
     grid = d_arr[0] + np.arange(n_segments + 1) * ds
     resampled = np.interp(grid, d_arr, e_arr)
     return RoadProfile.from_elevation(resampled, ds)
+
+
+def _samples(path, columns, rows, x_name: str):
+    """The ``x_name`` and ``elevation_m`` columns of a table, at least two rows."""
+    names = [c.strip().lower() for c in columns]
+    if x_name not in names or "elevation_m" not in names:
+        raise IngestError(f"{path}: header must contain {x_name} and elevation_m, got {columns!r}")
+    x, elevation = formats.float_columns(
+        path, rows, [names.index(x_name), names.index("elevation_m")], IngestError
+    )
+    if len(x) < 2:
+        raise IngestError(f"{path}: need at least 2 data rows, got {len(x)}")
+    return x, elevation
 
 
 def preview(road: RoadProfile, position_index: int, window_len: int) -> GradePreview:
@@ -183,44 +177,29 @@ def preview(road: RoadProfile, position_index: int, window_len: int) -> GradePre
 def write_road_csv(road: RoadProfile, path, header_lines: list[str] | None = None) -> None:
     """Export ``index,position_m,elevation_m,grade``; the final node has no
     outgoing segment so its grade cell is left empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "position_m", "elevation_m", "grade"])
-        for i, elev in enumerate(road.elevation):
-            g = f"{road.grade[i]:.9g}" if i < road.n_steps else ""
-            writer.writerow([i, f"{i * road.ds:.9g}", f"{elev:.9g}", g])
+    formats.write_table(
+        path,
+        ["index", "position_m", "elevation_m", "grade"],
+        (
+            [i, num(i * road.ds), num(elev), num(road.grade[i]) if i < road.n_steps else ""]
+            for i, elev in enumerate(road.elevation)
+        ),
+        header_lines,
+    )
 
 
 def read_road_csv(path) -> RoadProfile:
     """Read back a profile written by :func:`write_road_csv` (or any CSV with
-    position_m/elevation_m columns); grades are rederived from elevation."""
-    positions: list[float] = []
-    elevations: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    if not rows:
-        raise IngestError(f"{path}: empty file")
-    cols = [c.strip().lower() for c in rows[0]]
-    if "position_m" in cols and "elevation_m" in cols:
-        p_idx, e_idx = cols.index("position_m"), cols.index("elevation_m")
-    elif "distance_m" in cols and "elevation_m" in cols:
-        p_idx, e_idx = cols.index("distance_m"), cols.index("elevation_m")
-    else:
-        raise IngestError(f"{path}: no position/elevation columns in header {rows[0]!r}")
-    for rowno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            positions.append(float(row[p_idx]))
-            elevations.append(float(row[e_idx]))
-        except (ValueError, IndexError) as exc:
-            raise IngestError(f"{path}: row {rowno}: unparsable row {row!r}") from exc
-    if len(positions) < 2:
-        raise IngestError(f"{path}: need at least 2 data rows")
+    position_m/elevation_m columns); grades are rederived from elevation.
+
+    A ``distance_m,elevation_m`` survey without ``position_m`` is handed to
+    :func:`ingest_elevation_csv` and resampled."""
+    columns, rows = formats.read_table(path, IngestError)
+    names = [c.strip().lower() for c in columns]
+    if "distance_m" in names and "position_m" not in names:
+        return ingest_elevation_csv(path)
+    positions, elevations = _samples(path, columns, rows, "position_m")
     ds = positions[1] - positions[0]
-    diffs = np.diff(positions)
-    if not np.allclose(diffs, ds, rtol=0, atol=1e-6):
+    if not np.allclose(np.diff(positions), ds, rtol=0, atol=1e-6):
         raise IngestError(f"{path}: positions are not uniformly spaced")
-    return RoadProfile.from_elevation(np.asarray(elevations), float(ds))
+    return RoadProfile.from_elevation(elevations, float(ds))

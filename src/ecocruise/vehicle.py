@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import read_key_values
+
 # Fixed-gear coefficient sets for the reference SUV.
 DEFAULT_ALPHA = (0.00315, 9.81, 0.05536, 0.00229, 2.8272e-4)
 DEFAULT_LAMBDA = (0.5352, -0.03021, 0.00062, 5.503e-5, 0.00079, 0.00131)
@@ -131,7 +133,11 @@ def accel(params: VehicleParams, v, te, phi):
     """Acceleration (m/s^2): tractive torque minus grade, rolling and drag loads."""
     if np.any(np.asarray(v) <= 0.0):
         raise ValueError("velocity must be positive")
-    a0, a1, a2, a3, a4 = params.alpha
+    return _accel(params.alpha, v, te, phi)
+
+
+def _accel(alpha, v, te, phi):
+    a0, a1, a2, a3, a4 = alpha
     return a0 * te - a1 * phi - a2 - a3 * v - a4 * v * v
 
 
@@ -154,19 +160,80 @@ def fuel_per_meter(params: VehicleParams, v, te):
     return fuel_rate_space(params, v, te) / SECONDS_PER_HOUR
 
 
+def next_velocity(params: VehicleParams, v, te, phi):
+    """Velocity after one position step (forward Euler in distance), unchecked.
+
+    The one plant step: the DP sweeps, replays and closed-loop runs all
+    advance the plant through it, elementwise over arrays or on scalars, so
+    their trajectories agree to the bit.
+    """
+    return v + params.ds * _accel(params.alpha, v, te, phi) / v
+
+
 def space_step(params: VehicleParams, v, te, phi):
     """Advance velocity by one position step (forward Euler in distance).
 
     Raises :class:`StepFailure` if the step drives velocity to zero or below,
     which callers must treat as an infeasible state.
     """
-    v_next = v + params.ds * accel(params, v, te, phi) / v
+    if np.any(np.asarray(v) <= 0.0):
+        raise ValueError("velocity must be positive")
+    v_next = next_velocity(params, v, te, phi)
     if np.any(np.asarray(v_next) <= 0.0):
         raise StepFailure(
             f"velocity collapsed to {np.min(v_next):.3f} m/s "
             f"(v={np.min(v):.3f}, te={np.min(te):.1f}, phi={np.max(phi):.3f})"
         )
     return v_next
+
+
+def vavg_update(s_k: float, vavg_k: float, v_k: float, ds: float):
+    """Trip-average velocity after one more segment.
+
+    Total distance over total elapsed time: the new average harmonically
+    blends the history (distance ``s_k`` at average ``vavg_k``) with one more
+    segment of length ``ds`` traversed at ``v_k``.  ``s_k = 0`` is the start
+    of the trip, where the result is simply ``v_k``.
+    """
+    if np.any(np.asarray(vavg_k) <= 0) or np.any(np.asarray(v_k) <= 0):
+        raise ValueError("velocities must be positive")
+    if s_k < 0 or ds <= 0:
+        raise ValueError("distances must be nonnegative (ds positive)")
+    return (s_k + ds) / (s_k / vavg_k + ds / v_k)
+
+
+def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
+    """Drive ``road`` from ``v_i`` with ``te = torque(k, v, vavg)`` per segment.
+
+    The one loop that steps the plant along a road: it accumulates the
+    per-meter fuel and the trip-average velocity and raises
+    :class:`StepFailure` naming the step and position where velocity
+    collapses.  Errors raised by ``torque`` pass through unchanged.
+    """
+    ds = params.ds
+    v = vavg = float(v_i)
+    vs = [v]
+    vavgs = [vavg]
+    tes: list[float] = []
+    fuels: list[float] = []
+    for k in range(road.n_steps):
+        te = torque(k, v, vavg)
+        fuels.append(float(fuel_per_meter(params, v, te)))
+        v_next = float(next_velocity(params, v, te, road.grade[k]))
+        if v_next <= 0:
+            raise StepFailure(f"velocity collapsed at step {k} (position {k * ds:.0f} m)")
+        vavg = float(vavg_update(k * ds, vavg, v, ds))
+        v = v_next
+        vs.append(v)
+        vavgs.append(vavg)
+        tes.append(te)
+    return Trajectory(
+        position=np.arange(road.n_steps + 1) * ds,
+        v=np.asarray(vs),
+        vavg=np.asarray(vavgs),
+        te=np.asarray(tes, dtype=float),
+        fuel_per_m=np.asarray(fuels),
+    )
 
 
 def equilibrium_torque(params: VehicleParams, v: float, phi: float = 0.0) -> float:
@@ -267,26 +334,19 @@ def load_vehicle_config(path) -> VehicleParams:
     alpha = list(DEFAULT_ALPHA)
     lam = list(DEFAULT_LAMBDA)
     scalars: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
-            if key not in _PARAM_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-            try:
-                num = float(value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
-            target, idx = _PARAM_KEYS[key]
-            if target == "alpha":
-                alpha[idx] = num
-            elif target == "lam":
-                lam[idx] = num
-            else:
-                scalars[target] = num
+    for lineno, key, value in read_key_values(path):
+        key = key.lower()
+        if key not in _PARAM_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
+        try:
+            num = float(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad number {value!r}") from exc
+        target, idx = _PARAM_KEYS[key]
+        if target == "alpha":
+            alpha[idx] = num
+        elif target == "lam":
+            lam[idx] = num
+        else:
+            scalars[target] = num
     return VehicleParams(alpha=tuple(alpha), lam=tuple(lam), **scalars)

@@ -1,0 +1,174 @@
+"""Tests for the shared table and key-value formats and every table export."""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ecocruise import cli, formats
+from ecocruise.dp import read_dp_csv, write_dp_csv
+from ecocruise.harness import CONTROLLER_KINDS, SweepRow, read_sweep_csv, write_sweep_csv
+from ecocruise.invopt import GammaSeries, read_gamma_csv, write_gamma_csv
+from ecocruise.net import PREVIEW_LEN, Dataset, read_dataset_csv, write_dataset_csv
+from ecocruise.road import IngestError, RoadProfile, ingest_elevation_csv, read_road_csv, write_road_csv
+from ecocruise.vehicle import Trajectory, load_vehicle_config
+
+HEADER = ["ecocruise test v0", "fingerprint: 0123456789abcdef", "config: a=1 b=x,y"]
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+anything = st.floats(allow_subnormal=False)  # nan and inf included
+text = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=20)
+
+
+def _as_previously_written(lf: bytes) -> bytes:
+    """The same file with the csv module's default CRLF after the header row
+    and every record; ``#`` lines kept LF, as earlier releases wrote them."""
+    return b"".join(
+        line if line.startswith(b"#") else line[:-1] + b"\r\n"
+        for line in lf.splitlines(keepends=True)
+    )
+
+
+def assert_round_trip(write, read, value) -> None:
+    """write -> read -> write is byte-identical and LF-only, and a CRLF copy
+    reads back to the same value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second, legacy = (Path(tmp) / n for n in ("first.csv", "second.csv", "legacy.csv"))
+        write(value, first)
+        data = first.read_bytes()
+        assert b"\r" not in data
+        write(read(first), second)
+        assert second.read_bytes() == data
+        legacy.write_bytes(_as_previously_written(data))
+        assert b"\r\n" in legacy.read_bytes()
+        write(read(legacy), second)
+        assert second.read_bytes() == data
+
+
+def _nine_digits(values) -> np.ndarray:
+    """Values as the table stores them, so quantities derived on reading
+    (road grades) match those derived before writing."""
+    return np.array([float(formats.num(v)) for v in values])
+
+
+@settings(max_examples=60, deadline=None)
+@given(elevation=st.lists(finite, min_size=2, max_size=40),
+       ds=st.sampled_from([30.0, 15.0, 10.0, 2.5]))
+def test_road_round_trip(elevation, ds):
+    road = RoadProfile.from_elevation(_nine_digits(elevation), ds)
+    assert_round_trip(lambda r, p: write_road_csv(r, p, HEADER), read_road_csv, road)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (3, n + 1), elements=finite), arrays(np.float64, (2, n), elements=anything))))
+def test_trajectory_round_trip(columns):
+    (position, v, vavg), (te, fuel) = columns
+    traj = Trajectory(position=position, v=v, vavg=vavg, te=te, fuel_per_m=fuel)
+    assert_round_trip(lambda t, p: write_dp_csv(t, p, HEADER), read_dp_csv, traj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (2, n), elements=anything),
+    st.lists(st.sampled_from(["", "degenerate", "clamped", "failed"]), min_size=n, max_size=n))))
+def test_gamma_series_round_trip(columns):
+    (gamma, residuals), flags = columns
+    series = GammaSeries(positions=np.arange(len(gamma)), gamma=gamma, residuals=residuals,
+                         flags=tuple(flags))
+    assert_round_trip(lambda s, p: write_gamma_csv(s, p, header_lines=HEADER), read_gamma_csv,
+                      series)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 4), st.just(PREVIEW_LEN + 2)), elements=finite))
+def test_dataset_round_trip(body):
+    dataset = Dataset(features=body[:, :-1], targets=body[:, -1], positions=np.arange(len(body)))
+    assert_round_trip(lambda d, p: write_dataset_csv(d, p, HEADER), read_dataset_csv, dataset)
+
+
+sweep_rows = st.builds(
+    SweepRow, st.sampled_from(CONTROLLER_KINDS), st.none() | finite,
+    anything, anything, anything, anything, error=text,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sweep_rows, max_size=6))
+def test_sweep_round_trip(rows):
+    assert_round_trip(lambda r, p: write_sweep_csv(r, p, HEADER), read_sweep_csv, rows)
+
+
+word = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+
+
+def _record(width: int):
+    # a record's first cell never starts with "#", or it would read as metadata
+    return st.tuples(word, st.lists(text, min_size=width - 1, max_size=width - 1)).map(
+        lambda t: [t[0], *t[1]])
+
+
+def _cells(path):
+    columns, rows = formats.read_table(path)
+    return columns, [cells for _, cells in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    _record(width), st.lists(_record(width), max_size=5))))
+def test_generic_table_round_trip(table):
+    # the report's two exports are plain write_table calls with no typed reader
+    assert_round_trip(lambda t, p: formats.write_table(p, t[0], t[1], HEADER), _cells, table)
+
+
+class TestTableReader:
+    def test_errors_name_the_file_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# meta\n\na,b\n1,2\n# note\n3,x\n")
+        columns, rows = formats.read_table(path)
+        assert columns == ["a", "b"]
+        assert [n for n, _ in rows] == [4, 6]
+        with pytest.raises(ValueError, match=r"row 3 \(line 6\)"):
+            formats.float_columns(path, rows, (0, 1))
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# only metadata\n")
+        with pytest.raises(IngestError, match="empty"):
+            read_road_csv(path)
+
+    def test_road_reader_resamples_a_survey(self, tmp_path):
+        # a distance_m survey without position_m goes through ingestion, so
+        # uneven spacing is resampled instead of rejected
+        path = tmp_path / "survey.csv"
+        path.write_text("# surveyed\ndistance_m,elevation_m\n0,0\n45,3\n90,0\n200,11\n")
+        via_reader = read_road_csv(path)
+        direct = ingest_elevation_csv(path)
+        assert np.array_equal(via_reader.elevation, direct.elevation)
+        assert via_reader.ds == direct.ds == 30.0
+
+
+class TestKeyValues:
+    def test_vehicle_and_cli_configs_share_the_parser(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# comment\nv-ref = 31  # trailing\n\nepochs=9\n")
+        assert formats.read_key_values(path) == [(2, "v-ref", "31"), (4, "epochs", "9")]
+        assert cli._load_config_file(str(path)) == {"v_ref": "31", "epochs": "9"}
+
+    @pytest.mark.parametrize("load", [load_vehicle_config, cli._load_config_file])
+    def test_missing_equals_names_path_and_line(self, tmp_path, load):
+        path = tmp_path / "bad.cfg"
+        path.write_text("alpha0 = 0.003\nalpha1\n")
+        with pytest.raises(ValueError, match=r"bad.cfg:2: expected 'key = value'"):
+            load(str(path))
+
+    def test_cli_reports_bad_config_as_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("v_ref 31\n")
+        assert cli.main(["--config", str(path), "report", "--sweep", "x"]) == cli.EXIT_VALIDATION
+        assert "bad.cfg:1" in capsys.readouterr().err

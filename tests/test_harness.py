@@ -253,3 +253,17 @@ class TestLatencyRecording:
         )
         assert res.median_step_s > 0.0
         assert res.median_step_s < 0.5
+
+
+class TestOnePlantLoop:
+    def test_dp_replay_run_matches_dp_replay_bitwise(self, params, hilly_road):
+        from ecocruise.dp import replay
+
+        solution = dp_solve(params, hilly_road, DpConfig.default(params, 30.0))
+        res = run(ControllerSpec(kind="DP_REPLAY", v_ref=30.0, v_i=30.0), hilly_road, params,
+                  Artifacts(dp_solution=solution))
+        ref = replay(params, hilly_road, solution.trajectory.te, 30.0)
+        for name in ("position", "v", "vavg", "te", "fuel_per_m"):
+            assert getattr(res.trajectory, name).tobytes() == getattr(ref, name).tobytes()
+            # the DP's own forward pass steps the same plant
+            assert getattr(solution.trajectory, name).tobytes() == getattr(ref, name).tobytes()
