@@ -121,11 +121,13 @@ def _interp_weights(grid: np.ndarray, values: np.ndarray):
     return idx, frac
 
 
-def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolution:
-    """Backward value iteration plus exact-dynamics forward rollout."""
+def _cost_to_go_tables(params: VehicleParams, road: RoadProfile, config: DpConfig) -> np.ndarray:
+    """Backward value iteration: the (n_steps + 1, nv, na) cost-to-go tables.
+
+    The stage scratch lives only here, so it is released before the forward
+    rollout allocates the trajectory.
+    """
     p_steps = road.n_steps
-    if p_steps < 2:
-        raise ValueError("road must contain at least two segments")
     v_grid = config.v_grid
     a_grid = config.vavg_grid
     te_grid = config.te_grid
@@ -142,45 +144,77 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
     tables = np.empty((p_steps + 1, nv, na))
     tables[p_steps] = np.where(a_grid[None, :] >= config.v_ref - 1e-12, 0.0, big)
 
+    # each stage works on blocks of trip-average rows laid out (rows, nu, nv),
+    # torque before velocity so the minimum over torque is elementwise; four
+    # block buffers of a quarter of the stage each hold less than the three
+    # whole-stage arrays an unblocked stage needs
+    rows = -(-na // 4)
+    bufs = [np.empty((rows, nu, nv)) for _ in range(3)]
+    corner_buf = np.empty((rows, nu, nv), dtype=np.intp)
+
     for k in range(p_steps - 1, -1, -1):
-        value = tables[k + 1]
-        next_v = next_velocity(params, vv, te, road.grade[k])     # (nv, nu)
+        value = tables[k + 1].ravel()                              # (nv * na,)
+        next_v = next_velocity(params, vv, te, road.grade[k]).T   # (nu, nv)
         ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
         iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
+        wv = 1 - tv
+        # the penalties stay out of the (rows, nu, nv) blocks: the velocity one
+        # rides on the small stage-fuel table, and an infeasible trip average
+        # replaces the stage minimum.  Both equal adding ``big`` to every cell
+        # because the value table and the stage fuel are nonnegative (a fuel
+        # map positive on the grid): a penalized sum reaches ``big`` either way
+        # and the clamp below maps it to ``big``
+        fuel_v = step_fuel.T + np.where(ok_v, 0.0, big)            # (nu, nv)
+        row_v = iv * na
 
         next_a = vavg_update(k * ds, a_grid[:, None], v_grid[None, :], ds)  # (na, nv)
         ok_a = (next_a >= config.vavg_min - 1e-12) & (next_a <= config.vavg_max + 1e-12)
         ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
+        wa = 1 - ta
 
-        iv_b = iv[None, :, :]
-        tv_b = tv[None, :, :]
-        ia_b = ia[:, :, None]
-        ta_b = ta[:, :, None]
-        # bilinear interpolation (1-tv)((1-ta)j00 + ta j01) + tv((1-ta)j10 + ta j11)
-        # plus stage fuel and penalties, accumulated in place so a stage holds
-        # three (na, nv, nu) arrays rather than seven; the same operations in
-        # the same order give the same bits
-        total = value[iv_b, ia_b]
-        total *= 1 - ta_b
-        part = value[iv_b, ia_b + 1]
-        part *= ta_b
-        total += part
-        del part
-        total *= 1 - tv_b
-        upper = value[iv_b + 1, ia_b]
-        upper *= 1 - ta_b
-        part = value[iv_b + 1, ia_b + 1]
-        part *= ta_b
-        upper += part
-        del part
-        upper *= tv_b
-        total += upper
-        del upper
+        for lo in range(0, na, rows):
+            hi = min(lo + rows, na)
+            total, part, upper = (b[: hi - lo] for b in bufs)
+            corner = corner_buf[: hi - lo]
+            ta_b = ta[lo:hi, None, :]
+            wa_b = wa[lo:hi, None, :]
+            # bilinear interpolation (1-tv)((1-ta)j00 + ta j01) + tv((1-ta)j10 + ta j11)
+            # plus stage fuel, in the operation order of the unblocked reference
+            # pass in tests/test_dp.py, so the tables match it bit for bit.  The
+            # flat index of corner (iv, ia) gathers the other three corners
+            # from the raveled table shifted by 1, na and na + 1; it is in
+            # range by construction, and mode="clip" skips the buffered bounds
+            # check of the default mode
+            np.add(row_v, ia[lo:hi, None, :], out=corner)
+            np.take(value, corner, out=total, mode="clip")
+            total *= wa_b
+            np.take(value[1:], corner, out=part, mode="clip")
+            part *= ta_b
+            total += part
+            total *= wv
+            np.take(value[na:], corner, out=upper, mode="clip")
+            upper *= wa_b
+            np.take(value[na + 1:], corner, out=part, mode="clip")
+            part *= ta_b
+            upper += part
+            upper *= tv
+            total += upper
+            total += fuel_v
+            best = np.where(ok_a[lo:hi], total.min(axis=1), big)       # (rows, nv)
+            np.minimum(best.T, big, out=tables[k][:, lo:hi])
+    return tables
 
-        total += step_fuel[None, :, :]
-        total += np.where(ok_v[None, :, :], 0.0, big)
-        total += np.where(ok_a[:, :, None], 0.0, big)
-        np.minimum(total.min(axis=2).T, big, out=tables[k])        # (nv, na)
+
+def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolution:
+    """Backward value iteration plus exact-dynamics forward rollout."""
+    if road.n_steps < 2:
+        raise ValueError("road must contain at least two segments")
+    v_grid = config.v_grid
+    a_grid = config.vavg_grid
+    te_grid = config.te_grid
+    ds = params.ds
+    big = config.infeasible_cost
+    tables = _cost_to_go_tables(params, road, config)
 
     def pick(k: int, v: float, vavg: float) -> float:
         """Re-pick the torque from the continuous state against the tables."""

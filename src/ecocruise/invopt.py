@@ -66,10 +66,6 @@ class KktSystem:
         return 0
 
     @property
-    def p_cols(self) -> slice:
-        return slice(1, self.n + 2)
-
-    @property
     def q_cols(self) -> slice:
         return slice(self.n + 2, self.n + 2 + len(self.active_set))
 

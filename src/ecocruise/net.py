@@ -63,10 +63,7 @@ class MlpModel:
     @serial
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Rectified forward pass on already-scaled inputs (batch, features)."""
-        a = x
-        for w, b in zip(self.weights, self.biases):
-            a = np.maximum(a @ w + b, 0.0)
-        return a
+        return _forward(self.weights, self.biases, x)
 
     def weight_norm_sq(self) -> float:
         return float(sum(np.sum(w * w) for w in self.weights))
@@ -152,6 +149,13 @@ def _init_params(dims: tuple[int, ...], rng: np.random.Generator):
     return weights, biases
 
 
+def _forward(weights, biases, x):
+    a = x
+    for w, b in zip(weights, biases):
+        a = np.maximum(a @ w + b, 0.0)
+    return a
+
+
 def _forward_cached(weights, biases, x):
     pre = []
     acts = [x]
@@ -164,13 +168,19 @@ def _forward_cached(weights, biases, x):
     return pre, acts
 
 
+def _mse_l2(out, y, weights, l2) -> float:
+    """Training loss: mean squared error plus the L2 penalty on the weights."""
+    err = out - y
+    return float(np.mean(err * err)) + l2 * sum(float(np.sum(w * w)) for w in weights)
+
+
 def _loss_and_grads(weights, biases, x, y, l2):
     """MSE + L2 loss with analytic backprop gradients."""
     pre, acts = _forward_cached(weights, biases, x)
     out = acts[-1][:, 0]
+    loss = _mse_l2(out, y, weights, l2)
     err = out - y
     n = len(y)
-    loss = float(np.mean(err * err)) + l2 * sum(float(np.sum(w * w)) for w in weights)
 
     delta = (2.0 * err / n)[:, None] * (pre[-1] > 0.0)
     grads_w = []
@@ -234,11 +244,11 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
                 weights[i] -= config.learning_rate * gw[i]
                 biases[i] -= config.learning_rate * gb[i]
 
-        epoch_loss, _, _ = _loss_and_grads(weights, biases, x_fit, y_fit, config.l2)
+        epoch_loss = _mse_l2(_forward(weights, biases, x_fit)[:, 0], y_fit, weights, config.l2)
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
         train_losses.append(epoch_loss)
-        val_out = _forward_cached(weights, biases, x_val)[1][-1][:, 0]
+        val_out = _forward(weights, biases, x_val)[:, 0]
         val_loss = float(np.mean((val_out - y_val) ** 2))
         val_losses.append(val_loss)
         if val_loss < best_val - 1e-12:
@@ -308,6 +318,12 @@ def evaluate(model: MlpModel, features: np.ndarray, targets: np.ndarray) -> Eval
     )
 
 
+def _format_row(values) -> str:
+    """Space-separated ``%.17g`` values (round-trip exact), one line."""
+    row = tuple(np.asarray(values, dtype=float).tolist())
+    return " ".join(["%.17g"] * len(row)) % row + "\n"
+
+
 def save_model(model: MlpModel, path, fingerprint: str = "") -> None:
     """Self-describing text serialization: dims, scalers, then every layer."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -317,13 +333,12 @@ def save_model(model: MlpModel, path, fingerprint: str = "") -> None:
         fh.write("dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
         for name, scaler in (("input", model.input_scaler), ("target", model.target_scaler)):
             fh.write(f"scaler {name} {scaler.fitted_on}\n")
-            fh.write(" ".join(f"{v:.17g}" for v in scaler.mins) + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in scaler.ranges) + "\n")
+            fh.write(_format_row(scaler.mins))
+            fh.write(_format_row(scaler.ranges))
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             fh.write(f"layer {i} {w.shape[0]} {w.shape[1]}\n")
-            for row in w:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in b) + "\n")
+            fh.writelines(_format_row(row) for row in w)
+            fh.write(_format_row(b))
 
 
 def load_model(path) -> MlpModel:

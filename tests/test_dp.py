@@ -4,11 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import EXACT_TINY_SEEDS, enumerate_optimum, make_tiny_instance
-from ecocruise.dp import DpConfig, InfeasibleError, read_dp_csv, replay, solve, vavg_update, write_dp_csv
+from ecocruise.dp import (
+    DpConfig,
+    InfeasibleError,
+    _cost_to_go_tables,
+    _interp_weights,
+    read_dp_csv,
+    replay,
+    solve,
+    vavg_update,
+    write_dp_csv,
+)
 from ecocruise.road import RoadProfile, gen_sinusoidal
-from ecocruise.vehicle import equilibrium_torque, fuel_per_meter
+from ecocruise.vehicle import equilibrium_torque, fuel_per_meter, next_velocity, rollout
 
 
 class TestVavgUpdate:
@@ -251,3 +262,120 @@ class TestCostToGo:
         table = solve(params, road, config).cost_to_go
         assert table.shape == (len(config.v_grid), len(config.vavg_grid))
         assert table.base is None
+
+
+def reference_solve(params, road, config):
+    """Unblocked backward pass: four 2-D gathers per stage over (na, nv, nu),
+    both penalties added to the full stage array, then the forward re-pick.
+
+    Returns (every stage's cost-to-go table, trajectory or None, infeasible
+    message or None, velocity-infeasible cell count, trip-average-infeasible
+    cell count).
+    """
+    v_grid, a_grid, te_grid = config.v_grid, config.vavg_grid, config.te_grid
+    ds, big = params.ds, config.infeasible_cost
+    p_steps = road.n_steps
+    vv, te = v_grid[:, None], te_grid[None, :]
+    step_fuel = fuel_per_meter(params, vv, te) * ds
+    tables = np.empty((p_steps + 1, len(v_grid), len(a_grid)))
+    tables[p_steps] = np.where(a_grid[None, :] >= config.v_ref - 1e-12, 0.0, big)
+    bad_v = bad_a = 0
+    for k in range(p_steps - 1, -1, -1):
+        value = tables[k + 1]
+        next_v = next_velocity(params, vv, te, road.grade[k])
+        ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
+        iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
+        next_a = vavg_update(k * ds, a_grid[:, None], v_grid[None, :], ds)
+        ok_a = (next_a >= config.vavg_min - 1e-12) & (next_a <= config.vavg_max + 1e-12)
+        ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
+        bad_v += int(np.sum(~ok_v))
+        bad_a += int(np.sum(~ok_a))
+        iv_b, tv_b = iv[None, :, :], tv[None, :, :]
+        ia_b, ta_b = ia[:, :, None], ta[:, :, None]
+        total = (1 - tv_b) * ((1 - ta_b) * value[iv_b, ia_b] + ta_b * value[iv_b, ia_b + 1])
+        total += tv_b * ((1 - ta_b) * value[iv_b + 1, ia_b] + ta_b * value[iv_b + 1, ia_b + 1])
+        total += step_fuel[None, :, :]
+        total += np.where(ok_v[None, :, :], 0.0, big)
+        total += np.where(ok_a[:, :, None], 0.0, big)
+        tables[k] = np.minimum(total.min(axis=2).T, big)
+
+    def pick(k, v, vavg):
+        cand_v = next_velocity(params, v, te_grid, road.grade[k])
+        cand_ok = (cand_v >= v_grid[0]) & (cand_v <= v_grid[-1])
+        next_a = vavg_update(k * ds, vavg, v, ds)
+        a_ok = config.vavg_min - 1e-12 <= next_a <= config.vavg_max + 1e-12
+        table = tables[k + 1]
+        iv, tv = _interp_weights(v_grid, np.clip(cand_v, v_grid[0], v_grid[-1]))
+        ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
+        j_next = (1 - tv) * ((1 - ta) * table[iv, ia] + ta * table[iv, ia + 1]) + tv * (
+            (1 - ta) * table[iv + 1, ia] + ta * table[iv + 1, ia + 1]
+        )
+        cost = fuel_per_meter(params, v, te_grid) * ds + j_next
+        cost = cost + np.where(cand_ok, 0.0, big)
+        if not a_ok:
+            cost = cost + big
+        best = int(np.argmin(cost))
+        if cost[best] >= big:
+            raise InfeasibleError(
+                f"no feasible torque at step {k} (position {k * ds:.0f} m, v={v:.2f} m/s)"
+            )
+        return float(te_grid[best])
+
+    try:
+        traj, message = rollout(params, road, config.v_i, pick), None
+    except InfeasibleError as exc:
+        traj, message = None, str(exc)
+    return tables, traj, message, bad_v, bad_a
+
+
+@st.composite
+def penalized_instances(draw):
+    """Short roads on small grids whose edges are infeasible by construction.
+
+    Grades stay within 2%, where full torque cannot hold the top velocity
+    node and zero-or-less torque cannot hold the bottom one, so velocity
+    penalties appear at every stage.  The trip-average corridor is narrower
+    than the velocity grid, so the first stage (where the new average equals
+    the current speed) has trip-average penalties.  ``na`` runs from 2 to 21:
+    a stage splits its ``na`` rows into blocks of ceil(na / 4), so this covers
+    one-row blocks, whole blocks and a ragged last block.
+    """
+    p_steps = draw(st.integers(2, 7))
+    grades = draw(st.lists(st.floats(-0.02, 0.02), min_size=p_steps, max_size=p_steps))
+    road = RoadProfile.from_elevation(np.concatenate([[0.0], np.cumsum(grades) * 30.0]), 30.0)
+    v_i = 30.0
+    v_half = draw(st.floats(0.4, 3.0))
+    a_half = draw(st.floats(0.1, 0.9)) * v_half
+    vavg_min, vavg_max = v_i - a_half, v_i + a_half
+    v_ref = vavg_min + draw(st.floats(0.0, 0.6)) * (vavg_max - vavg_min)
+    config = DpConfig(
+        v_grid=np.linspace(v_i - v_half, v_i + v_half, draw(st.integers(2, 12))),
+        vavg_grid=np.linspace(vavg_min, vavg_max, draw(st.integers(2, 21))),
+        te_grid=np.linspace(-30.0, 240.0, draw(st.integers(2, 9))),
+        vavg_min=vavg_min,
+        vavg_max=vavg_max,
+        v_ref=v_ref,
+        v_i=v_i,
+        keep_cost_to_go=True,
+    )
+    return road, config
+
+
+class TestBlockedStageMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(penalized_instances())
+    def test_bitwise_equal_to_unblocked_pass(self, params, instance):
+        road, config = instance
+        tables, traj, message, bad_v, bad_a = reference_solve(params, road, config)
+        assert bad_v > 0 and bad_a > 0
+        assert _cost_to_go_tables(params, road, config).tobytes() == tables.tobytes()
+        if message is not None:
+            with pytest.raises(InfeasibleError) as err:
+                solve(params, road, config)
+            assert str(err.value) == message
+            return
+        solution = solve(params, road, config)
+        assert solution.cost_to_go.tobytes() == tables[0].tobytes()
+        for field in ("v", "vavg", "te", "fuel_per_m"):
+            assert getattr(solution.trajectory, field).tobytes() == getattr(traj, field).tobytes()
+        assert solution.total_fuel == traj.total_fuel_kg

@@ -198,6 +198,24 @@ class TestTrain:
         test_scaler = MinMaxScaler.fit(ds.targets[hist.test_indices, None], fitted_on="test")
         assert not np.allclose(test_scaler.mins, model.target_scaler.mins)
 
+    def test_epoch_loss_is_the_training_loss_of_the_returned_weights(self):
+        ds = toy_dataset(n=60, seed=12)
+        cfg = TrainConfig(learning_rate=0.03, epochs=25, patience=10**9, l2=1e-4,
+                          restore_best=False, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model, hist = train(ds, cfg)
+        perm = np.random.default_rng(cfg.seed).permutation(len(ds))
+        n_test = max(1, int(round(cfg.test_fraction * len(ds))))
+        n_val = max(1, int(round(cfg.val_fraction * (len(ds) - n_test))))
+        assert np.array_equal(perm[:n_test], hist.test_indices)
+        assert np.array_equal(perm[n_test : n_test + n_val], hist.val_indices)
+        fit_idx = perm[n_test + n_val :]
+        x_fit = model.input_scaler.transform(ds.features[fit_idx])
+        y_fit = model.target_scaler.transform(ds.targets[fit_idx, None])[:, 0]
+        loss, _, _ = _loss_and_grads(model.weights, model.biases, x_fit, y_fit, cfg.l2)
+        assert hist.train_loss[-1] == loss
+
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(toy_dataset(n=5), TrainConfig())
@@ -296,3 +314,34 @@ class TestSerialization:
             window = rng.uniform(-0.05, 0.05, 100)
             assert predict(loaded, window, 30.0) == predict(model, window, 30.0)
         assert "abc123" in path.read_text()
+
+    def test_values_written_as_shortest_round_trip_text(self, tmp_path):
+        special = [0.1, -0.0, 5e-324, 1e-300, 1.7976931348623157e308]
+        dims = (2, 3, 1)
+        model = MlpModel(
+            layer_dims=dims,
+            weights=[np.array([special[:3], special[2:]]), np.array([[-0.0], [0.1], [5e-324]])],
+            biases=[np.array(special[2:]), np.array([1e-300])],
+            input_scaler=MinMaxScaler(np.array(special[:2]), np.array(special[3:]), "train"),
+            target_scaler=MinMaxScaler(np.array([5e-324]), np.array([0.1]), "train"),
+        )
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+
+        def row(values):
+            return " ".join(f"{v:.17g}" for v in values) + "\n"
+
+        expected = "# ecocruise mlp v1\ndims 2 3 1\n" + "".join(
+            ["scaler input train\n", row(special[:2]), row(special[3:]),
+             "scaler target train\n", row([5e-324]), row([0.1]),
+             "layer 0 2 3\n", row(special[:3]), row(special[2:]), row(special[2:]),
+             "layer 1 3 1\n", row([-0.0]), row([0.1]), row([5e-324]), row([1e-300])]
+        )
+        assert path.read_bytes() == expected.encode()
+        loaded = load_model(path)
+        for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert got.tobytes() == want.tobytes()
+        for name in ("input_scaler", "target_scaler"):
+            for field in ("mins", "ranges"):
+                got = getattr(getattr(loaded, name), field)
+                assert got.tobytes() == getattr(getattr(model, name), field).tobytes()
