@@ -17,17 +17,16 @@ import hashlib
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import dp as dp_mod
 from . import formats, harness, invopt, mpc, net, road as road_mod
-from .dp import DpConfig, DpSolution, InfeasibleError
+from .dp import DpConfig, DpSolution
 from .formats import num
-from .qp import QpError
-from .road import IngestError
-from .vehicle import StepFailure, VehicleParams, linearize, load_vehicle_config
+from .vehicle import VehicleParams, linearize, load_vehicle_config
 
 ENV_OUT_DIR = "ECOCRUISE_OUT_DIR"
 DEFAULT_V_REF = 30.0  # cruise set point, m/s
@@ -36,6 +35,28 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+
+# Every tunable option, once: argparse dest, which is also its config-file
+# key, -> (flag, type, default).  A command declares which of them it takes.
+OPTIONS = {
+    "length_km": ("--length-km", float, None),
+    "seed": ("--seed", int, None),
+    "v_ref": ("--v-ref", float, DEFAULT_V_REF),
+    "v_i": ("--v-i", float, None),  # unset: start at v_ref
+    "dv": ("--dv", float, dp_mod.DEFAULT_DV),
+    "dvavg": ("--dvavg", float, dp_mod.DEFAULT_DVAVG),
+    "dte": ("--dte", float, dp_mod.DEFAULT_DTE),
+    "v_span": ("--v-span", float, dp_mod.DEFAULT_V_SPAN),
+    "vavg_band": ("--vavg-band", float, dp_mod.DEFAULT_VAVG_BAND),
+    "horizon": ("--horizon", int, mpc.DEFAULT_HORIZON),
+    "lr": ("--lr", float, net.TrainConfig.learning_rate),
+    "epochs": ("--epochs", int, net.TrainConfig.epochs),
+    "batch_size": ("--batch-size", int, net.TrainConfig.batch_size),
+    "l2": ("--l2", float, net.TrainConfig.l2),
+    "nn_seed": ("--nn-seed", int, net.TrainConfig.seed),
+    "gamma": ("--gamma", float, 0.0),
+    "gamma_ladder": ("--gammas", str, "0.0005:0.005:10"),
+}
 
 
 class UsageError(Exception):
@@ -102,20 +123,48 @@ def _load_config_file(path: str | None) -> dict[str, str]:
         return {}
     if not Path(path).exists():
         raise ValidationError(f"config file not found: {path}")
-    return {key.replace("-", "_"): value for _, key, value in formats.read_key_values(path)}
+    cfg = {}
+    for lineno, key, value in formats.read_key_values(path):
+        name = key.replace("-", "_")
+        if name not in OPTIONS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        cfg[name] = value
+    return cfg
 
 
-def _merged(args: argparse.Namespace, file_cfg: dict[str, str], key: str, cast, default):
-    """Flag wins over config file, which wins over the default."""
-    flag_val = getattr(args, key, None)
-    if flag_val is not None:
-        return flag_val
-    if key in file_cfg:
-        try:
-            return cast(file_cfg[key])
-        except ValueError as exc:
-            raise ValidationError(f"config key {key}: {exc}") from exc
-    return default
+def _resolve(stage: str, args: argparse.Namespace, file_cfg: dict[str, str]) -> dict:
+    """The stage's options: flag, else config file, else default; an unset
+    ``v_i`` starts the drive at ``v_ref``."""
+    cfg = {}
+    for dest in _COMMANDS[stage].options:
+        _, cast, default = OPTIONS[dest]
+        value = getattr(args, dest)
+        if value is None and dest in file_cfg:
+            try:
+                value = cast(file_cfg[dest])
+            except ValueError as exc:
+                raise ValidationError(f"config key {dest}: {exc}") from exc
+        cfg[dest] = default if value is None else value
+    if "v_i" in cfg and cfg["v_i"] is None:
+        cfg["v_i"] = cfg["v_ref"]
+    return cfg
+
+
+def _produce(stage: str, out: str | None, cfg: dict, inputs: list[Path],
+             params: VehicleParams | None, make) -> int:
+    """Write ``out`` unless it already holds the artifact this configuration
+    fingerprints to.  ``make(tmp, fingerprint, header_lines)`` computes and
+    writes the artifact to ``tmp`` and returns the summary to print."""
+    if out is None:
+        raise UsageError(f"{stage} requires --out")
+    fp = _fingerprint(stage, cfg, inputs, params)
+    if _cache_hit(Path(out), fp):
+        print(f"cache hit: {out}")
+        return EXIT_OK
+    with _atomic(Path(out)) as tmp:
+        summary = make(tmp, fp, _meta(stage, fp, cfg))
+    print(f"wrote {out} ({summary})")
+    return EXIT_OK
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -156,133 +205,101 @@ def _parse_ladder(text: str) -> list[float]:
         raise ValidationError(f"bad ladder spec {text!r}") from exc
 
 
+def _read_solution(path: Path) -> DpSolution:
+    traj = dp_mod.read_dp_csv(path)
+    return DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=None)
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_road(args, file_cfg) -> int:
-    length_km = _merged(args, file_cfg, "length_km", float, None)
-    seed = _merged(args, file_cfg, "seed", int, None)
-    if length_km is None or seed is None:
+    cfg = _resolve("gen-road", args, file_cfg)
+    if cfg["length_km"] is None or cfg["seed"] is None:
         raise UsageError("gen-road requires --length-km and --seed")
-    if args.out is None:
-        raise UsageError("gen-road requires --out")
-    if length_km < 3.0:
+    if cfg["length_km"] < 3.0:
         raise ValidationError("road must be at least 3 km (grade previews span 3 km)")
-    cfg = {"length_km": length_km, "seed": seed}
-    fp = _fingerprint("gen-road", cfg)
-    out = Path(args.out)
-    if _cache_hit(out, fp):
-        print(f"cache hit: {out}")
-        return EXIT_OK
-    profile = road_mod.gen_sinusoidal(seed=seed, length_m=length_km * 1000.0)
-    with _atomic(out) as tmp:
-        road_mod.write_road_csv(profile, tmp, header_lines=_meta("gen-road", fp, cfg))
-    print(f"wrote {out} ({profile.n_steps} segments, max |grade| "
-          f"{float(np.max(np.abs(profile.grade))):.4f})")
-    return EXIT_OK
+
+    def make(tmp, fp, meta):
+        profile = road_mod.gen_sinusoidal(seed=cfg["seed"], length_m=cfg["length_km"] * 1000.0)
+        road_mod.write_road_csv(profile, tmp, header_lines=meta)
+        return (f"{profile.n_steps} segments, max |grade| "
+                f"{float(np.max(np.abs(profile.grade))):.4f}")
+
+    return _produce("gen-road", args.out, cfg, [], None, make)
 
 
 def cmd_solve_dp(args, file_cfg) -> int:
     road_path = _require_file(args.road, "road file")
-    if args.out is None:
-        raise UsageError("solve-dp requires --out")
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
-    v_i = _merged(args, file_cfg, "v_i", float, v_ref)
-    dv = _merged(args, file_cfg, "dv", float, dp_mod.DEFAULT_DV)
-    dvavg = _merged(args, file_cfg, "dvavg", float, dp_mod.DEFAULT_DVAVG)
-    dte = _merged(args, file_cfg, "dte", float, dp_mod.DEFAULT_DTE)
-    v_span = _merged(args, file_cfg, "v_span", float, dp_mod.DEFAULT_V_SPAN)
-    vavg_band = _merged(args, file_cfg, "vavg_band", float, dp_mod.DEFAULT_VAVG_BAND)
-    cfg = {"v_ref": v_ref, "v_i": v_i, "dv": dv, "dvavg": dvavg, "dte": dte,
-           "v_span": v_span, "vavg_band": vavg_band}
-    fp = _fingerprint("solve-dp", cfg, [road_path], params)
-    out = Path(args.out)
-    if _cache_hit(out, fp):
-        print(f"cache hit: {out}")
-        return EXIT_OK
-    profile = road_mod.read_road_csv(road_path)
-    config = DpConfig.default(params, v_ref, v_i=v_i, v_span=v_span, dv=dv,
-                              dvavg=dvavg, dte=dte, vavg_band=vavg_band)
-    solution = dp_mod.solve(params, profile, config)
-    with _atomic(out) as tmp:
-        dp_mod.write_dp_csv(solution, tmp, header_lines=_meta("solve-dp", fp, cfg))
-    print(f"wrote {out} (total fuel {solution.total_fuel:.9g} kg)")
-    return EXIT_OK
+    cfg = _resolve("solve-dp", args, file_cfg)
+
+    def make(tmp, fp, meta):
+        profile = road_mod.read_road_csv(road_path)
+        solution = dp_mod.solve(params, profile, DpConfig.default(params, **cfg))
+        dp_mod.write_dp_csv(solution, tmp, header_lines=meta)
+        return f"total fuel {solution.total_fuel:.9g} kg"
+
+    return _produce("solve-dp", args.out, cfg, [road_path], params, make)
 
 
 def cmd_invert(args, file_cfg) -> int:
     road_path = _require_file(args.road, "road file")
     dp_path = _require_file(args.dp, "trajectory file")
-    if args.out is None:
-        raise UsageError("invert requires --out")
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
-    horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
-    cfg = {"v_ref": v_ref, "horizon": horizon}
-    fp = _fingerprint("invert", cfg, [road_path, dp_path], params)
-    out = Path(args.out)
-    if _cache_hit(out, fp):
-        print(f"cache hit: {out}")
-        return EXIT_OK
-    profile = road_mod.read_road_csv(road_path)
-    traj = dp_mod.read_dp_csv(dp_path)
-    solution = DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=None)
-    lin = linearize(params, v_ref)
-    series = invopt.gamma_series(solution, profile, lin, params, horizon, v_ref=v_ref)
-    with _atomic(out) as tmp:
-        invopt.write_gamma_csv(series, tmp, ds=params.ds, header_lines=_meta("invert", fp, cfg))
-    clean = sum(1 for f in series.flags if not f)
-    print(f"wrote {out} ({clean}/{len(series)} clean recoveries)")
-    return EXIT_OK
+    cfg = _resolve("invert", args, file_cfg)
+
+    def make(tmp, fp, meta):
+        profile = road_mod.read_road_csv(road_path)
+        lin = linearize(params, cfg["v_ref"])
+        series = invopt.gamma_series(_read_solution(dp_path), profile, lin, params,
+                                     cfg["horizon"], v_ref=cfg["v_ref"])
+        invopt.write_gamma_csv(series, tmp, ds=params.ds, header_lines=meta)
+        clean = sum(1 for f in series.flags if not f)
+        return f"{clean}/{len(series)} clean recoveries"
+
+    return _produce("invert", args.out, cfg, [road_path, dp_path], params, make)
 
 
 def cmd_train(args, file_cfg) -> int:
     road_path = _require_file(args.road, "road file")
     gam_path = _require_file(args.gammas, "weight-series file")
-    if args.out is None:
-        raise UsageError("train requires --out")
-    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
-    defaults = net.TrainConfig()
-    cfg_obj = net.TrainConfig(
-        learning_rate=_merged(args, file_cfg, "lr", float, defaults.learning_rate),
-        epochs=_merged(args, file_cfg, "epochs", int, defaults.epochs),
-        batch_size=_merged(args, file_cfg, "batch_size", int, defaults.batch_size),
-        l2=_merged(args, file_cfg, "l2", float, defaults.l2),
-        seed=_merged(args, file_cfg, "nn_seed", int, defaults.seed),
-    )
-    cfg = {"v_ref": v_ref, "lr": cfg_obj.learning_rate, "epochs": cfg_obj.epochs,
-           "batch_size": cfg_obj.batch_size, "l2": cfg_obj.l2, "nn_seed": cfg_obj.seed}
-    fp = _fingerprint("train", cfg, [road_path, gam_path])
-    out = Path(args.out)
-    if _cache_hit(out, fp):
-        print(f"cache hit: {out}")
-        return EXIT_OK
-    profile = road_mod.read_road_csv(road_path)
-    series = invopt.read_gamma_csv(gam_path)
-    dataset = net.make_dataset(profile, series, v_ref)
-    model, history = net.train(dataset, cfg_obj)
-    test = net.evaluate(model, dataset.features[history.test_indices],
-                        dataset.targets[history.test_indices])
-    with _atomic(out) as tmp:
+    cfg = _resolve("train", args, file_cfg)
+
+    def make(tmp, fp, meta):
+        profile = road_mod.read_road_csv(road_path)
+        dataset = net.make_dataset(profile, invopt.read_gamma_csv(gam_path), cfg["v_ref"])
+        model, history = net.train(dataset, net.TrainConfig(
+            learning_rate=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+            l2=cfg["l2"], seed=cfg["nn_seed"]))
+        test = net.evaluate(model, dataset.features[history.test_indices],
+                            dataset.targets[history.test_indices])
         net.save_model(model, tmp, fingerprint=fp)
-    print(f"wrote {out} (held-out scaled mse {test.mse_scaled:.3e}, "
-          f"mae {test.mae_scaled:.3e}; {len(history.train_loss)} epochs)")
-    return EXIT_OK
+        return (f"held-out scaled mse {test.mse_scaled:.3e}, "
+                f"mae {test.mae_scaled:.3e}; {len(history.train_loss)} epochs")
+
+    return _produce("train", args.out, cfg, [road_path, gam_path], None, make)
 
 
 _KIND_ALIASES = {"at": "AT_MPC", "pt": "PT_MPC", "fixed": "FIXED_LMPC",
                  "pi": "PI", "dp": "DP_REPLAY"}
 
 
-def _artifacts_for(args, kinds: set[str]) -> harness.Artifacts:
+def _artifact_files(args, kinds: set[str], gammas: str | None) -> dict[str, Path]:
+    """The file each controller kind in ``kinds`` reads; ``gammas`` is the
+    weight-series path, which simulate and sweep take under different flags."""
+    given = {"AT_MPC": (args.model, "model file"), "PT_MPC": (gammas, "weight-series file"),
+             "DP_REPLAY": (args.dp, "trajectory file")}
+    return {kind: _require_file(*given[kind]) for kind in given if kind in kinds}
+
+
+def _artifacts_for(files: dict[str, Path]) -> harness.Artifacts:
     model = series = solution = None
-    if "AT_MPC" in kinds:
-        model = net.load_model(_require_file(args.model, "model file"))
-    if "PT_MPC" in kinds:
-        series = invopt.read_gamma_csv(_require_file(args.gammas, "weight-series file"))
-    if "DP_REPLAY" in kinds:
-        traj = dp_mod.read_dp_csv(_require_file(args.dp, "trajectory file"))
-        solution = DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=None)
+    if "AT_MPC" in files:
+        model = net.load_model(files["AT_MPC"])
+    if "PT_MPC" in files:
+        series = invopt.read_gamma_csv(files["PT_MPC"])
+    if "DP_REPLAY" in files:
+        solution = _read_solution(files["DP_REPLAY"])
     return harness.Artifacts(model=model, series=series, dp_solution=solution)
 
 
@@ -292,23 +309,19 @@ def cmd_simulate(args, file_cfg) -> int:
         raise UsageError(f"--controller must be one of {sorted(_KIND_ALIASES)}")
     kind = _KIND_ALIASES[args.controller]
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
-    v_i = _merged(args, file_cfg, "v_i", float, v_ref)
-    horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
-    gamma = _merged(args, file_cfg, "gamma", float, 0.0)
+    cfg = _resolve("simulate", args, file_cfg)
+    files = _artifact_files(args, {kind}, args.gammas)
     profile = road_mod.read_road_csv(road_path)
-    artifacts = _artifacts_for(args, {kind})
-    spec = harness.ControllerSpec(kind=kind, v_ref=v_ref, v_i=v_i,
-                                  horizon=horizon, gamma=gamma)
-    result = harness.run(spec, profile, params, artifacts)
-    row = harness.SweepRow.of(kind, gamma if kind == "FIXED_LMPC" else None, result)
+    result = harness.run(harness.ControllerSpec(kind=kind, **cfg), profile, params,
+                         _artifacts_for(files))
+    row = harness.SweepRow.of(kind, cfg["gamma"] if kind == "FIXED_LMPC" else None, result)
     print(f"{row.controller}: avg velocity {row.avg_velocity_mps:.9g} m/s, "
           f"fuel economy {row.fuel_economy_km_per_kg:.9g} km/kg, "
           f"total fuel {row.total_fuel_kg:.9g} kg, "
           f"median step {row.median_step_s:.9g} s")
     if args.out:
-        cfg = {"controller": kind, "v_ref": v_ref, "v_i": v_i, "gamma": gamma}
-        fp = _fingerprint("simulate", cfg, [road_path], params)
+        cfg["controller"] = kind
+        fp = _fingerprint("simulate", cfg, [road_path, *files.values()], params)
         with _atomic(Path(args.out)) as tmp:
             harness.write_sweep_csv([row], tmp, header_lines=_meta("simulate", fp, cfg))
     return EXIT_OK
@@ -316,35 +329,19 @@ def cmd_simulate(args, file_cfg) -> int:
 
 def cmd_sweep(args, file_cfg) -> int:
     road_path = _require_file(args.road, "road file")
-    if args.out is None:
-        raise UsageError("sweep requires --out")
-    ladder = _parse_ladder(_merged(args, file_cfg, "gammas_flag", str, None)
-                           or file_cfg.get("gamma_ladder", "0.0005:0.005:10"))
     params = _vehicle(args)
-    v_ref = _merged(args, file_cfg, "v_ref", float, DEFAULT_V_REF)
-    v_i = _merged(args, file_cfg, "v_i", float, v_ref)
-    horizon = _merged(args, file_cfg, "horizon", int, mpc.DEFAULT_HORIZON)
-    cfg = {"v_ref": v_ref, "v_i": v_i, "horizon": horizon,
-           "gammas": ",".join(f"{g:.9g}" for g in ladder)}
-    inputs = [road_path]
-    for attr in ("model", "gammas_csv", "dp"):
-        val = getattr(args, attr, None)
-        if val:
-            inputs.append(_require_file(val, attr))
-    fp = _fingerprint("sweep", cfg, inputs, params)
-    out = Path(args.out)
-    if _cache_hit(out, fp):
-        print(f"cache hit: {out}")
-        return EXIT_OK
-    profile = road_mod.read_road_csv(road_path)
-    args.gammas = args.gammas_csv  # _artifacts_for reads .gammas for PT
-    artifacts = _artifacts_for(args, {"AT_MPC", "PT_MPC", "DP_REPLAY"})
-    rows = harness.pareto_sweep(profile, params, ladder, artifacts, v_ref,
-                                v_i=v_i, horizon=horizon)
-    with _atomic(out) as tmp:
-        harness.write_sweep_csv(rows, tmp, header_lines=_meta("sweep", fp, cfg))
-    print(f"wrote {out} ({len(rows)} rows)")
-    return EXIT_OK
+    drive = _resolve("sweep", args, file_cfg)
+    ladder = _parse_ladder(drive.pop("gamma_ladder"))
+    files = _artifact_files(args, {"AT_MPC", "PT_MPC", "DP_REPLAY"}, args.gammas_csv)
+
+    def make(tmp, fp, meta):
+        profile = road_mod.read_road_csv(road_path)
+        rows = harness.pareto_sweep(profile, params, ladder, _artifacts_for(files), **drive)
+        harness.write_sweep_csv(rows, tmp, header_lines=meta)
+        return f"{len(rows)} rows"
+
+    cfg = {**drive, "gammas": ",".join(f"{g:.9g}" for g in ladder)}
+    return _produce("sweep", args.out, cfg, [road_path, *files.values()], params, make)
 
 
 def cmd_report(args, file_cfg) -> int:
@@ -384,61 +381,71 @@ def cmd_report(args, file_cfg) -> int:
         out_dir = _out_dir(args.out_dir)
         fp = _fingerprint("report", {}, [sweep_path])
         meta = _meta("report", fp, {})
-        front = out_dir / "pareto_fixed_front.csv"
-        with _atomic(front) as tmp:
-            formats.write_table(
-                tmp,
-                ["gamma", "avg_velocity_mps", "fuel_economy_km_per_kg"],
-                ([num(r.gamma), num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
-                 for r in sorted(fixed_rows, key=lambda r: r.gamma or 0.0)),
-                meta,
-            )
-        points = out_dir / "pareto_controllers.csv"
-        with _atomic(points) as tmp:
-            formats.write_table(
-                tmp,
-                ["controller", "avg_velocity_mps", "fuel_economy_km_per_kg"],
-                ([name, num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
-                 for name, r in sorted(by_kind.items())),
-                meta,
-            )
+        front, points = out_dir / "pareto_fixed_front.csv", out_dir / "pareto_controllers.csv"
+        for out, columns, table in (
+            (front, ["gamma", "avg_velocity_mps", "fuel_economy_km_per_kg"],
+             ([num(r.gamma), num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
+              for r in sorted(fixed_rows, key=lambda r: r.gamma or 0.0))),
+            (points, ["controller", "avg_velocity_mps", "fuel_economy_km_per_kg"],
+             ([name, num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
+              for name, r in sorted(by_kind.items()))),
+        ):
+            with _atomic(out) as tmp:
+                formats.write_table(tmp, columns, table, meta)
         print(f"wrote {front} and {points}")
     return EXIT_OK
 
 
+# each pipeline stage, the file it writes and the flags later stages read it by
+_PIPELINE = (("gen-road", "road.csv", ("road",)), ("solve-dp", "dp.csv", ("dp",)),
+             ("invert", "gammas.csv", ("gammas", "gammas_csv")),
+             ("train", "model.txt", ("model",)), ("sweep", "sweep.csv", ("sweep",)),
+             ("report", ".", ("out_dir",)))
+
+
 def cmd_pipeline(args, file_cfg) -> int:
     out_dir = _out_dir(args.out_dir or "runs")
-    road_file = Path(args.road) if args.road else out_dir / "road.csv"
-    stage = "gen-road"
-    try:
-        if not args.road:
-            args.out = str(road_file)
-            cmd_gen_road(args, file_cfg)
-        stage = "solve-dp"
-        args.road = str(road_file)
-        args.out = str(out_dir / "dp.csv")
-        cmd_solve_dp(args, file_cfg)
-        stage = "invert"
-        args.dp = str(out_dir / "dp.csv")
-        args.out = str(out_dir / "gammas.csv")
-        cmd_invert(args, file_cfg)
-        stage = "train"
-        args.gammas = str(out_dir / "gammas.csv")
-        args.out = str(out_dir / "model.txt")
-        cmd_train(args, file_cfg)
-        stage = "sweep"
-        args.model = str(out_dir / "model.txt")
-        args.gammas_csv = str(out_dir / "gammas.csv")
-        args.out = str(out_dir / "sweep.csv")
-        cmd_sweep(args, file_cfg)
-        stage = "report"
-        args.sweep = str(out_dir / "sweep.csv")
-        args.out_dir = str(out_dir)
-        return cmd_report(args, file_cfg)
-    except (UsageError, ValidationError):
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"pipeline stage {stage} failed: {exc}") from exc
+    for stage, name, feeds in _PIPELINE:
+        if stage == "gen-road" and args.road:
+            continue  # a given road is read, not generated
+        args.out = str(out_dir / name)
+        for dest in feeds:
+            setattr(args, dest, args.out)
+        try:
+            _COMMANDS[stage].run(args, file_cfg)
+        except _FAILURES as exc:
+            return _fail(exc, f"pipeline stage {stage} failed: ")
+    return EXIT_OK
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace, dict[str, str]], int]
+    help: str
+    files: tuple[str, ...]  # path flags, by dest
+    options: tuple[str, ...]  # keys of OPTIONS
+
+
+_COMMANDS = {
+    "gen-road": _Command(cmd_gen_road, "generate a seeded synthetic hilly road", ("out",),
+                         ("length_km", "seed")),
+    "solve-dp": _Command(cmd_solve_dp, "global minimum-fuel trajectory", ("road", "out"),
+                         ("v_ref", "v_i", "dv", "dvavg", "dte", "v_span", "vavg_band")),
+    "invert": _Command(cmd_invert, "recover per-position fuel weights", ("road", "dp", "out"),
+                       ("v_ref", "horizon")),
+    "train": _Command(cmd_train, "fit the weight predictor", ("road", "gammas", "out"),
+                      ("v_ref", "lr", "epochs", "batch_size", "l2", "nn_seed")),
+    "simulate": _Command(cmd_simulate, "run one controller on one road",
+                         ("road", "controller", "model", "gammas", "dp", "out"),
+                         ("gamma", "v_ref", "v_i", "horizon")),
+    "sweep": _Command(cmd_sweep, "full controller comparison table; --gammas is the "
+                      "fixed-weight ladder, lo:hi:count or a comma list",
+                      ("road", "model", "gammas_csv", "dp", "out"),
+                      ("gamma_ladder", "v_ref", "v_i", "horizon")),
+    "report": _Command(cmd_report, "summarize a sweep", ("sweep", "out_dir"), ()),
+}
+_COMMANDS["pipeline"] = _Command(
+    cmd_pipeline, "run every stage with caching", ("road", "out_dir"),
+    tuple(dict.fromkeys(o for stage, *_ in _PIPELINE for o in _COMMANDS[stage].options)))
 
 
 def _build_parser() -> _Parser:
@@ -447,102 +454,31 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--vehicle-config", help="vehicle parameter overrides")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-road", help="generate a seeded synthetic hilly road")
-    p.add_argument("--length-km", type=float, dest="length_km")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("solve-dp", help="global minimum-fuel trajectory")
-    p.add_argument("--road")
-    p.add_argument("--v-ref", type=float, dest="v_ref")
-    p.add_argument("--v-i", type=float, dest="v_i")
-    p.add_argument("--dv", type=float)
-    p.add_argument("--dvavg", type=float)
-    p.add_argument("--dte", type=float)
-    p.add_argument("--v-span", type=float, dest="v_span")
-    p.add_argument("--vavg-band", type=float, dest="vavg_band")
-    p.add_argument("--out")
-
-    p = sub.add_parser("invert", help="recover per-position fuel weights")
-    p.add_argument("--road")
-    p.add_argument("--dp")
-    p.add_argument("--v-ref", type=float, dest="v_ref")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("train", help="fit the weight predictor")
-    p.add_argument("--road")
-    p.add_argument("--gammas")
-    p.add_argument("--v-ref", type=float, dest="v_ref")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--l2", type=float)
-    p.add_argument("--nn-seed", type=int, dest="nn_seed")
-    p.add_argument("--out")
-
-    p = sub.add_parser("simulate", help="run one controller on one road")
-    p.add_argument("--road")
-    p.add_argument("--controller", required=True)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--model")
-    p.add_argument("--gammas")
-    p.add_argument("--dp")
-    p.add_argument("--v-ref", type=float, dest="v_ref")
-    p.add_argument("--v-i", type=float, dest="v_i")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("sweep", help="full controller comparison table")
-    p.add_argument("--road")
-    p.add_argument("--gammas", dest="gammas_flag",
-                   help="ladder lo:hi:count or comma list")
-    p.add_argument("--model")
-    p.add_argument("--gammas-csv", dest="gammas_csv")
-    p.add_argument("--dp")
-    p.add_argument("--v-ref", type=float, dest="v_ref")
-    p.add_argument("--v-i", type=float, dest="v_i")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("report", help="summarize a sweep")
-    p.add_argument("--sweep")
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("pipeline", help="run every stage with caching")
-    p.add_argument("--road")
-    p.add_argument("--length-km", type=float, dest="length_km")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--v-ref", type=float, dest="v_ref")
-    p.add_argument("--v-i", type=float, dest="v_i")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--dv", type=float)
-    p.add_argument("--dvavg", type=float)
-    p.add_argument("--dte", type=float)
-    p.add_argument("--v-span", type=float, dest="v_span")
-    p.add_argument("--vavg-band", type=float, dest="vavg_band")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--l2", type=float)
-    p.add_argument("--nn-seed", type=int, dest="nn_seed")
-    p.add_argument("--gammas", dest="gammas_flag")
-    p.add_argument("--out-dir", dest="out_dir")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        for dest in command.files:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           required=dest == "controller")
+        for dest in command.options:
+            flag, cast, _ = OPTIONS[dest]
+            p.add_argument(flag, type=cast, dest=dest)
     return parser
 
 
-_COMMANDS = {
-    "gen-road": cmd_gen_road,
-    "solve-dp": cmd_solve_dp,
-    "invert": cmd_invert,
-    "train": cmd_train,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
-    "pipeline": cmd_pipeline,
-}
+# exit code and stderr label of every failure main reports; the stages'
+# own errors (QpError, InfeasibleError, StepFailure, TrainingError,
+# SimulationError) are RuntimeErrors, and IngestError is a ValueError
+_ERRORS = (((UsageError,), EXIT_USAGE, "usage error"),
+           ((ValidationError, ValueError), EXIT_VALIDATION, "validation error"),
+           ((RuntimeError,), EXIT_RUNTIME, "runtime error"))
+_FAILURES = tuple(kind for kinds, _, _ in _ERRORS for kind in kinds)
+
+
+def _fail(exc: Exception, context: str = "") -> int:
+    code, label = next((code, label) for kinds, code, label in _ERRORS
+                       if isinstance(exc, kinds))
+    print(f"{label}: {context}{exc}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -550,17 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         file_cfg = _load_config_file(args.config)
-        return _COMMANDS[args.command](args, file_cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, IngestError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (QpError, InfeasibleError, StepFailure, net.TrainingError,
-            harness.SimulationError, RuntimeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _COMMANDS[args.command].run(args, file_cfg)
+    except _FAILURES as exc:
+        return _fail(exc)
 
 
 def entry() -> None:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -218,3 +222,118 @@ class TestCacheIntegrity:
         monkeypatch.undo()
         assert main(argv) == EXIT_OK
         assert cli._cache_hit(out, fp)
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _typed(sub: argparse.ArgumentParser, key) -> dict:
+    """``key(action)`` -> the type its value arrives as, for every option but --help."""
+    return {key(a): a.type or str for a in sub._actions
+            if a.option_strings and a.dest != "help"}
+
+
+class TestPublicSurface:
+    SURFACE = {
+        "gen-road": {"--length-km": float, "--seed": int, "--out": str},
+        "solve-dp": {"--road": str, "--v-ref": float, "--v-i": float, "--dv": float,
+                     "--dvavg": float, "--dte": float, "--v-span": float,
+                     "--vavg-band": float, "--out": str},
+        "invert": {"--road": str, "--dp": str, "--v-ref": float, "--horizon": int,
+                   "--out": str},
+        "train": {"--road": str, "--gammas": str, "--v-ref": float, "--lr": float,
+                  "--epochs": int, "--batch-size": int, "--l2": float, "--nn-seed": int,
+                  "--out": str},
+        "simulate": {"--road": str, "--controller": str, "--gamma": float, "--model": str,
+                     "--gammas": str, "--dp": str, "--v-ref": float, "--v-i": float,
+                     "--horizon": int, "--out": str},
+        "sweep": {"--road": str, "--gammas": str, "--model": str, "--gammas-csv": str,
+                  "--dp": str, "--v-ref": float, "--v-i": float, "--horizon": int,
+                  "--out": str},
+        "report": {"--sweep": str, "--out-dir": str},
+        "pipeline": {"--road": str, "--length-km": float, "--seed": int, "--v-ref": float,
+                     "--v-i": float, "--horizon": int, "--dv": float, "--dvavg": float,
+                     "--dte": float, "--v-span": float, "--vavg-band": float, "--lr": float,
+                     "--epochs": int, "--batch-size": int, "--l2": float, "--nn-seed": int,
+                     "--gammas": str, "--out-dir": str},
+    }
+
+    def test_every_subcommand_keeps_its_options_and_types(self):
+        got = {name: _typed(sub, lambda a: a.option_strings[0])
+               for name, sub in _subcommands().items()}
+        assert got == self.SURFACE
+
+    def test_pipeline_takes_every_option_of_its_stages(self):
+        subs = _subcommands()
+        files = {"road", "out", "dp", "gammas", "model", "gammas_csv"}
+        pipeline = _typed(subs["pipeline"], lambda a: a.dest)
+        for stage in ("gen-road", "solve-dp", "invert", "train", "sweep"):
+            own = {d: t for d, t in _typed(subs[stage], lambda a: a.dest).items()
+                   if d not in files}
+            assert own.items() <= pipeline.items(), stage
+
+    def test_solve_dp_header_is_stable(self, tmp_path):
+        # fingerprints written by earlier releases must keep matching, or
+        # every cached trajectory would be recomputed
+        road = tmp_path / "hills.csv"
+        rows = [f"{d},{abs(d % 1200 - 600) / 50}" for d in range(0, 3001, 30)]
+        road.write_text("distance_m,elevation_m\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "dp.csv"
+        assert main(["solve-dp", "--road", str(road), "--out", str(out)]) == EXIT_OK
+        head = out.read_text().splitlines()[1:3]
+        assert head == ["# fingerprint: 33180d4ab1f82cb0",
+                        "# config: dte=10.0 dv=0.25 dvavg=0.1 v_i=30.0 v_ref=30.0 "
+                        "v_span=8.0 vavg_band=0.07"]
+
+    def test_readme_examples_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("ecocruise ")]
+        assert {argv[1] for argv in commands} == set(_subcommands())
+        parser = cli._build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
+
+
+class TestStageErrors:
+    def test_pipeline_stage_keeps_its_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+        bad = tmp_path / "bad.csv"
+        rows = [f"{d},{d / 100}" for d in range(0, 3001, 30)]
+        rows[1] = "30,abc"
+        bad.write_text("distance_m,elevation_m\n" + "\n".join(rows) + "\n")
+        assert main(["solve-dp", "--road", str(bad),
+                     "--out", str(tmp_path / "dp.csv")]) == EXIT_VALIDATION
+        alone = capsys.readouterr().err
+        assert main(["pipeline", "--road", str(bad),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err and "solve-dp" in err
+        assert "row 3 (line 3): unparsable" in alone and "row 3 (line 3): unparsable" in err
+
+    @pytest.mark.parametrize("key", ["epoch", "gammas_flag"])
+    def test_unknown_config_key_is_validation_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"v_ref = 30\n{key} = 5\n")
+        out = tmp_path / "road.csv"
+        assert main(["--config", str(cfg), "gen-road", "--length-km", "3", "--seed", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"run.cfg:2: unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ladder_config_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma-ladder = 0.001:0.002:2\n")
+        assert cli._load_config_file(str(cfg)) == {"gamma_ladder": "0.001:0.002:2"}
+
+    def test_simulate_fingerprint_covers_horizon(self, tmp_path, road_file):
+        heads = []
+        for horizon in ("30", "60"):
+            out = tmp_path / f"sim{horizon}.csv"
+            assert main(["simulate", "--road", str(road_file), "--controller", "fixed",
+                         "--gamma", "0.003", "--horizon", horizon, "--out", str(out)]) == EXIT_OK
+            heads.append(out.read_text().splitlines()[1])
+        assert heads[0].startswith("# fingerprint: ") and heads[0] != heads[1]
