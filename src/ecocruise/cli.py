@@ -6,7 +6,8 @@ series, train the weight predictor, then simulate and compare controllers.
 ``pipeline`` chains everything with content-addressed caching so a rerun with
 an unchanged configuration touches nothing.
 
-Exit codes: 0 success, 1 usage, 2 validation, 3 runtime failure.
+Exit codes: 0 success, 1 usage, 2 validation, 3 runtime failure, 4 I/O error
+(an output or input file that cannot be written or read).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+EXIT_IO = 4
 
 # Every tunable option, once: argparse dest, which is also its config-file
 # key, -> (flag, type, default).  A command declares which of them it takes.
@@ -150,20 +152,24 @@ def _resolve(stage: str, args: argparse.Namespace, file_cfg: dict[str, str]) -> 
     return cfg
 
 
-def _produce(stage: str, out: str | None, cfg: dict, inputs: list[Path],
+def _produce(stage: str, outs: list, cfg: dict, inputs: list[Path],
              params: VehicleParams | None, make) -> int:
-    """Write ``out`` unless it already holds the artifact this configuration
-    fingerprints to.  ``make(tmp, fingerprint, header_lines)`` computes and
-    writes the artifact to ``tmp`` and returns the summary to print."""
-    if out is None:
+    """Write the files ``outs`` unless each already holds the artifact this
+    configuration fingerprints to.  ``make(*tmps, fingerprint, header_lines)``
+    computes and writes the artifact to one temporary path per file and
+    returns the summary to print; no file is replaced until all are written."""
+    if None in outs:
         raise UsageError(f"{stage} requires --out")
+    paths = [Path(out) for out in outs]
+    names = " and ".join(map(str, outs))
     fp = _fingerprint(stage, cfg, inputs, params)
-    if _cache_hit(Path(out), fp):
-        print(f"cache hit: {out}")
+    if all(_cache_hit(path, fp) for path in paths):
+        print(f"cache hit: {names}")
         return EXIT_OK
-    with _atomic(Path(out)) as tmp:
-        summary = make(tmp, fp, _meta(stage, fp, cfg))
-    print(f"wrote {out} ({summary})")
+    with contextlib.ExitStack() as stack:
+        tmps = [stack.enter_context(_atomic(path)) for path in paths]
+        summary = make(*tmps, fp, _meta(stage, fp, cfg))
+    print(f"wrote {names} ({summary})")
     return EXIT_OK
 
 
@@ -225,7 +231,7 @@ def cmd_gen_road(args, file_cfg) -> int:
         return (f"{profile.n_steps} segments, max |grade| "
                 f"{float(np.max(np.abs(profile.grade))):.4f}")
 
-    return _produce("gen-road", args.out, cfg, [], None, make)
+    return _produce("gen-road", [args.out], cfg, [], None, make)
 
 
 def cmd_solve_dp(args, file_cfg) -> int:
@@ -239,7 +245,7 @@ def cmd_solve_dp(args, file_cfg) -> int:
         dp_mod.write_dp_csv(solution, tmp, header_lines=meta)
         return f"total fuel {solution.total_fuel:.9g} kg"
 
-    return _produce("solve-dp", args.out, cfg, [road_path], params, make)
+    return _produce("solve-dp", [args.out], cfg, [road_path], params, make)
 
 
 def cmd_invert(args, file_cfg) -> int:
@@ -257,7 +263,7 @@ def cmd_invert(args, file_cfg) -> int:
         clean = sum(1 for f in series.flags if not f)
         return f"{clean}/{len(series)} clean recoveries"
 
-    return _produce("invert", args.out, cfg, [road_path, dp_path], params, make)
+    return _produce("invert", [args.out], cfg, [road_path, dp_path], params, make)
 
 
 def cmd_train(args, file_cfg) -> int:
@@ -277,7 +283,7 @@ def cmd_train(args, file_cfg) -> int:
         return (f"held-out scaled mse {test.mse_scaled:.3e}, "
                 f"mae {test.mae_scaled:.3e}; {len(history.train_loss)} epochs")
 
-    return _produce("train", args.out, cfg, [road_path, gam_path], None, make)
+    return _produce("train", [args.out], cfg, [road_path, gam_path], None, make)
 
 
 _KIND_ALIASES = {"at": "AT_MPC", "pt": "PT_MPC", "fixed": "FIXED_LMPC",
@@ -341,7 +347,7 @@ def cmd_sweep(args, file_cfg) -> int:
         return f"{len(rows)} rows"
 
     cfg = {**drive, "gammas": ",".join(f"{g:.9g}" for g in ladder)}
-    return _produce("sweep", args.out, cfg, [road_path, *files.values()], params, make)
+    return _produce("sweep", [args.out], cfg, [road_path, *files.values()], params, make)
 
 
 def cmd_report(args, file_cfg) -> int:
@@ -377,23 +383,24 @@ def cmd_report(args, file_cfg) -> int:
             gain = 100.0 * (other.fuel_economy_km_per_kg / pi.fuel_economy_km_per_kg - 1.0)
             print(f"{name} fuel economy vs PI: {gain:+.9g}%")
 
-    if args.out_dir:
-        out_dir = _out_dir(args.out_dir)
-        fp = _fingerprint("report", {}, [sweep_path])
-        meta = _meta("report", fp, {})
-        front, points = out_dir / "pareto_fixed_front.csv", out_dir / "pareto_controllers.csv"
-        for out, columns, table in (
-            (front, ["gamma", "avg_velocity_mps", "fuel_economy_km_per_kg"],
-             ([num(r.gamma), num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
-              for r in sorted(fixed_rows, key=lambda r: r.gamma or 0.0))),
-            (points, ["controller", "avg_velocity_mps", "fuel_economy_km_per_kg"],
-             ([name, num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
-              for name, r in sorted(by_kind.items()))),
-        ):
-            with _atomic(out) as tmp:
-                formats.write_table(tmp, columns, table, meta)
-        print(f"wrote {front} and {points}")
-    return EXIT_OK
+    if not args.out_dir:
+        return EXIT_OK
+    out_dir = _out_dir(args.out_dir)
+    front = sorted(fixed_rows, key=lambda r: r.gamma or 0.0)
+    points = sorted(by_kind.items())
+
+    def make(front_tmp, points_tmp, fp, meta):
+        formats.write_table(front_tmp, ["gamma", "avg_velocity_mps", "fuel_economy_km_per_kg"],
+                            ([num(r.gamma), num(r.avg_velocity_mps),
+                              num(r.fuel_economy_km_per_kg)] for r in front), meta)
+        formats.write_table(points_tmp,
+                            ["controller", "avg_velocity_mps", "fuel_economy_km_per_kg"],
+                            ([name, num(r.avg_velocity_mps), num(r.fuel_economy_km_per_kg)]
+                             for name, r in points), meta)
+        return f"{len(front)} fixed-weight points, {len(points)} controllers"
+
+    return _produce("report", [out_dir / "pareto_fixed_front.csv",
+                               out_dir / "pareto_controllers.csv"], {}, [sweep_path], None, make)
 
 
 # each pipeline stage, the file it writes and the flags later stages read it by
@@ -470,7 +477,8 @@ def _build_parser() -> _Parser:
 # SimulationError) are RuntimeErrors, and IngestError is a ValueError
 _ERRORS = (((UsageError,), EXIT_USAGE, "usage error"),
            ((ValidationError, ValueError), EXIT_VALIDATION, "validation error"),
-           ((RuntimeError,), EXIT_RUNTIME, "runtime error"))
+           ((RuntimeError,), EXIT_RUNTIME, "runtime error"),
+           ((OSError,), EXIT_IO, "I/O error"))
 _FAILURES = tuple(kind for kinds, _, _ in _ERRORS for kind in kinds)
 
 

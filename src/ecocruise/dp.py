@@ -86,7 +86,6 @@ class DpConfig:
         dvavg: float = DEFAULT_DVAVG,
         dte: float = DEFAULT_DTE,
         vavg_band: float = DEFAULT_VAVG_BAND,
-        infeasible_cost: float = DEFAULT_INFEASIBLE_COST,
         keep_cost_to_go: bool = False,
     ) -> "DpConfig":
         """Grids centered on the cruise set point, clipped to the vehicle limits."""
@@ -102,7 +101,6 @@ class DpConfig:
             vavg_max=vavg_hi,
             v_ref=v_ref,
             v_i=v_ref if v_i is None else v_i,
-            infeasible_cost=infeasible_cost,
             keep_cost_to_go=keep_cost_to_go,
         )
 

@@ -37,9 +37,9 @@ from .vehicle import (
 )
 
 CONTROLLER_KINDS = ("AT_MPC", "PT_MPC", "FIXED_LMPC", "PI", "DP_REPLAY")
-DEFAULT_KP = 150.0
-DEFAULT_KI = 15.0
-TRANSIENT_SKIP_M = 500.0
+# PI gains: torque per m/s of speed error, and per m/s of its per-step sum
+PI_KP = 150.0
+PI_KI = 15.0
 
 
 class SimulationError(RuntimeError):
@@ -53,17 +53,12 @@ class ControllerSpec:
     v_i: float
     horizon: int = mpc.DEFAULT_HORIZON
     gamma: float = 0.0            # FIXED_LMPC weight
-    kp: float = DEFAULT_KP
-    ki: float = DEFAULT_KI
-    soft_weight: float = mpc.DEFAULT_SOFT_WEIGHT
 
     def __post_init__(self) -> None:
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
         if self.kind == "FIXED_LMPC" and self.gamma < 0:
             raise ValueError("fixed fuel weight must be nonnegative")
-        if self.kind == "PI" and (self.kp <= 0 or self.ki <= 0):
-            raise ValueError("PI gains must be positive")
 
 
 @dataclass(frozen=True)
@@ -124,15 +119,13 @@ class _PiController:
     """
 
     def __init__(self, spec: ControllerSpec, params: VehicleParams):
-        self.kp = spec.kp
-        self.ki = spec.ki
         self.v_ref = spec.v_ref
         self.params = params
-        self.integral = equilibrium_torque(params, spec.v_ref) / spec.ki
+        self.integral = equilibrium_torque(params, spec.v_ref) / PI_KI
 
     def torque(self, v: float, k: int, road: RoadProfile) -> float:
         err = self.v_ref - v
-        te = self.kp * err + self.ki * (self.integral + err)
+        te = PI_KP * err + PI_KI * (self.integral + err)
         if self.params.te_min < te < self.params.te_max:
             self.integral += err
         return float(np.clip(te, self.params.te_min, self.params.te_max))
@@ -154,15 +147,8 @@ class _MpcController:
     def torque(self, v: float, k: int, road: RoadProfile) -> float:
         gamma = self.weight_at(k, road)
         window = preview(road, k, self.spec.horizon).samples
-        problem = mpc.build(
-            gamma,
-            self.lin,
-            window,
-            v - self.lin.v_lin,
-            self.params,
-            v_ref=self.spec.v_ref,
-            soft_weight=self.spec.soft_weight,
-        )
+        problem = mpc.build(gamma, self.lin, window, v - self.lin.v_lin, self.params,
+                            v_ref=self.spec.v_ref)
         solution = mpc.solve(problem, warm_working=self.warm)
         self.warm = solution.working_set
         te = self.lin.te_lin + solution.te[0]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import formats
 from .formats import num
-from .mpc import DEFAULT_TE_RIDGE
+from .mpc import TE_RIDGE
 from .qp import QpError, solve_qp
 from .road import RoadProfile
 from .vehicle import LinearizedModel, VehicleParams, equilibrium_torque
@@ -146,7 +146,6 @@ def build_kkt(
     params: VehicleParams,
     active_set: tuple[int, ...] = (),
     v_ref: float | None = None,
-    te_ridge: float = DEFAULT_TE_RIDGE,
 ) -> KktSystem:
     """Assemble the stationarity system at an observed window.
 
@@ -182,9 +181,9 @@ def build_kkt(
     slew_grad = np.zeros(n)
     if n > 1:
         d = np.diff(window.te)
-        slew_grad[0] = -2.0 * te_ridge * d[0]
-        slew_grad[-1] = 2.0 * te_ridge * d[-1]
-        slew_grad[1:-1] = 2.0 * te_ridge * (d[:-1] - d[1:])
+        slew_grad[0] = -2.0 * TE_RIDGE * d[0]
+        slew_grad[-1] = 2.0 * TE_RIDGE * d[-1]
+        slew_grad[1:-1] = 2.0 * TE_RIDGE * (d[:-1] - d[1:])
     w[n + 1 :] = -slew_grad
 
     # equality-constraint gradients: initial condition then dynamics
@@ -254,8 +253,6 @@ def gamma_series(
     params: VehicleParams,
     n: int,
     v_ref: float | None = None,
-    tol: float = ACTIVE_TOL,
-    gamma_cap: float = GAMMA_CAP,
 ) -> GammaSeries:
     """Recover one fuel weight per road position from a global-optimum run.
 
@@ -281,14 +278,14 @@ def gamma_series(
         grades = grade_ext[k : k + n]
         flag = ""
         try:
-            active = detect_active(window, lin, params, tol)
+            active = detect_active(window, lin, params)
             rec = recover_gamma(build_kkt(window, grades, lin, params, active, v_ref))
             gamma = rec.gamma
             residuals[k] = rec.residual
             if rec.degenerate:
                 flag = "degenerate"
-            if gamma > gamma_cap or gamma < 0.0:
-                gamma = min(max(gamma, 0.0), gamma_cap)
+            if gamma > GAMMA_CAP or gamma < 0.0:
+                gamma = min(max(gamma, 0.0), GAMMA_CAP)
                 flag = flag or "clamped"
         except QpError:
             gamma = 0.0

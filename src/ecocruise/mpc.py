@@ -7,6 +7,10 @@ in deviation variables; torque bounds are hard, velocity bounds are softened
 with one symmetric quadratic slack per step so the program never goes
 infeasible in closed loop.
 
+``gamma`` is the only cost weight.  The slack weight (``SOFT_WEIGHT``, 1e3)
+and the slew ridge (``TE_RIDGE``, 1e-6) are fixed constants of the
+controller, shared with the weight recovery in :mod:`ecocruise.invopt`.
+
 The velocities are not decision variables.  The linear model never changes,
 so they follow from the torques by rollout,
 
@@ -51,7 +55,7 @@ from .qp import solve_qp
 from .vehicle import LinearizedModel, VehicleParams
 
 DEFAULT_HORIZON = 60
-DEFAULT_SOFT_WEIGHT = 1e3
+SOFT_WEIGHT = 1e3
 # Tiny quadratic penalty on torque slew between consecutive steps.  The
 # fuel/tracking cost alone is indifferent between torque profiles with equal
 # horizon-mean velocity, so the optimizer snaps to burn-early/glide-late
@@ -60,7 +64,7 @@ DEFAULT_SOFT_WEIGHT = 1e3
 # tie toward steady actuation: constant-torque profiles (all cruising
 # equilibria, the whole zero-weight tracking family) cost nothing, while the
 # glide shapes are almost entirely slew.
-DEFAULT_TE_RIDGE = 1e-6
+TE_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,9 @@ class _Blocks:
 
 
 @lru_cache(maxsize=16)
-def _blocks(lin: LinearizedModel, n: int, soft_weight: float, te_ridge: float) -> _Blocks:
-    """Build the blocks once per controller configuration; every problem
-    built with it shares the same read-only arrays."""
+def _blocks(lin: LinearizedModel, n: int) -> _Blocks:
+    """Build the blocks once per model and horizon; every problem built with
+    them shares the same read-only arrays."""
     # one row per velocity sample, columns [v0 | dte(0..N-1) | phi(0..N-1)]
     resp = np.zeros((n + 1, 2 * n + 1))
     resp[0, 0] = 1.0
@@ -95,13 +99,13 @@ def _blocks(lin: LinearizedModel, n: int, soft_weight: float, te_ridge: float) -
     fuel = c_v * gam[:n] + c_t * np.eye(n)
     track = gam.sum(axis=0) / (n + 1)
     diff = np.diff(np.eye(n), axis=0)
-    slew = 2.0 * te_ridge * diff.T @ diff
+    slew = 2.0 * TE_RIDGE * diff.T @ diff
 
     h_fuel = np.zeros((2 * n, 2 * n))
     h_fuel[:n, :n] = 2.0 * fuel.T @ fuel
     h_rest = np.zeros((2 * n, 2 * n))
     h_rest[:n, :n] = 2.0 * np.outer(track, track) + slew
-    h_rest[n:, n:] = 2.0 * soft_weight * np.eye(n)
+    h_rest[n:, n:] = 2.0 * SOFT_WEIGHT * np.eye(n)
 
     eye, zero = np.eye(n), np.zeros((n, n))
     a_in = np.block([[eye, zero], [-eye, zero], [gam[1:], -eye], [-gam[1:], -eye], [zero, -eye]])
@@ -121,8 +125,6 @@ class MpcProblem:
     v_init: float                # initial velocity deviation
     v_ref_dev: float             # set point in deviation coordinates
     bounds: tuple[float, float, float, float]  # v_min_dev, v_max_dev, te_min_dev, te_max_dev
-    soft_weight: float
-    te_ridge: float
     const: float                 # constant term of the full-space objective
     v_free: np.ndarray           # N+1 velocities of the zero-torque-deviation rollout
     # condensed program over y = [dte | s]: 0.5 y'(h_y)y + (c_y)'y + const_y
@@ -158,7 +160,7 @@ class MpcProblem:
         track[: n + 1] = 1.0 / (n + 1)
         h = 2.0 * self.gamma * fuel.T @ fuel + 2.0 * np.outer(track, track)
         h[n + 1 : 2 * n + 1, n + 1 : 2 * n + 1] += self.blocks.slew
-        h[2 * n + 1 :, 2 * n + 1 :] += 2.0 * self.soft_weight * np.eye(n)
+        h[2 * n + 1 :, 2 * n + 1 :] += 2.0 * SOFT_WEIGHT * np.eye(n)
         return h
 
     @cached_property
@@ -235,8 +237,6 @@ def build(
     v_init: float,
     params: VehicleParams,
     v_ref: float | None = None,
-    soft_weight: float = DEFAULT_SOFT_WEIGHT,
-    te_ridge: float = DEFAULT_TE_RIDGE,
 ) -> MpcProblem:
     """Assemble the condensed horizon QP for one control step.
 
@@ -245,8 +245,6 @@ def build(
     """
     if gamma < 0:
         raise ValueError("fuel weight must be nonnegative to keep the program convex")
-    if soft_weight <= 0:
-        raise ValueError("soft constraint weight must be positive")
     grades = np.asarray(grade_window, dtype=float)
     n = len(grades)
     if n < 1:
@@ -260,7 +258,7 @@ def build(
     if not (t_lo <= 0.0 <= t_hi):
         raise ValueError("linearization torque outside actuator range")
 
-    blocks = _blocks(lin, n, float(soft_weight), float(te_ridge))
+    blocks = _blocks(lin, n)
     c0, c_v, _ = lin.fuel_lin
     v_free = blocks.phi * v_init + blocks.psi @ grades
     # fuel flow and tracking gap of the zero-torque-deviation plan; dte moves
@@ -282,8 +280,6 @@ def build(
         v_init=float(v_init),
         v_ref_dev=v_ref_dev,
         bounds=(v_lo, v_hi, t_lo, t_hi),
-        soft_weight=float(soft_weight),
-        te_ridge=float(te_ridge),
         const=gamma * n * c0 * c0 + v_ref_dev * v_ref_dev,
         v_free=v_free,
         h_y=gamma * blocks.h_fuel + blocks.h_rest,
@@ -368,7 +364,7 @@ def dump_problem(problem: MpcProblem, path) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# horizon QP dump: n={problem.n} gamma={problem.gamma:.9g} "
-                 f"soft_weight={problem.soft_weight:.9g} te_ridge={problem.te_ridge:.9g}\n")
+                 f"soft_weight={SOFT_WEIGHT:.9g} te_ridge={TE_RIDGE:.9g}\n")
         fh.write(f"# objective constant term: {problem.const:.17g}\n")
         for name, mat in blocks:
             fh.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")

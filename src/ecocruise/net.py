@@ -63,7 +63,7 @@ class MlpModel:
     @serial
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Rectified forward pass on already-scaled inputs (batch, features)."""
-        return _forward(self.weights, self.biases, x)
+        return _forward(self.weights, self.biases, x)[-1]
 
     def weight_norm_sq(self) -> float:
         return float(sum(np.sum(w * w) for w in self.weights))
@@ -150,22 +150,11 @@ def _init_params(dims: tuple[int, ...], rng: np.random.Generator):
 
 
 def _forward(weights, biases, x):
-    a = x
-    for w, b in zip(weights, biases):
-        a = np.maximum(a @ w + b, 0.0)
-    return a
-
-
-def _forward_cached(weights, biases, x):
-    pre = []
+    """Every layer's rectified activation, the input first and the output last."""
     acts = [x]
-    a = x
     for w, b in zip(weights, biases):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    return pre, acts
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts
 
 
 def _mse_l2(out, y, weights, l2) -> float:
@@ -174,25 +163,27 @@ def _mse_l2(out, y, weights, l2) -> float:
     return float(np.mean(err * err)) + l2 * sum(float(np.sum(w * w)) for w in weights)
 
 
-def _loss_and_grads(weights, biases, x, y, l2):
-    """MSE + L2 loss with analytic backprop gradients."""
-    pre, acts = _forward_cached(weights, biases, x)
-    out = acts[-1][:, 0]
-    loss = _mse_l2(out, y, weights, l2)
-    err = out - y
-    n = len(y)
-
-    delta = (2.0 * err / n)[:, None] * (pre[-1] > 0.0)
+def _grads(weights, acts, y, l2):
+    """Backprop gradients of the MSE + L2 loss from the activations of
+    :func:`_forward`.  A rectifier passes gradient where its output is
+    positive, which is where its input is (a NaN input fails both tests)."""
+    delta = (2.0 * (acts[-1][:, 0] - y) / len(y))[:, None] * (acts[-1] > 0.0)
     grads_w = []
     grads_b = []
     for layer in range(len(weights) - 1, -1, -1):
         grads_w.append(acts[layer].T @ delta + 2.0 * l2 * weights[layer])
         grads_b.append(delta.sum(axis=0))
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (pre[layer - 1] > 0.0)
+            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
     grads_w.reverse()
     grads_b.reverse()
-    return loss, grads_w, grads_b
+    return grads_w, grads_b
+
+
+def _loss_and_grads(weights, biases, x, y, l2):
+    """MSE + L2 loss with analytic backprop gradients."""
+    acts = _forward(weights, biases, x)
+    return (_mse_l2(acts[-1][:, 0], y, weights, l2), *_grads(weights, acts, y, l2))
 
 
 @serial
@@ -237,18 +228,20 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
         order = rng.permutation(n_fit)
         for start in range(0, n_fit, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, gw, gb = _loss_and_grads(weights, biases, x_fit[batch], y_fit[batch], config.l2)
-            if not np.isfinite(loss):
-                raise TrainingError(f"loss diverged at epoch {epoch}")
+            acts = _forward(weights, biases, x_fit[batch])
+            gw, gb = _grads(weights, acts, y_fit[batch], config.l2)
             for i in range(len(weights)):
                 weights[i] -= config.learning_rate * gw[i]
                 biases[i] -= config.learning_rate * gb[i]
 
-        epoch_loss = _mse_l2(_forward(weights, biases, x_fit)[:, 0], y_fit, weights, config.l2)
+        # non-finite weights never turn finite again, so the epoch loss
+        # shows any batch that diverged
+        epoch_loss = _mse_l2(_forward(weights, biases, x_fit)[-1][:, 0], y_fit, weights,
+                             config.l2)
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
         train_losses.append(epoch_loss)
-        val_out = _forward(weights, biases, x_val)[:, 0]
+        val_out = _forward(weights, biases, x_val)[-1][:, 0]
         val_loss = float(np.mean((val_out - y_val) ** 2))
         val_losses.append(val_loss)
         if val_loss < best_val - 1e-12:

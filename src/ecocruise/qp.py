@@ -29,6 +29,10 @@ import numpy as np
 
 from .blas import serial
 
+FEAS_TOL = 1e-7    # relative violation a start point or warm row may carry
+STEP_TOL = 1e-11   # relative step length that counts as the subproblem optimum
+MULT_TOL = 1e-10   # most negative working multiplier accepted at the optimum
+
 
 class QpError(RuntimeError):
     """Solver could not produce a certified optimum."""
@@ -95,10 +99,6 @@ def solve_qp(
     b_in,
     x0,
     working0: list[int] | None = None,
-    max_iter: int | None = None,
-    feas_tol: float = 1e-7,
-    step_tol: float = 1e-11,
-    mult_tol: float = 1e-10,
 ) -> QpResult:
     h_mat = np.asarray(h_mat, dtype=float)
     c_vec = np.asarray(c_vec, dtype=float)
@@ -109,9 +109,9 @@ def solve_qp(
     b_in = np.asarray(b_in, dtype=float).ravel() if b_in is not None else np.zeros(0)
     x = np.asarray(x0, dtype=float).copy()
 
-    if a_eq.shape[0] and np.max(np.abs(a_eq @ x - b_eq)) > feas_tol * (1.0 + np.max(np.abs(b_eq))):
+    if a_eq.shape[0] and np.max(np.abs(a_eq @ x - b_eq)) > FEAS_TOL * (1.0 + np.max(np.abs(b_eq))):
         raise QpError("starting point violates equality constraints")
-    if a_in.shape[0] and np.max(a_in @ x - b_in) > feas_tol * (1.0 + np.max(np.abs(b_in))):
+    if a_in.shape[0] and np.max(a_in @ x - b_in) > FEAS_TOL * (1.0 + np.max(np.abs(b_in))):
         raise QpError("starting point violates inequality constraints")
 
     # column equilibration from the Hessian diagonal; the clip keeps nearly
@@ -131,17 +131,16 @@ def solve_qp(
     if working0:
         slack = ain_s @ xs - b_in if n_in else np.zeros(0)
         for i in working0:
-            if 0 <= i < n_in and slack[i] > -feas_tol * (1.0 + abs(b_in[i])):
+            if 0 <= i < n_in and slack[i] > -FEAS_TOL * (1.0 + abs(b_in[i])):
                 working.append(i)
-    if max_iter is None:
-        max_iter = 20 * (n + n_in) + 50
+    max_iter = 20 * (n + n_in) + 50
 
     for iteration in range(1, max_iter + 1):
         g_rows = np.vstack([aeq_s, ain_s[working]]) if (a_eq.shape[0] or working) else np.zeros((0, n))
         grad = hs @ xs + cs
         p, mults = _kkt_solve(hs, g_rows, grad)
 
-        at_subproblem_optimum = np.max(np.abs(p), initial=0.0) <= step_tol * (
+        at_subproblem_optimum = np.max(np.abs(p), initial=0.0) <= STEP_TOL * (
             1.0 + np.max(np.abs(xs), initial=0.0)
         )
         if not at_subproblem_optimum:
@@ -170,7 +169,7 @@ def solve_qp(
 
         eq_mult = mults[: a_eq.shape[0]]
         w_mult = mults[a_eq.shape[0] :]
-        if len(working) == 0 or np.min(w_mult, initial=0.0) >= -mult_tol:
+        if len(working) == 0 or np.min(w_mult, initial=0.0) >= -MULT_TOL:
             in_mult = np.zeros(n_in)
             in_mult[working] = np.maximum(w_mult, 0.0)
             x_out = xs * col_scale

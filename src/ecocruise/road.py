@@ -75,11 +75,9 @@ def gen_sinusoidal(
     seed: int,
     length_m: float,
     components: list[tuple[float, float, float]] | None = None,
-    n_components: int | None = None,
-    max_grade: float = MAX_ABS_GRADE,
-    ds: float = DEFAULT_DS,
 ) -> RoadProfile:
-    """Generate a hilly road as a sum of sinusoids, capped at ``max_grade``.
+    """Generate a hilly road as a sum of sinusoids sampled every 30 m, capped
+    at ``MAX_ABS_GRADE``.
 
     ``components`` may pin explicit (amplitude_m, wavelength_m, phase_rad)
     triples; otherwise 3-8 are drawn from the seed.  An empty component list
@@ -90,17 +88,16 @@ def gen_sinusoidal(
     if length_m < 3000.0:
         raise ValueError("road must be at least 3 km to support grade previews")
     rng = np.random.default_rng(seed)
-    n_samples = int(round(length_m / ds)) + 1
-    s = np.arange(n_samples) * ds
+    n_samples = int(round(length_m / DEFAULT_DS)) + 1
+    s = np.arange(n_samples) * DEFAULT_DS
 
     if components is None:
-        k = n_components if n_components is not None else int(rng.integers(MIN_COMPONENTS, MAX_COMPONENTS + 1))
         components = []
-        for _ in range(k):
+        for _ in range(int(rng.integers(MIN_COMPONENTS, MAX_COMPONENTS + 1))):
             wavelength = float(rng.uniform(MIN_WAVELENGTH, min(MAX_WAVELENGTH, length_m)))
             # amplitude drawn relative to wavelength keeps single-component
             # grades near the cap before the global rescale
-            amplitude = float(rng.uniform(0.2, 1.0) * max_grade * wavelength / (2.0 * np.pi))
+            amplitude = float(rng.uniform(0.2, 1.0) * MAX_ABS_GRADE * wavelength / (2.0 * np.pi))
             phase = float(rng.uniform(0.0, 2.0 * np.pi))
             components.append((amplitude, wavelength, phase))
 
@@ -117,12 +114,12 @@ def gen_sinusoidal(
         elev = elev * w
         elev -= elev[0]
 
-    grade = np.diff(elev) / ds
+    grade = np.diff(elev) / DEFAULT_DS
     peak = float(np.max(np.abs(grade))) if len(grade) else 0.0
     if peak > 0.0:
-        target = float(rng.uniform(0.6, 1.0)) * max_grade if components else max_grade
-        elev *= min(target, max_grade) / peak
-    return RoadProfile.from_elevation(elev, ds)
+        target = float(rng.uniform(0.6, 1.0)) * MAX_ABS_GRADE if components else MAX_ABS_GRADE
+        elev *= target / peak
+    return RoadProfile.from_elevation(elev)
 
 
 def ingest_elevation_csv(path, ds: float = DEFAULT_DS) -> RoadProfile:

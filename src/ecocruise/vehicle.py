@@ -97,11 +97,6 @@ class LinearizedModel:
     te_lin: float
     fuel_lin: tuple[float, float, float]  # (c0, c_v, c_t), kg/h
 
-    def fuel_affine(self, dv, dte):
-        """Affine fuel flow at deviations (dv, dte), in kg/h."""
-        c0, c_v, c_t = self.fuel_lin
-        return c0 + c_v * dv + c_t * dte
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ecocruise import cli, road as road_mod
-from ecocruise.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from ecocruise.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from ecocruise.harness import read_sweep_csv
 from ecocruise.invopt import read_gamma_csv
 from ecocruise.road import read_road_csv
@@ -337,3 +337,76 @@ class TestStageErrors:
                          "--gamma", "0.003", "--horizon", horizon, "--out", str(out)]) == EXIT_OK
             heads.append(out.read_text().splitlines()[1])
         assert heads[0].startswith("# fingerprint: ") and heads[0] != heads[1]
+
+
+class TestReportCache:
+    SWEEP = (
+        "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
+        "FIXED_LMPC,0.003,30.5,22.0,1.31,0.004,\n"
+        "PI,,29.98,21.5,1.33,1e-05,\n"
+        "DP_REPLAY,,30.1,22.4,1.28,1e-05,\n"
+    )
+    NAMES = ("pareto_fixed_front.csv", "pareto_controllers.csv")
+
+    def _report(self, tmp_path, capsys) -> str:
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(self.SWEEP)
+        assert main(["report", "--sweep", str(sweep), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        return capsys.readouterr().out
+
+    def _stats(self, tmp_path):
+        return {n: (tmp_path / "out" / n).stat() for n in self.NAMES}
+
+    def test_rerun_is_a_cache_hit_that_still_prints(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+        assert "cache hit" not in self._report(tmp_path, capsys)
+        before = self._stats(tmp_path)
+        printed = self._report(tmp_path, capsys)
+        assert printed.count("cache hit") == 1 and "wrote" not in printed
+        assert "DP_REPLAY fuel economy vs PI" in printed
+        for name, stat in self._stats(tmp_path).items():
+            assert (stat.st_ino, stat.st_mtime_ns) == (before[name].st_ino,
+                                                       before[name].st_mtime_ns), name
+
+    @pytest.mark.parametrize("deleted", NAMES)
+    def test_missing_file_rewrites_both(self, tmp_path, capsys, monkeypatch, deleted):
+        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+        self._report(tmp_path, capsys)
+        before = {n: (tmp_path / "out" / n).read_text() for n in self.NAMES}
+        kept = next(n for n in self.NAMES if n != deleted)
+        kept_inode = (tmp_path / "out" / kept).stat().st_ino
+        (tmp_path / "out" / deleted).unlink()
+        printed = self._report(tmp_path, capsys)
+        assert "cache hit" not in printed and "wrote" in printed
+        # os.replace put a fresh file in place of the one that was kept
+        assert (tmp_path / "out" / kept).stat().st_ino != kept_inode
+        assert {n: (tmp_path / "out" / n).read_text() for n in self.NAMES} == before
+
+    def test_pipeline_rerun_hits_every_stage(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+        out_dir = tmp_path / "run"
+        argv = ["pipeline", "--length-km", "3", "--seed", "5", "--epochs", "20",
+                "--gammas", "0.001:0.005:2", "--out-dir", str(out_dir)]
+        assert main(list(argv)) == EXIT_OK
+        stamps = {n: (out_dir / n).stat().st_mtime_ns for n in self.NAMES}
+        capsys.readouterr()
+        assert main(list(argv)) == EXIT_OK
+        assert capsys.readouterr().out.count("cache hit") == 6
+        assert {n: (out_dir / n).stat().st_mtime_ns for n in self.NAMES} == stamps
+
+
+class TestIoErrors:
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["gen-road", "--length-km", "3", "--seed", "1",
+                     "--out", str(blocker / "x.csv")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
+    def test_pipeline_names_the_stage(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+        out_dir = tmp_path / "run"
+        (out_dir / "dp.csv").mkdir(parents=True)  # solve-dp cannot replace a directory
+        assert main(["pipeline", "--length-km", "3", "--seed", "1",
+                     "--out-dir", str(out_dir)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("I/O error: pipeline stage solve-dp failed: ")

@@ -187,6 +187,14 @@ class TestTrain:
             with pytest.raises(TrainingError, match="epoch"):
                 train(broken, TrainConfig(epochs=5, seed=0))
 
+    def test_divergent_rate_raises_in_first_epoch(self):
+        # finite data, but every step overshoots: the weights overflow within
+        # the first epoch, and the epoch-end loss check must see it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TrainingError, match="loss diverged at epoch 0"):
+                train(toy_dataset(n=200, seed=1), TrainConfig(learning_rate=1e8, seed=0))
+
     def test_scalers_fitted_on_training_portion_only(self):
         ds = toy_dataset(n=60, seed=9)
         with warnings.catch_warnings():
