@@ -222,8 +222,6 @@ def cmd_gen_road(args, file_cfg) -> int:
     cfg = _resolve("gen-road", args, file_cfg)
     if cfg["length_km"] is None or cfg["seed"] is None:
         raise UsageError("gen-road requires --length-km and --seed")
-    if cfg["length_km"] < 3.0:
-        raise ValidationError("road must be at least 3 km (grade previews span 3 km)")
 
     def make(tmp, fp, meta):
         profile = road_mod.gen_sinusoidal(seed=cfg["seed"], length_m=cfg["length_km"] * 1000.0)

@@ -8,12 +8,15 @@ system Q y = w with
     y = [ weight | p(0..N) equality multipliers | q_j active-bound multipliers ]
 
 one stationarity row per primal variable (2N+1 rows), so the system is
-overdetermined whenever few bounds are active.  Windows cut from the global
-optimizer do not satisfy the linear horizon dynamics exactly, so instead of
-solving we minimize a row-weighted residual with the weight and all bound
-multipliers constrained nonnegative; the row weights decay linearly from the
-start of the window to its end because only the first control of a horizon is
-ever applied.
+overdetermined whenever few bounds are active.  Every entry is read off the
+controller's own program, :func:`ecocruise.mpc.horizon_program`, at zero
+slack: the weight column is its fuel gradient, the multiplier columns its
+equality and bound rows, the right side its negated weight-free gradient.
+Windows cut from the global optimizer do not satisfy the linear horizon
+dynamics exactly, so instead of solving we minimize a row-weighted residual
+with the weight and all bound multipliers constrained nonnegative; the row
+weights decay linearly from the start of the window to its end because only
+the first control of a horizon is ever applied.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import formats
+from . import formats, mpc
 from .formats import num
-from .mpc import TE_RIDGE
 from .qp import QpError, solve_qp
 from .road import RoadProfile
 from .vehicle import LinearizedModel, VehicleParams, equilibrium_torque
@@ -49,6 +51,11 @@ class DeviationWindow:
     @property
     def n(self) -> int:
         return len(self.te)
+
+    @property
+    def z(self) -> np.ndarray:
+        """The window as a point of the controller's program, zero slack."""
+        return np.concatenate([self.v, self.te, np.zeros(self.n)])
 
 
 @dataclass(frozen=True)
@@ -114,29 +121,15 @@ def detect_active(
 
     Layout over 4N slots: velocity-floor hits on v(1..N) in [0,N), ceiling
     hits in [N,2N), torque-floor hits in [2N,3N), torque-ceiling in [3N,4N).
-    The first velocity carries no bound; it is pinned by the initial
-    condition.
+    These are the controller's inequality rows [3N,4N), [2N,3N), [N,2N) and
+    [0,N) at zero slack.  The first velocity carries no bound; it is pinned
+    by the initial condition.
     """
     n = window.n
-    v_lo = params.v_min - lin.v_lin
-    v_hi = params.v_max - lin.v_lin
-    t_lo = params.te_min - lin.te_lin
-    t_hi = params.te_max - lin.te_lin
-    active: list[int] = []
-    v_tail = window.v[1:]
-    for j in range(n):
-        if v_tail[j] - v_lo <= tol:
-            active.append(j)
-    for j in range(n):
-        if v_hi - v_tail[j] <= tol:
-            active.append(n + j)
-    for j in range(n):
-        if window.te[j] - t_lo <= tol:
-            active.append(2 * n + j)
-    for j in range(n):
-        if t_hi - window.te[j] <= tol:
-            active.append(3 * n + j)
-    return tuple(active)
+    program = mpc.horizon_program(lin, n)
+    rhs = program.in_rhs(mpc.deviation_bounds(lin, params))[: 4 * n]
+    slack = (rhs - program.a_in[: 4 * n] @ window.z).reshape(4, n)[::-1]
+    return tuple(np.flatnonzero(slack.ravel() <= tol).tolist())
 
 
 def build_kkt(
@@ -150,63 +143,30 @@ def build_kkt(
     """Assemble the stationarity system at an observed window.
 
     Row r is the derivative of the Lagrangian with respect to primal variable
-    r (velocities first, then torques).  Column 0 carries the fuel-term
-    gradient (multiplied by the unknown weight), the next N+1 columns the
-    dynamics/initial-condition gradients, then one column per active bound.
-    The known right side collects the weight-free gradients: the tracking
-    term plus the controller's torque tie-break ridge.
+    r (velocities first, then torques) of the controller's program at zero
+    slack.  Column 0 carries the fuel-term gradient (multiplied by the
+    unknown weight), the next N+1 columns the initial-condition and dynamics
+    rows, then one column per active bound.  The known right side is the
+    negated weight-free gradient: tracking plus the torque-slew tie-break.
     """
-    grades = np.asarray(grade_window, dtype=float)
     n = window.n
-    if len(grades) != n:
-        raise ValueError(f"grade window length {len(grades)} != horizon {n}")
+    if len(grade_window) != n:
+        raise ValueError(f"grade window length {len(grade_window)} != horizon {n}")
+    bad = [j for j in active_set if not 0 <= j < 4 * n]
+    if bad:
+        raise ValueError(f"active index {bad[0]} outside 4N layout")
+    program = mpc.horizon_program(lin, n)
     n_x = 2 * n + 1
-    c0, c_v, c_t = lin.fuel_lin
+    z = window.z
     r_bar = 0.0 if v_ref is None else float(v_ref - lin.v_lin)
+    rows = [(3 - j // n) * n + j % n for j in active_set]  # slot -> row, see detect_active
 
-    n_cols = 1 + (n + 1) + len(active_set)
-    q = np.zeros((n_x, n_cols))
-    w = np.zeros(n_x)
-
-    # fuel-term gradient (column of the unknown weight)
-    rho = c0 + c_v * window.v[:n] + c_t * window.te
-    q[:n, 0] = 2.0 * rho * c_v
-    q[n + 1 :, 0] = 2.0 * rho * c_t
-
-    # weight-free gradients move to the right side: tracking on the velocity
-    # rows, the torque-slew tie-break on the torque rows
-    m = 1.0 / (n + 1)
-    track = r_bar - m * float(np.sum(window.v))
-    w[: n + 1] = 2.0 * track * m
-    slew_grad = np.zeros(n)
-    if n > 1:
-        d = np.diff(window.te)
-        slew_grad[0] = -2.0 * TE_RIDGE * d[0]
-        slew_grad[-1] = 2.0 * TE_RIDGE * d[-1]
-        slew_grad[1:-1] = 2.0 * TE_RIDGE * (d[:-1] - d[1:])
-    w[n + 1 :] = -slew_grad
-
-    # equality-constraint gradients: initial condition then dynamics
-    q[0, 1] = -1.0
-    for i in range(n):
-        col = 2 + i
-        q[i + 1, col] = 1.0
-        q[i, col] = -lin.a_coef
-        q[n + 1 + i, col] = -lin.b1
-
-    # active-bound gradients
-    for pos, j in enumerate(active_set):
-        col = n + 2 + pos
-        if j < n:
-            q[1 + j, col] = -1.0
-        elif j < 2 * n:
-            q[1 + (j - n), col] = 1.0
-        elif j < 3 * n:
-            q[n + 1 + (j - 2 * n), col] = -1.0
-        elif j < 4 * n:
-            q[n + 1 + (j - 3 * n), col] = 1.0
-        else:
-            raise ValueError(f"active index {j} outside 4N layout")
+    q = np.empty((n_x, n + 2 + len(rows)))
+    q[:, 0] = program.fuel_gradient(z)[:n_x]
+    q[:, 1 : n + 2] = program.a_eq[:, :n_x].T
+    q[:, 1] *= -1.0
+    q[:, n + 2 :] = program.a_in[rows, :n_x].T
+    w = -program.rest_gradient(z, r_bar)[:n_x]
 
     # near-term rows weigh most: linear decay from 1 at the window start
     steps = np.arange(n + 1)

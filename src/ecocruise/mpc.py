@@ -9,39 +9,38 @@ infeasible in closed loop.
 
 ``gamma`` is the only cost weight.  The slack weight (``SOFT_WEIGHT``, 1e3)
 and the slew ridge (``TE_RIDGE``, 1e-6) are fixed constants of the
-controller, shared with the weight recovery in :mod:`ecocruise.invopt`.
+controller.
 
-The velocities are not decision variables.  The linear model never changes,
-so they follow from the torques by rollout,
+The program is written out once, in :func:`horizon_program`, per model and
+horizon N, over the full-space vector
 
-    dv = Phi * v0 + Gamma @ dte + Psi @ phi        (N+1 samples, dv(0) = v0)
+    z = [ dv(0..N) | dte(0..N-1) | s(0..N-1) ]
 
-and the solver works on the condensed vector, horizon N,
-
-    y = [ dte(0..N-1) | s(0..N-1) ]
-
-with no equality rows.  Phi, Gamma, Psi, the fuel block, the tracking, slew
-and slack block and the inequality matrix depend only on the model, the
-horizon and the fixed penalty weights, so they are built once per controller
-(see ``_blocks``).  A step scales the fuel block by ``gamma`` and forms the
-linear term and the right-hand side from ``v0`` and the grade window.
-
-Inequality rows, with dv(k+1) substituted from the rollout (order matters for
+as fuel rows F with their constant c0, the tracking row t, the weight-free
+Hessian (tracking, slew and slack), the N+1 equality rows of the initial
+condition and the dynamics, and the 5N inequality rows (order matters for
 warm starts):
 
     [0,N)   dte(k) <= te_max_dev          [N,2N)  -dte(k) <= -te_min_dev
     [2N,3N) dv(k+1) - s(k) <= v_max_dev   [3N,4N) -dv(k+1) - s(k) <= -v_min_dev
     [4N,5N) -s(k) <= 0
 
-The equivalent full-space program over
+The objective is gamma*||c0 + F z||^2 + (t z - v_ref_dev)^2 plus the slew
+and slack terms; only the right-hand sides (initial velocity, grades,
+bounds) and ``gamma`` change between problems.  The solver works on the
+condensed vector
 
-    z = [ dv(0..N) | dte(0..N-1) | s(0..N-1) ]
+    y = [ dte(0..N-1) | s(0..N-1) ]
 
-with the dynamics as N+1 equality rows and the same inequality rows is
-available on :class:`MpcProblem` (``h_mat``, ``c_vec``, ``a_eq``, ``b_eq``,
-``a_in``, ``b_in``), built on first access, for certification,
-:func:`dump_problem` and as the reference the tests solve.  The closed loop
-never forms it.  Both programs share their optimum and objective value.
+with no equality rows: the velocities follow from the torques by the
+rollout dv = Phi * v0 + Gamma @ dte + Psi @ phi, so the condensed blocks are
+the images of the full-space ones through that map, built once with them.  A
+step scales the fuel block by ``gamma`` and forms the linear term and the
+right-hand side from ``v0`` and the grade window.  :class:`MpcProblem` shows
+the full-space view (``h_mat``, ``c_vec``, ``a_eq``, ``b_eq``, ``a_in``,
+``b_in``) for certification, :func:`dump_problem` and the tests, and
+:mod:`ecocruise.invopt` inverts the same arrays.  Both programs share their
+optimum and objective value.
 """
 
 from __future__ import annotations
@@ -65,27 +64,49 @@ SOFT_WEIGHT = 1e3
 # equilibria, the whole zero-weight tracking family) cost nothing, while the
 # glide shapes are almost entirely slew.
 TE_RIDGE = 1e-6
+# relative slack below which kkt_residual counts an inequality row as active
+KKT_ACTIVE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class _Blocks:
-    """Weight-independent pieces of the condensed program (read-only)."""
+class HorizonProgram:
+    """The weight-free horizon program of one model and horizon (read-only)."""
 
+    # full space over z = [dv | dte | s]
+    fuel0: float         # fuel flow at the linearization point
+    fuel: np.ndarray     # (N, 3N+1) fuel flow minus fuel0
+    track: np.ndarray    # (3N+1,) horizon-mean velocity
+    h_rest: np.ndarray   # (3N+1, 3N+1) tracking + slew + slack Hessian
+    a_eq: np.ndarray     # (N+1, 3N+1) initial condition and dynamics
+    a_in: np.ndarray     # (5N, 3N+1) inequality rows
+    # rollout of the velocities and the condensed images over y = [dte | s]
     phi: np.ndarray      # (N+1,) velocity response to v0
     gam: np.ndarray      # (N+1, N) velocity response to dte
     psi: np.ndarray      # (N+1, N) velocity response to grade
-    fuel: np.ndarray     # (N, N) fuel-flow response to dte
-    track: np.ndarray    # (N,) horizon-mean velocity response to dte
-    slew: np.ndarray     # (N, N) torque-slew Hessian
-    h_fuel: np.ndarray   # (2N, 2N) fuel Hessian per unit weight
-    h_rest: np.ndarray   # (2N, 2N) tracking + slew + slack Hessian
-    a_in: np.ndarray     # (5N, 2N) inequality rows
+    fuel_y: np.ndarray   # (N, 2N)
+    track_y: np.ndarray  # (2N,)
+    h_fuel_y: np.ndarray  # (2N, 2N) fuel Hessian per unit weight
+    h_rest_y: np.ndarray  # (2N, 2N)
+    a_in_y: np.ndarray   # (5N, 2N)
+
+    def fuel_gradient(self, z: np.ndarray) -> np.ndarray:
+        """Gradient of the fuel term ||fuel0 + F z||^2 per unit weight."""
+        return 2.0 * self.fuel.T @ (self.fuel0 + self.fuel @ z)
+
+    def rest_gradient(self, z: np.ndarray, v_ref_dev: float) -> np.ndarray:
+        """Gradient of the tracking, slew and slack terms."""
+        return self.h_rest @ z - 2.0 * v_ref_dev * self.track
+
+    def in_rhs(self, bounds: tuple[float, float, float, float]) -> np.ndarray:
+        """Right-hand side of the inequality rows for ``deviation_bounds``."""
+        v_lo, v_hi, t_lo, t_hi = bounds
+        return np.repeat([t_hi, -t_lo, v_hi, -v_lo, 0.0], len(self.fuel))
 
 
 @lru_cache(maxsize=16)
-def _blocks(lin: LinearizedModel, n: int) -> _Blocks:
-    """Build the blocks once per model and horizon; every problem built with
-    them shares the same read-only arrays."""
+def horizon_program(lin: LinearizedModel, n: int) -> HorizonProgram:
+    """Build the program once per model and horizon; every problem built
+    with it shares the same read-only arrays."""
     # one row per velocity sample, columns [v0 | dte(0..N-1) | phi(0..N-1)]
     resp = np.zeros((n + 1, 2 * n + 1))
     resp[0, 0] = 1.0
@@ -95,25 +116,39 @@ def _blocks(lin: LinearizedModel, n: int) -> _Blocks:
         resp[k + 1, 1 + n + k] += lin.b2
     phi, gam, psi = resp[:, 0], resp[:, 1 : n + 1], resp[:, n + 1 :]
 
-    _, c_v, c_t = lin.fuel_lin
-    fuel = c_v * gam[:n] + c_t * np.eye(n)
-    track = gam.sum(axis=0) / (n + 1)
-    diff = np.diff(np.eye(n), axis=0)
-    slew = 2.0 * TE_RIDGE * diff.T @ diff
+    # selector rows of z: dv(0..N), dte(0..N-1), s(0..N-1)
+    pick = np.eye(3 * n + 1)
+    p_v, p_te, p_s = pick[: n + 1], pick[n + 1 : 2 * n + 1], pick[2 * n + 1 :]
+    c0, c_v, c_t = lin.fuel_lin
+    fuel = c_v * p_v[:n] + c_t * p_te
+    track = p_v.sum(axis=0) / (n + 1)
+    slew = np.diff(p_te, axis=0)
+    h_rest = 2.0 * (np.outer(track, track) + TE_RIDGE * slew.T @ slew + SOFT_WEIGHT * p_s.T @ p_s)
+    a_eq = p_v.copy()
+    a_eq[1:] -= lin.a_coef * p_v[:n] + lin.b1 * p_te
+    a_in = np.vstack([p_te, -p_te, p_v[1:] - p_s, -p_v[1:] - p_s, -p_s])
 
-    h_fuel = np.zeros((2 * n, 2 * n))
-    h_fuel[:n, :n] = 2.0 * fuel.T @ fuel
-    h_rest = np.zeros((2 * n, 2 * n))
-    h_rest[:n, :n] = 2.0 * np.outer(track, track) + slew
-    h_rest[n:, n:] = 2.0 * SOFT_WEIGHT * np.eye(n)
+    # z = roll @ y + [Phi v0 + Psi phi | 0 | 0]
+    roll = np.zeros((3 * n + 1, 2 * n))
+    roll[: n + 1, :n] = gam
+    roll[n + 1 :] = np.eye(2 * n)
+    fuel_y = fuel @ roll
+    program = HorizonProgram(
+        fuel0=c0, fuel=fuel, track=track, h_rest=h_rest, a_eq=a_eq, a_in=a_in,
+        phi=phi, gam=gam, psi=psi, fuel_y=fuel_y, track_y=track @ roll,
+        h_fuel_y=2.0 * fuel_y.T @ fuel_y, h_rest_y=roll.T @ h_rest @ roll, a_in_y=a_in @ roll,
+    )
+    for arr in vars(program).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return program
 
-    eye, zero = np.eye(n), np.zeros((n, n))
-    a_in = np.block([[eye, zero], [-eye, zero], [gam[1:], -eye], [-gam[1:], -eye], [zero, -eye]])
 
-    blocks = _Blocks(phi, gam, psi, fuel, track, slew, h_fuel, h_rest, a_in)
-    for arr in vars(blocks).values():
-        arr.flags.writeable = False
-    return blocks
+def deviation_bounds(lin: LinearizedModel, params: VehicleParams) -> tuple[float, ...]:
+    """The vehicle's velocity and torque box in deviation coordinates:
+    v_min_dev, v_max_dev, te_min_dev, te_max_dev."""
+    return (params.v_min - lin.v_lin, params.v_max - lin.v_lin,
+            params.te_min - lin.te_lin, params.te_max - lin.te_lin)
 
 
 @dataclass(frozen=True)
@@ -127,13 +162,13 @@ class MpcProblem:
     bounds: tuple[float, float, float, float]  # v_min_dev, v_max_dev, te_min_dev, te_max_dev
     const: float                 # constant term of the full-space objective
     v_free: np.ndarray           # N+1 velocities of the zero-torque-deviation rollout
-    # condensed program over y = [dte | s]: 0.5 y'(h_y)y + (c_y)'y + const_y
+    # condensed program over y = [dte | s]: 0.5 y'(h_y)y + (c_y)'y + const_y,
+    # subject to program.a_in_y @ y <= b_in_y
     h_y: np.ndarray
     c_y: np.ndarray
     const_y: float
-    a_in_y: np.ndarray
     b_in_y: np.ndarray
-    blocks: _Blocks
+    program: HorizonProgram
 
     @property
     def n_vars(self) -> int:
@@ -146,66 +181,34 @@ class MpcProblem:
         n = self.n
         return z[: n + 1], z[n + 1 : 2 * n + 1], z[2 * n + 1 :]
 
-    # full-space view over z = [dv | dte | s], built on first access
+    # full-space view over z = [dv | dte | s]: the program at this weight
 
     @cached_property
     def h_mat(self) -> np.ndarray:
-        n = self.n
-        _, c_v, c_t = self.lin.fuel_lin
-        # fuel flow minus its constant, c_v dv(k) + c_t dte(k), as rows over z
-        fuel = np.zeros((n, self.n_vars))
-        fuel[:, :n] = c_v * np.eye(n)
-        fuel[:, n + 1 : 2 * n + 1] = c_t * np.eye(n)
-        track = np.zeros(self.n_vars)
-        track[: n + 1] = 1.0 / (n + 1)
-        h = 2.0 * self.gamma * fuel.T @ fuel + 2.0 * np.outer(track, track)
-        h[n + 1 : 2 * n + 1, n + 1 : 2 * n + 1] += self.blocks.slew
-        h[2 * n + 1 :, 2 * n + 1 :] += 2.0 * SOFT_WEIGHT * np.eye(n)
-        return h
+        fuel = self.program.fuel
+        return 2.0 * self.gamma * fuel.T @ fuel + self.program.h_rest
 
     @cached_property
     def c_vec(self) -> np.ndarray:
-        n = self.n
-        c0, c_v, c_t = self.lin.fuel_lin
-        c = np.zeros(self.n_vars)
-        c[:n] = 2.0 * self.gamma * c0 * c_v
-        c[n + 1 : 2 * n + 1] = 2.0 * self.gamma * c0 * c_t
-        c[: n + 1] -= 2.0 * self.v_ref_dev / (n + 1)
-        return c
+        zero = np.zeros(self.n_vars)
+        return (self.gamma * self.program.fuel_gradient(zero)
+                + self.program.rest_gradient(zero, self.v_ref_dev))
 
-    @cached_property
+    @property
     def a_eq(self) -> np.ndarray:
-        n = self.n
-        rows = np.arange(n)
-        a_eq = np.zeros((n + 1, self.n_vars))
-        a_eq[0, 0] = 1.0
-        a_eq[rows + 1, rows + 1] = 1.0
-        a_eq[rows + 1, rows] = -self.lin.a_coef
-        a_eq[rows + 1, n + 1 + rows] = -self.lin.b1
-        return a_eq
+        return self.program.a_eq
 
     @cached_property
     def b_eq(self) -> np.ndarray:
         return np.concatenate([[self.v_init], self.lin.b2 * self.grade_window])
 
-    @cached_property
+    @property
     def a_in(self) -> np.ndarray:
-        n = self.n
-        eye, zero = np.eye(n), np.zeros((n, n))
-        v_next = np.hstack([np.zeros((n, 1)), eye])
-        v_none = np.zeros((n, n + 1))
-        return np.block([
-            [v_none, eye, zero],
-            [v_none, -eye, zero],
-            [v_next, zero, -eye],
-            [-v_next, zero, -eye],
-            [v_none, zero, -eye],
-        ])
+        return self.program.a_in
 
     @cached_property
     def b_in(self) -> np.ndarray:
-        v_lo, v_hi, t_lo, t_hi = self.bounds
-        return np.repeat([t_hi, -t_lo, v_hi, -v_lo, 0.0], self.n)
+        return self.program.in_rhs(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -251,26 +254,18 @@ def build(
         raise ValueError("horizon must contain at least one step")
 
     v_ref_dev = 0.0 if v_ref is None else float(v_ref - lin.v_lin)
-    v_lo = params.v_min - lin.v_lin
-    v_hi = params.v_max - lin.v_lin
-    t_lo = params.te_min - lin.te_lin
-    t_hi = params.te_max - lin.te_lin
+    v_lo, v_hi, t_lo, t_hi = bounds = deviation_bounds(lin, params)
     if not (t_lo <= 0.0 <= t_hi):
         raise ValueError("linearization torque outside actuator range")
 
-    blocks = _blocks(lin, n)
-    c0, c_v, _ = lin.fuel_lin
-    v_free = blocks.phi * v_init + blocks.psi @ grades
-    # fuel flow and tracking gap of the zero-torque-deviation plan; dte moves
-    # them by blocks.fuel @ dte and -blocks.track @ dte
-    rho = c0 + c_v * v_free[:n]
+    program = horizon_program(lin, n)
+    _, c_v, _ = lin.fuel_lin
+    v_free = program.phi * v_init + program.psi @ grades
+    # fuel flow and tracking gap of the zero-torque-deviation plan; y moves
+    # them by program.fuel_y @ y and -program.track_y @ y
+    rho = program.fuel0 + c_v * v_free[:n]
     gap = v_ref_dev - float(np.mean(v_free))
-
-    c_y = np.zeros(2 * n)
-    c_y[:n] = 2.0 * gamma * (blocks.fuel.T @ rho) - 2.0 * gap * blocks.track
     v_next = v_free[1:]
-    b_in_y = np.concatenate([np.full(n, t_hi), np.full(n, -t_lo),
-                             v_hi - v_next, v_next - v_lo, np.zeros(n)])
 
     return MpcProblem(
         gamma=float(gamma),
@@ -279,15 +274,15 @@ def build(
         grade_window=grades,
         v_init=float(v_init),
         v_ref_dev=v_ref_dev,
-        bounds=(v_lo, v_hi, t_lo, t_hi),
-        const=gamma * n * c0 * c0 + v_ref_dev * v_ref_dev,
+        bounds=bounds,
+        const=gamma * n * program.fuel0 * program.fuel0 + v_ref_dev * v_ref_dev,
         v_free=v_free,
-        h_y=gamma * blocks.h_fuel + blocks.h_rest,
-        c_y=c_y,
+        h_y=gamma * program.h_fuel_y + program.h_rest_y,
+        c_y=2.0 * gamma * (program.fuel_y.T @ rho) - 2.0 * gap * program.track_y,
         const_y=float(gamma * rho @ rho + gap * gap),
-        a_in_y=blocks.a_in,
-        b_in_y=b_in_y,
-        blocks=blocks,
+        b_in_y=np.concatenate([np.full(n, t_hi), np.full(n, -t_lo),
+                               v_hi - v_next, v_next - v_lo, np.zeros(n)]),
+        program=program,
     )
 
 
@@ -308,14 +303,14 @@ def solve(problem: MpcProblem, warm_working: tuple[int, ...] | None = None) -> M
         problem.c_y,
         None,
         None,
-        problem.a_in_y,
+        problem.program.a_in_y,
         problem.b_in_y,
         _feasible_start(problem)[n + 1 :],
         working0=list(warm_working) if warm_working else None,
     )
     te, slack = result.x[:n], result.x[n:]
     return MpcSolution(
-        v=problem.v_free + problem.blocks.gam @ te,
+        v=problem.v_free + problem.program.gam @ te,
         te=te,
         slack=np.maximum(slack, 0.0),
         objective=result.objective + problem.const_y,
@@ -325,7 +320,7 @@ def solve(problem: MpcProblem, warm_working: tuple[int, ...] | None = None) -> M
     )
 
 
-def kkt_residual(problem: MpcProblem, solution, active_tol: float = 1e-7) -> float:
+def kkt_residual(problem: MpcProblem, solution) -> float:
     """Stationarity norm of a candidate full-space point ``z`` for this program.
 
     Multipliers are fitted by least squares over the constraints active at the
@@ -336,15 +331,11 @@ def kkt_residual(problem: MpcProblem, solution, active_tol: float = 1e-7) -> flo
     if len(z) != problem.n_vars:
         raise ValueError(f"expected {problem.n_vars} variables, got {len(z)}")
     grad = problem.h_mat @ z + problem.c_vec
-    rows = [problem.a_eq]
     slack = problem.a_in @ z - problem.b_in
-    active = np.where(slack > -active_tol * (1.0 + np.abs(problem.b_in)))[0]
-    if len(active):
-        rows.append(problem.a_in[active])
-    a_t = np.vstack(rows).T
+    active = slack > -KKT_ACTIVE_TOL * (1.0 + np.abs(problem.b_in))
+    a_t = np.vstack([problem.a_eq, problem.a_in[active]]).T
     mult, *_ = np.linalg.lstsq(a_t, -grad, rcond=None)
-    n_eq = problem.a_eq.shape[0]
-    mult[n_eq:] = np.maximum(mult[n_eq:], 0.0)
+    mult[problem.n + 1 :] = np.maximum(mult[problem.n + 1 :], 0.0)
     return float(np.linalg.norm(grad + a_t @ mult))
 
 

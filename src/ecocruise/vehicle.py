@@ -146,7 +146,11 @@ def fuel_rate_space(params: VehicleParams, v, te):
     """Position-domain fuel rate, (kg/h)/(m/s): the fuel map divided by speed."""
     if np.any(np.asarray(v) <= 0.0):
         raise ValueError("velocity must be positive")
-    l0, l1, l2, l3, l4, l5 = params.lam
+    return _fuel_rate_space(params.lam, v, te)
+
+
+def _fuel_rate_space(lam, v, te):
+    l0, l1, l2, l3, l4, l5 = lam
     return l0 / v + l1 + l2 * te / v + l3 * te * te / v + l4 * te + l5 * v
 
 
@@ -194,6 +198,10 @@ def vavg_update(s_k: float, vavg_k: float, v_k: float, ds: float):
         raise ValueError("velocities must be positive")
     if s_k < 0 or ds <= 0:
         raise ValueError("distances must be nonnegative (ds positive)")
+    return _vavg_update(s_k, vavg_k, v_k, ds)
+
+
+def _vavg_update(s_k, vavg_k, v_k, ds):
     return (s_k + ds) / (s_k / vavg_k + ds / v_k)
 
 
@@ -203,8 +211,12 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     The one loop that steps the plant along a road: it accumulates the
     per-meter fuel and the trip-average velocity and raises
     :class:`StepFailure` naming the step and position where velocity
-    collapses.  Errors raised by ``torque`` pass through unchanged.
+    collapses.  Errors raised by ``torque`` pass through unchanged.  Only
+    the start velocity is checked; the collapse guard keeps every later one
+    positive, so the steps call the unchecked fuel and trip-average cores.
     """
+    if v_i <= 0:
+        raise ValueError("velocity must be positive")
     ds = params.ds
     v = vavg = float(v_i)
     vs = [v]
@@ -213,11 +225,11 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     fuels: list[float] = []
     for k in range(road.n_steps):
         te = torque(k, v, vavg)
-        fuels.append(float(fuel_per_meter(params, v, te)))
+        fuels.append(float(_fuel_rate_space(params.lam, v, te) / SECONDS_PER_HOUR))
         v_next = float(next_velocity(params, v, te, road.grade[k]))
         if v_next <= 0:
             raise StepFailure(f"velocity collapsed at step {k} (position {k * ds:.0f} m)")
-        vavg = float(vavg_update(k * ds, vavg, v, ds))
+        vavg = float(_vavg_update(k * ds, vavg, v, ds))
         v = v_next
         vs.append(v)
         vavgs.append(vavg)

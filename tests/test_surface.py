@@ -35,6 +35,7 @@ HOOKS = {("cli.py", "_Parser.error")}
     (invopt.gamma_series, ["dp_solution", "road", "lin", "params", "n", "v_ref"]),
     (DpConfig.default, ["params", "v_ref", "v_i", "v_span", "dv", "dvavg", "dte", "vavg_band",
                         "keep_cost_to_go"]),
+    (mpc.kkt_residual, ["problem", "solution"]),
 ])
 def test_parameter_lists(fn, params):
     assert list(inspect.signature(fn).parameters) == params

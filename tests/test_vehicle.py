@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ecocruise.road import gen_sinusoidal
 from ecocruise.vehicle import (
     LinearizedModel,
     StepFailure,
@@ -17,7 +18,9 @@ from ecocruise.vehicle import (
     integrate_fine,
     linearize,
     load_vehicle_config,
+    rollout,
     space_step,
+    vavg_update,
 )
 
 
@@ -257,3 +260,21 @@ class TestParams:
         cfg.write_text("alpha0 = fast\n")
         with pytest.raises(ValueError, match="bad number"):
             load_vehicle_config(cfg)
+
+
+class TestRollout:
+    def test_steps_agree_with_the_checked_functions(self, params):
+        road = gen_sinusoidal(seed=3, length_m=3000.0)
+        traj = rollout(params, road, 30.0, lambda k, v, vavg: 100.0 + 40.0 * np.sin(k / 7.0))
+        for k in range(road.n_steps):
+            v, te = traj.v[k], traj.te[k]
+            assert traj.fuel_per_m[k] == fuel_per_meter(params, v, te)
+            assert traj.vavg[k + 1] == vavg_update(k * params.ds, traj.vavg[k], v, params.ds)
+            assert traj.v[k + 1] == space_step(params, v, te, road.grade[k])
+
+    def test_start_velocity_checked_before_the_first_step(self, params):
+        calls = []
+        road = gen_sinusoidal(seed=3, length_m=3000.0)
+        with pytest.raises(ValueError, match="velocity must be positive"):
+            rollout(params, road, 0.0, lambda k, v, vavg: calls.append(k) or 0.0)
+        assert calls == []
