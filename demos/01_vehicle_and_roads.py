@@ -51,7 +51,7 @@ road = gen_sinusoidal(seed=7, length_m=12000.0)
 print(f"{road.length_m / 1000:.0f} km road, {road.n_steps} segments, "
       f"grade range [{road.grade.min():+.4f}, {road.grade.max():+.4f}]")
 window = preview(road, 150, 100)
-print(f"3 km preview at 4.5 km: mean grade {window.samples.mean():+.5f}")
+print(f"3 km preview at 4.5 km: mean grade {window.mean():+.5f}")
 
 print("\n== elevation CSV round trip ==")
 with tempfile.TemporaryDirectory() as tmp:

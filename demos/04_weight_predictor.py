@@ -40,5 +40,5 @@ print("\nsample predictions along the road:")
 for k in (10, 200, 500, 800):
     window = preview(road, k, 100)
     print(f"position {k * 30 / 1000:5.2f} km: predicted weight "
-          f"{predict(model, window.samples, v_ref):.5f}  "
+          f"{predict(model, window, v_ref):.5f}  "
           f"(label {series.gamma[k]:.5f}{' [' + series.flags[k] + ']' if series.flags[k] else ''})")

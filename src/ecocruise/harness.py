@@ -1,7 +1,8 @@
 """Closed-loop simulation of every controller against the nonlinear plant.
 
 All controllers drive the same plant: the fixed-gear longitudinal model
-stepped every 30 m, with fuel integrated from the per-meter rate.  The cast:
+stepped every 30 m, with fuel integrated from the per-meter rate.  One
+builder, ``_policy``, turns a spec into a torque callback ``torque(k, v)``:
 
 * ``AT_MPC``     horizon QP with the fuel weight predicted online from the
                  3 km grade preview.
@@ -10,11 +11,15 @@ stepped every 30 m, with fuel integrated from the per-meter rate.  The cast:
 * ``PI``         set-point tracker with conditional anti-windup, the
                  conventional-cruise baseline.
 * ``DP_REPLAY``  the global optimizer's torque schedule applied open loop.
+
+The three MPC kinds share one warm-started receding-horizon loop; where the
+weight comes from is their only difference.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from statistics import median
 
@@ -25,6 +30,7 @@ from .dp import DpSolution
 from .formats import num
 from .invopt import GammaSeries
 from .net import MlpModel, PREVIEW_LEN, predict
+from .qp import QpError
 from .road import RoadProfile, preview
 from .vehicle import (
     LinearizedModel,
@@ -111,102 +117,74 @@ def metrics(trajectory: Trajectory, skip_m: float = 0.0) -> SimResult:
     )
 
 
-class _PiController:
-    """Feedback tracker with torque saturation and conditional anti-windup.
-
-    The integrator is preloaded with the cruise equilibrium torque so a run
-    that starts on-speed does not dip while the integral spools up.
-    """
-
-    def __init__(self, spec: ControllerSpec, params: VehicleParams):
-        self.v_ref = spec.v_ref
-        self.params = params
-        self.integral = equilibrium_torque(params, spec.v_ref) / PI_KI
-
-    def torque(self, v: float, k: int, road: RoadProfile) -> float:
-        err = self.v_ref - v
-        te = PI_KP * err + PI_KI * (self.integral + err)
-        if self.params.te_min < te < self.params.te_max:
-            self.integral += err
-        return float(np.clip(te, self.params.te_min, self.params.te_max))
+def _artifact_error(spec: ControllerSpec, road: RoadProfile, artifacts: Artifacts) -> str:
+    """Why ``artifacts`` cannot drive ``spec`` on ``road``, or ``""``."""
+    if spec.kind == "DP_REPLAY":
+        if artifacts.dp_solution is None:
+            return "DP_REPLAY needs a solved global optimum"
+        if len(artifacts.dp_solution.trajectory.te) != road.n_steps:
+            return "stored torque schedule does not cover this road"
+    if spec.kind == "PT_MPC" and artifacts.series is None:
+        return "PT_MPC needs a precomputed weight series"
+    if spec.kind == "AT_MPC" and artifacts.model is None:
+        return "AT_MPC needs a trained weight predictor"
+    return ""
 
 
-class _MpcController:
-    """Shared receding-horizon driver; subclasses only choose the weight."""
-
-    def __init__(self, spec: ControllerSpec, params: VehicleParams, artifacts: Artifacts):
-        self.spec = spec
-        self.params = params
-        self.artifacts = artifacts
-        self.lin = artifacts.lin if artifacts.lin is not None else linearize(params, spec.v_ref)
-        self.warm: tuple[int, ...] | None = None
-
-    def weight_at(self, k: int, road: RoadProfile) -> float:
-        raise NotImplementedError
-
-    def torque(self, v: float, k: int, road: RoadProfile) -> float:
-        gamma = self.weight_at(k, road)
-        window = preview(road, k, self.spec.horizon).samples
-        problem = mpc.build(gamma, self.lin, window, v - self.lin.v_lin, self.params,
-                            v_ref=self.spec.v_ref)
-        solution = mpc.solve(problem, warm_working=self.warm)
-        self.warm = solution.working_set
-        te = self.lin.te_lin + solution.te[0]
-        return float(np.clip(te, self.params.te_min, self.params.te_max))
+def _held_weights(series: GammaSeries) -> np.ndarray:
+    """The stored weights with every flagged row replaced by the last clean
+    one before it, leading flagged rows by the first clean one: a flag marks
+    a recovery that was degenerate or clamped, not a weight worth steering
+    with.  A series with no clean row is returned as stored."""
+    gamma = np.array(series.gamma, dtype=float)
+    clean = np.array([not flag for flag in series.flags], dtype=bool)
+    if not clean.any():
+        return gamma
+    last_clean = np.maximum.accumulate(np.where(clean, np.arange(len(clean)), clean.argmax()))
+    return gamma[last_clean]
 
 
-class _FixedMpc(_MpcController):
-    def weight_at(self, k: int, road: RoadProfile) -> float:
-        return self.spec.gamma
-
-
-class _PretunedMpc(_MpcController):
-    """Drives with the stored per-position weights, holding the last clean
-    value across flagged rows: a flag marks a recovery that was degenerate or
-    clamped, not a weight worth steering with."""
-
-    def __init__(self, spec, params, artifacts):
-        super().__init__(spec, params, artifacts)
-        if artifacts.series is None:
-            raise ValueError("PT_MPC needs a precomputed weight series")
-        series = artifacts.series
-        filled = np.array(series.gamma, dtype=float)
-        last = None
-        for i in range(len(filled)):
-            if not series.flags[i]:
-                last = filled[i]
-            elif last is not None:
-                filled[i] = last
-        clean_idx = [i for i in range(len(filled)) if not series.flags[i]]
-        if clean_idx:
-            filled[: clean_idx[0]] = filled[clean_idx[0]]
-        self._weights = filled
-
-    def weight_at(self, k: int, road: RoadProfile) -> float:
-        return float(self._weights[min(k, len(self._weights) - 1)])
-
-
-class _AutoTunedMpc(_MpcController):
-    def __init__(self, spec, params, artifacts):
-        super().__init__(spec, params, artifacts)
-        if artifacts.model is None:
-            raise ValueError("AT_MPC needs a trained weight predictor")
-
-    def weight_at(self, k: int, road: RoadProfile) -> float:
-        window = preview(road, k, PREVIEW_LEN).samples
-        return max(0.0, predict(self.artifacts.model, window, self.spec.v_ref))
-
-
-def _make_controller(spec: ControllerSpec, params: VehicleParams, artifacts: Artifacts):
+def _policy(spec: ControllerSpec, road: RoadProfile, params: VehicleParams,
+            artifacts: Artifacts) -> Callable[[int, float], float]:
+    """The controller's torque callback ``torque(k, v)`` at position ``k``."""
+    error = _artifact_error(spec, road, artifacts)
+    if error:
+        raise ValueError(error)
+    if spec.kind == "DP_REPLAY":
+        schedule = artifacts.dp_solution.trajectory.te
+        return lambda k, v: float(schedule[k])
     if spec.kind == "PI":
-        return _PiController(spec, params)
+        # preloaded with the cruise torque so an on-speed start does not dip
+        integral = equilibrium_torque(params, spec.v_ref) / PI_KI
+
+        def pi_torque(k: int, v: float) -> float:
+            nonlocal integral
+            err = spec.v_ref - v
+            te = PI_KP * err + PI_KI * (integral + err)
+            if params.te_min < te < params.te_max:  # conditional anti-windup
+                integral += err
+            return float(np.clip(te, params.te_min, params.te_max))
+        return pi_torque
+
     if spec.kind == "FIXED_LMPC":
-        return _FixedMpc(spec, params, artifacts)
-    if spec.kind == "PT_MPC":
-        return _PretunedMpc(spec, params, artifacts)
-    if spec.kind == "AT_MPC":
-        return _AutoTunedMpc(spec, params, artifacts)
-    raise ValueError(spec.kind)
+        weight = lambda k: spec.gamma  # noqa: E731
+    elif spec.kind == "PT_MPC":
+        held = _held_weights(artifacts.series)
+        weight = lambda k: float(held[min(k, len(held) - 1)])  # noqa: E731
+    else:
+        weight = lambda k: max(  # noqa: E731
+            0.0, predict(artifacts.model, preview(road, k, PREVIEW_LEN), spec.v_ref))
+    lin = artifacts.lin if artifacts.lin is not None else linearize(params, spec.v_ref)
+    warm: tuple[int, ...] | None = None
+
+    def mpc_torque(k: int, v: float) -> float:
+        nonlocal warm
+        problem = mpc.build(weight(k), lin, preview(road, k, spec.horizon), v - lin.v_lin,
+                            params, v_ref=spec.v_ref)
+        solution = mpc.solve(problem, warm_working=warm)
+        warm = solution.working_set
+        return float(np.clip(lin.te_lin + solution.te[0], params.te_min, params.te_max))
+    return mpc_torque
 
 
 def run(
@@ -216,22 +194,12 @@ def run(
     artifacts: Artifacts | None = None,
 ) -> SimResult:
     """Drive the road once with the requested controller."""
-    artifacts = artifacts or Artifacts()
-    if spec.kind == "DP_REPLAY":
-        if artifacts.dp_solution is None:
-            raise ValueError("DP_REPLAY needs a solved global optimum")
-        dp_te = artifacts.dp_solution.trajectory.te
-        if len(dp_te) != road.n_steps:
-            raise ValueError("stored torque schedule does not cover this road")
-        policy = lambda v, k, road: float(dp_te[k])  # noqa: E731
-    else:
-        policy = _make_controller(spec, params, artifacts).torque
-
+    policy = _policy(spec, road, params, artifacts or Artifacts())
     runtimes: list[float] = []
 
     def timed_torque(k: int, v: float, vavg: float) -> float:
         tic = time.perf_counter()
-        te = policy(v, k, road)
+        te = policy(k, v)
         runtimes.append(time.perf_counter() - tic)
         return te
 
@@ -270,31 +238,28 @@ def pareto_sweep(
 ) -> list[SweepRow]:
     """Fixed-weight ladder plus the four reference controllers, one row each.
 
-    Individual run failures land in the row's ``error`` column; the sweep
-    carries on so one bad configuration cannot sink a whole comparison.
+    A missing or mismatched artifact, a plant failure or a solver failure
+    lands in the row's ``error`` column and the sweep carries on, so one bad
+    configuration cannot sink a whole comparison; any other exception is a
+    bug or bad input and propagates.
     """
     ladder = list(gamma_ladder)
     if not ladder or any(b < a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("gamma ladder must be nonempty and ascending")
     v_i = v_ref if v_i is None else v_i
     rows: list[SweepRow] = []
-
-    def attempt(name: str, spec: ControllerSpec, gamma: float | None) -> None:
-        try:
-            rows.append(SweepRow.of(name, gamma, run(spec, road, params, artifacts)))
-        except (SimulationError, StepFailure, ValueError) as exc:
-            rows.append(SweepRow(name, gamma, np.nan, np.nan, np.nan, np.nan, error=str(exc)))
-
-    for gamma in ladder:
-        attempt(
-            "FIXED_LMPC",
-            ControllerSpec(kind="FIXED_LMPC", v_ref=v_ref, v_i=v_i, horizon=horizon, gamma=gamma),
-            gamma,
-        )
-    attempt("AT_MPC", ControllerSpec(kind="AT_MPC", v_ref=v_ref, v_i=v_i, horizon=horizon), None)
-    attempt("PT_MPC", ControllerSpec(kind="PT_MPC", v_ref=v_ref, v_i=v_i, horizon=horizon), None)
-    attempt("PI", ControllerSpec(kind="PI", v_ref=v_ref, v_i=v_i), None)
-    attempt("DP_REPLAY", ControllerSpec(kind="DP_REPLAY", v_ref=v_ref, v_i=v_i), None)
+    others = [(kind, None) for kind in CONTROLLER_KINDS if kind != "FIXED_LMPC"]
+    for kind, gamma in [("FIXED_LMPC", g) for g in ladder] + others:
+        spec = ControllerSpec(kind=kind, v_ref=v_ref, v_i=v_i, horizon=horizon,
+                              gamma=0.0 if gamma is None else gamma)
+        error = _artifact_error(spec, road, artifacts)
+        if not error:
+            try:
+                rows.append(SweepRow.of(kind, gamma, run(spec, road, params, artifacts)))
+                continue
+            except (SimulationError, QpError) as exc:
+                error = str(exc)
+        rows.append(SweepRow(kind, gamma, np.nan, np.nan, np.nan, np.nan, error=error))
     return rows
 
 

@@ -179,8 +179,13 @@ def recover_gamma(kkt: KktSystem) -> GammaRecovery:
 
     The weight and every active-bound multiplier are projected onto the
     nonnegative orthant exactly (active-set QP), not truncated afterwards.
-    Rank deficiency of the weighted system is reported via ``degenerate``;
-    the minimum-norm solution is still returned.
+    When the weighted system is rank-deficient (smallest singular value at
+    most ``DEGENERACY_RCOND`` times the largest, e.g. every torque of the
+    window on a bound) its fit is not unique and the active-set method can
+    cycle, so the QP is skipped: ``y`` is then the minimum-norm
+    least-squares solution with its sign-constrained entries clipped at 0,
+    ``degenerate`` is set, and ``residual`` is the weighted residual of that
+    clipped ``y``.
     """
     sqrt_r = np.sqrt(kkt.r_weights)
     a_mat = sqrt_r[:, None] * kkt.q_mat
@@ -188,19 +193,21 @@ def recover_gamma(kkt: KktSystem) -> GammaRecovery:
     svals = np.linalg.svd(a_mat, compute_uv=False)
     degenerate = bool(svals[-1] <= DEGENERACY_RCOND * svals[0]) if len(svals) else True
 
-    n_cols = a_mat.shape[1]
-    h = 2.0 * a_mat.T @ a_mat
-    c = -2.0 * a_mat.T @ b_vec
     nonneg = [kkt.gamma_col] + list(range(kkt.q_cols.start, kkt.q_cols.stop))
-    a_in = np.zeros((len(nonneg), n_cols))
-    for row, idx in enumerate(nonneg):
-        a_in[row, idx] = -1.0
-    b_in = np.zeros(len(nonneg))
-    result = solve_qp(h, c, None, None, a_in, b_in, np.zeros(n_cols))
-    y = result.x.copy()
-    # bound-active entries come back with numerical dust; project exactly
-    if np.min(y[nonneg], initial=0.0) < -1e-9:
-        raise QpError("sign-constrained entries escaped their bound")
+    if degenerate:
+        y = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
+    else:
+        n_cols = a_mat.shape[1]
+        h = 2.0 * a_mat.T @ a_mat
+        c = -2.0 * a_mat.T @ b_vec
+        a_in = np.zeros((len(nonneg), n_cols))
+        for row, idx in enumerate(nonneg):
+            a_in[row, idx] = -1.0
+        b_in = np.zeros(len(nonneg))
+        y = solve_qp(h, c, None, None, a_in, b_in, np.zeros(n_cols)).x.copy()
+        # bound-active entries come back with numerical dust; project exactly
+        if np.min(y[nonneg], initial=0.0) < -1e-9:
+            raise QpError("sign-constrained entries escaped their bound")
     y[nonneg] = np.maximum(y[nonneg], 0.0)
     residual = float(np.linalg.norm(a_mat @ y - b_vec))
     return GammaRecovery(gamma=float(y[0]), residual=residual, degenerate=degenerate, y=y)

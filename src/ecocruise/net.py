@@ -118,7 +118,7 @@ def make_dataset(road: RoadProfile, series, v_ref: float) -> Dataset:
     for k in range(road.n_steps):
         if series.flags[k]:
             continue
-        window = preview(road, k, PREVIEW_LEN).samples
+        window = preview(road, k, PREVIEW_LEN)
         rows.append(np.concatenate([window, [v_ref]]))
         targets.append(series.gamma[k])
         positions.append(k)
@@ -197,8 +197,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
     n = len(dataset)
     if n < 10:
         raise ValueError(f"need at least 10 samples to split and train, got {n}")
-    if n < 100:
-        warnings.warn(f"training on only {n} samples; intended minimum is 100")
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
     n_test = max(1, int(round(config.test_fraction * n)))

@@ -63,14 +63,6 @@ class RoadProfile:
         return RoadProfile(ds=float(ds), elevation=elev, grade=grade)
 
 
-@dataclass(frozen=True)
-class GradePreview:
-    """Fixed-length look-ahead window of grades starting at ``origin``."""
-
-    samples: np.ndarray
-    origin: int
-
-
 def gen_sinusoidal(
     seed: int,
     length_m: float,
@@ -158,9 +150,9 @@ def _samples(path, columns, rows, x_name: str):
     return x, elevation
 
 
-def preview(road: RoadProfile, position_index: int, window_len: int) -> GradePreview:
-    """Grades over [position_index, position_index + window_len), zero-padded
-    with flat road past the end."""
+def preview(road: RoadProfile, position_index: int, window_len: int) -> np.ndarray:
+    """Read-only grades over [position_index, position_index + window_len),
+    zero-padded with flat road past the end."""
     p = road.n_steps
     if not 0 <= position_index < p:
         raise IndexError(f"position {position_index} outside road with {p} segments")
@@ -168,7 +160,7 @@ def preview(road: RoadProfile, position_index: int, window_len: int) -> GradePre
     avail = min(window_len, p - position_index)
     window[:avail] = road.grade[position_index : position_index + avail]
     window.setflags(write=False)
-    return GradePreview(samples=window, origin=position_index)
+    return window
 
 
 def write_road_csv(road: RoadProfile, path, header_lines: list[str] | None = None) -> None:

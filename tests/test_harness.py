@@ -19,6 +19,7 @@ from ecocruise.harness import (
     write_sweep_csv,
 )
 from ecocruise.invopt import GammaSeries
+from ecocruise.qp import QpError
 from ecocruise.road import RoadProfile, gen_sinusoidal
 from ecocruise.vehicle import Trajectory, fuel_per_meter
 
@@ -208,6 +209,25 @@ class TestParetoSweep:
         fixed = next(r for r in rows if r.controller == "FIXED_LMPC")
         assert not fixed.error
 
+    def test_controller_bug_propagates(self, params, flat_road, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the controller")
+
+        monkeypatch.setattr(harness.mpc, "build", broken)
+        with pytest.raises(ValueError, match="bug in the controller"):
+            pareto_sweep(flat_road, params, [0.001], Artifacts(), v_ref=30.0)
+
+    def test_solver_failure_recorded_not_raised(self, params, flat_road, monkeypatch):
+        def failing(*args, **kwargs):
+            raise QpError("did not converge")
+
+        monkeypatch.setattr(harness.mpc, "solve", failing)
+        rows = pareto_sweep(flat_road, params, [0.001, 0.002], Artifacts(), v_ref=30.0)
+        fixed = [r for r in rows if r.controller == "FIXED_LMPC"]
+        assert [r.error for r in fixed] == ["did not converge"] * 2
+        assert all(np.isnan(r.fuel_economy_km_per_kg) for r in fixed)
+        assert not next(r for r in rows if r.controller == "PI").error
+
     def test_ladder_must_ascend(self, params, flat_road):
         with pytest.raises(ValueError):
             pareto_sweep(flat_road, params, [0.003, 0.001], Artifacts(), v_ref=30.0)
@@ -267,3 +287,40 @@ class TestOnePlantLoop:
             assert getattr(res.trajectory, name).tobytes() == getattr(ref, name).tobytes()
             # the DP's own forward pass steps the same plant
             assert getattr(solution.trajectory, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def _series(gamma, flags):
+    n = len(gamma)
+    return GammaSeries(positions=np.arange(n), gamma=np.asarray(gamma, dtype=float),
+                       residuals=np.zeros(n), flags=tuple(flags))
+
+
+class TestPretunedWeightHold:
+    def _drive(self, params, road, series):
+        spec = ControllerSpec(kind="PT_MPC", v_ref=30.0, v_i=30.0)
+        return run(spec, road, params, Artifacts(series=series)).trajectory
+
+    def test_flagged_rows_hold_the_last_clean_weight(self, params, hilly_road):
+        n = hilly_road.n_steps
+        clean = np.where(np.arange(n) < n // 2, 0.002, 0.006)
+        flags = [""] * n
+        junk = clean.copy()
+        # leading rows take the first clean weight, later ones the last before them
+        for lo, hi in ((0, 5), (n // 2 + 10, n // 2 + 30), (n - 7, n)):
+            flags[lo:hi] = ["degenerate"] * (hi - lo)
+            junk[lo:hi] = 0.04
+        filled = clean.copy()
+        filled[n // 2 + 10: n // 2 + 30] = 0.006
+        filled[n - 7:] = 0.006
+        held = self._drive(params, hilly_road, _series(junk, flags))
+        ref = self._drive(params, hilly_road, _series(filled, [""] * n))
+        for name in ("v", "vavg", "te", "fuel_per_m"):
+            assert getattr(held, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_all_flagged_series_drives_on_stored_weights(self, params, hilly_road):
+        n = hilly_road.n_steps
+        raw = np.linspace(0.0, 0.01, n)
+        flagged = self._drive(params, hilly_road, _series(raw, ["clamped"] * n))
+        ref = self._drive(params, hilly_road, _series(raw, [""] * n))
+        for name in ("v", "vavg", "te", "fuel_per_m"):
+            assert getattr(flagged, name).tobytes() == getattr(ref, name).tobytes()

@@ -20,7 +20,7 @@ from ecocruise.invopt import (
     window_from_absolute,
     write_gamma_csv,
 )
-from ecocruise.qp import QpError, solve_qp
+from ecocruise.qp import solve_qp
 from ecocruise.road import RoadProfile
 from ecocruise.vehicle import VehicleParams, linearize
 
@@ -194,6 +194,29 @@ class TestRecoverGamma:
                            active_set=(0,), n=n)
         assert recover_gamma(broken).degenerate
 
+    def test_every_torque_on_a_bound_returns_the_clipped_minimum_norm_fit(self):
+        capped = VehicleParams(te_max=150.0)
+        lin_c = linearize(capped, 30.0)
+        n = 50
+        grades = np.full(n, 0.03)
+        te = np.full(n, capped.te_max - lin_c.te_lin)
+        v = np.zeros(n + 1)
+        for k in range(n):
+            v[k + 1] = lin_c.a_coef * v[k] + lin_c.b1 * te[k] + lin_c.b2 * grades[k]
+        window = DeviationWindow(v, te)
+        active = detect_active(window, lin_c, capped)
+        assert len(active) == n
+        kkt = build_kkt(window, grades, lin_c, capped, active, v_ref=30.0)
+        rec = recover_gamma(kkt)
+        a = np.sqrt(kkt.r_weights)[:, None] * kkt.q_mat
+        b = np.sqrt(kkt.r_weights) * kkt.w_vec
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
+        nonneg = [kkt.gamma_col, *range(kkt.q_cols.start, kkt.q_cols.stop)]
+        expected[nonneg] = np.maximum(expected[nonneg], 0.0)
+        assert rec.degenerate
+        assert rec.y.tobytes() == expected.tobytes()
+        assert rec.residual == float(np.linalg.norm(a @ expected - b))
+
 
 class TestRoundTripThroughTheController:
     """The weight a plan was solved with comes back from the plan alone, on
@@ -219,14 +242,7 @@ class TestRoundTripThroughTheController:
         assume(np.max(sol.slack) == 0.0)
         window = DeviationWindow(sol.v, sol.te)
         kkt = build_kkt(window, grades, lin, params, detect_active(window, lin, params), 30.0)
-        try:
-            rec = recover_gamma(kkt)
-        except QpError:
-            # the sign-constrained fit can cycle when every torque sits on a
-            # bound; the system then has more unknowns than weighted rows
-            weighted = np.sqrt(kkt.r_weights)[:, None] * kkt.q_mat
-            assert np.linalg.matrix_rank(weighted) < weighted.shape[1]
-            return
+        rec = recover_gamma(kkt)
         if not rec.degenerate:
             # worst seen over 2100 random non-degenerate windows: 3.5e-6
             assert rec.gamma == pytest.approx(gamma, rel=1e-4)

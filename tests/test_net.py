@@ -89,7 +89,7 @@ class TestMakeDataset:
     def test_features_reproduce_preview(self, dataset_road):
         ds = make_dataset(dataset_road, self.make_series(dataset_road), 30.0)
         k = int(ds.positions[17])
-        assert np.array_equal(ds.features[17, :100], preview(dataset_road, k, 100).samples)
+        assert np.array_equal(ds.features[17, :100], preview(dataset_road, k, 100))
         assert ds.features[17, 100] == 30.0
 
     def test_flat_road_warns_zero_variance(self, params):

@@ -130,19 +130,23 @@ class TestPreview:
 
     def test_window_at_origin(self, road):
         w = preview(road, 0, 100)
-        assert len(w.samples) == 100
-        assert np.array_equal(w.samples, road.grade[:100])
+        assert len(w) == 100
+        assert np.array_equal(w, road.grade[:100])
 
     def test_padding_past_end(self, road):
         p = road.n_steps
         w = preview(road, p - 1, 100)
-        assert w.samples[0] == road.grade[-1]
-        assert np.all(w.samples[1:] == 0.0)
+        assert w[0] == road.grade[-1]
+        assert np.all(w[1:] == 0.0)
+
+    def test_window_is_read_only(self, road):
+        with pytest.raises(ValueError):
+            preview(road, 0, 100)[0] = 1.0
 
     def test_consecutive_windows_overlap(self, road):
         a = preview(road, 10, 60)
         b = preview(road, 11, 60)
-        assert np.array_equal(a.samples[1:], b.samples[:-1])
+        assert np.array_equal(a[1:], b[:-1])
 
     def test_out_of_range_position(self, road):
         with pytest.raises(IndexError):
