@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -212,8 +213,7 @@ def _parse_ladder(text: str) -> list[float]:
 
 
 def _read_solution(path: Path) -> DpSolution:
-    traj = dp_mod.read_dp_csv(path)
-    return DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=None)
+    return DpSolution(trajectory=dp_mod.read_dp_csv(path))
 
 
 # ---------------------------------------------------------------- commands
@@ -397,8 +397,13 @@ def cmd_report(args, file_cfg) -> int:
                              for name, r in points), meta)
         return f"{len(front)} fixed-weight points, {len(points)} controllers"
 
+    # the rows without their measured step times, so that rerunning the same
+    # sweep reproduces the pareto files byte for byte
+    rows_digest = hashlib.sha256(
+        repr([replace(r, median_step_s=0.0) for r in rows]).encode()).hexdigest()[:16]
     return _produce("report", [out_dir / "pareto_fixed_front.csv",
-                               out_dir / "pareto_controllers.csv"], {}, [sweep_path], None, make)
+                               out_dir / "pareto_controllers.csv"],
+                    {"sweep_rows": rows_digest}, [], None, make)
 
 
 # each pipeline stage, the file it writes and the flags later stages read it by

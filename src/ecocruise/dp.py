@@ -26,6 +26,7 @@ from .vehicle import (
     StepFailure,
     Trajectory,
     VehicleParams,
+    check_spacing,
     fuel_per_meter,
     next_velocity,
     rollout,
@@ -37,7 +38,7 @@ DEFAULT_DV = 0.25
 DEFAULT_DVAVG = 0.1
 DEFAULT_DTE = 10.0
 DEFAULT_VAVG_BAND = 0.07
-DEFAULT_INFEASIBLE_COST = 1e6
+INFEASIBLE_COST = 1e6
 
 
 class InfeasibleError(RuntimeError):
@@ -58,8 +59,6 @@ class DpConfig:
     vavg_max: float
     v_ref: float
     v_i: float
-    infeasible_cost: float = DEFAULT_INFEASIBLE_COST
-    keep_cost_to_go: bool = False
 
     def __post_init__(self) -> None:
         for name in ("v_grid", "vavg_grid", "te_grid"):
@@ -73,8 +72,6 @@ class DpConfig:
             raise ValueError("v_ref must lie inside the average-velocity corridor")
         if not (self.v_grid[0] <= self.v_i <= self.v_grid[-1]):
             raise ValueError("initial velocity outside the velocity grid")
-        if self.infeasible_cost <= 0:
-            raise ValueError("infeasible_cost must be positive")
 
     @staticmethod
     def default(
@@ -86,7 +83,6 @@ class DpConfig:
         dvavg: float = DEFAULT_DVAVG,
         dte: float = DEFAULT_DTE,
         vavg_band: float = DEFAULT_VAVG_BAND,
-        keep_cost_to_go: bool = False,
     ) -> "DpConfig":
         """Grids centered on the cruise set point, clipped to the vehicle limits."""
         lo = max(params.v_min, v_ref - v_span)
@@ -101,15 +97,16 @@ class DpConfig:
             vavg_max=vavg_hi,
             v_ref=v_ref,
             v_i=v_ref if v_i is None else v_i,
-            keep_cost_to_go=keep_cost_to_go,
         )
 
 
 @dataclass(frozen=True)
 class DpSolution:
     trajectory: Trajectory
-    total_fuel: float
-    cost_to_go: np.ndarray | None  # value table at the first step, if retained
+
+    @property
+    def total_fuel(self) -> float:
+        return self.trajectory.total_fuel_kg
 
 
 def _interp_weights(grid: np.ndarray, values: np.ndarray):
@@ -130,7 +127,7 @@ def _cost_to_go_tables(params: VehicleParams, road: RoadProfile, config: DpConfi
     a_grid = config.vavg_grid
     te_grid = config.te_grid
     ds = params.ds
-    big = config.infeasible_cost
+    big = INFEASIBLE_COST
 
     nv, na, nu = len(v_grid), len(a_grid), len(te_grid)
     vv = v_grid[:, None]                      # (nv, 1)
@@ -207,11 +204,12 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
     """Backward value iteration plus exact-dynamics forward rollout."""
     if road.n_steps < 2:
         raise ValueError("road must contain at least two segments")
+    check_spacing(params, road)
     v_grid = config.v_grid
     a_grid = config.vavg_grid
     te_grid = config.te_grid
     ds = params.ds
-    big = config.infeasible_cost
+    big = INFEASIBLE_COST
     tables = _cost_to_go_tables(params, road, config)
 
     def pick(k: int, v: float, vavg: float) -> float:
@@ -239,9 +237,7 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
         return float(te_grid[best])
 
     # forward rollout from the exact initial state
-    traj = rollout(params, road, config.v_i, pick)
-    cost_to_go = tables[0].copy() if config.keep_cost_to_go else None
-    return DpSolution(trajectory=traj, total_fuel=traj.total_fuel_kg, cost_to_go=cost_to_go)
+    return DpSolution(trajectory=rollout(params, road, config.v_i, pick))
 
 
 def replay(params: VehicleParams, road: RoadProfile, torque_sequence, v_i: float) -> Trajectory:
@@ -249,8 +245,6 @@ def replay(params: VehicleParams, road: RoadProfile, torque_sequence, v_i: float
     te_seq = np.asarray(torque_sequence, dtype=float)
     if len(te_seq) != road.n_steps:
         raise ValueError(f"torque sequence length {len(te_seq)} != road segments {road.n_steps}")
-    if v_i <= 0:
-        raise InfeasibleError("velocity collapsed at step 0")
     try:
         return rollout(params, road, v_i, lambda k, v, vavg: float(te_seq[k]))
     except StepFailure as exc:

@@ -93,20 +93,15 @@ class SimResult:
         return float(median(self.step_runtimes)) if len(self.step_runtimes) else 0.0
 
 
-def metrics(trajectory: Trajectory, skip_m: float = 0.0) -> SimResult:
-    """Fuel, distance and harmonic-average velocity, optionally dropping an
-    initial transient stretch; the result carries no step times."""
+def metrics(trajectory: Trajectory) -> SimResult:
+    """Fuel, distance and harmonic-average velocity of a drive; the result
+    carries no step times."""
     if trajectory.n_steps == 0:
         raise ValueError("empty trajectory")
     ds = float(trajectory.position[1] - trajectory.position[0])
-    start = int(np.ceil(skip_m / ds)) if skip_m > 0 else 0
-    if start >= trajectory.n_steps:
-        raise ValueError(f"skip {skip_m} m leaves no samples")
-    v = trajectory.v[start:-1]
-    fuel = float(np.sum(trajectory.fuel_per_m[start:]) * ds)
-    distance_m = (trajectory.n_steps - start) * ds
-    elapsed = float(np.sum(ds / v))
-    avg_v = distance_m / elapsed
+    fuel = trajectory.total_fuel_kg
+    distance_m = trajectory.n_steps * ds
+    avg_v = distance_m / float(np.sum(ds / trajectory.v[:-1]))
     economy = (distance_m / 1000.0) / fuel if fuel > 0 else float("inf")
     return SimResult(
         trajectory=trajectory,

@@ -29,7 +29,7 @@ from . import formats, mpc
 from .formats import num
 from .qp import QpError, solve_qp
 from .road import RoadProfile
-from .vehicle import LinearizedModel, VehicleParams, equilibrium_torque
+from .vehicle import LinearizedModel, VehicleParams, check_spacing, equilibrium_torque
 
 ACTIVE_TOL = 1e-6
 GAMMA_CAP = 0.05
@@ -112,12 +112,9 @@ def window_from_absolute(v_abs, te_abs, lin: LinearizedModel) -> DeviationWindow
 
 
 def detect_active(
-    window: DeviationWindow,
-    lin: LinearizedModel,
-    params: VehicleParams,
-    tol: float = ACTIVE_TOL,
+    window: DeviationWindow, lin: LinearizedModel, params: VehicleParams
 ) -> tuple[int, ...]:
-    """Indices of bounds met within ``tol``.
+    """Indices of bounds met within ``ACTIVE_TOL``.
 
     Layout over 4N slots: velocity-floor hits on v(1..N) in [0,N), ceiling
     hits in [N,2N), torque-floor hits in [2N,3N), torque-ceiling in [3N,4N).
@@ -129,7 +126,7 @@ def detect_active(
     program = mpc.horizon_program(lin, n)
     rhs = program.in_rhs(mpc.deviation_bounds(lin, params))[: 4 * n]
     slack = (rhs - program.a_in[: 4 * n] @ window.z).reshape(4, n)[::-1]
-    return tuple(np.flatnonzero(slack.ravel() <= tol).tolist())
+    return tuple(np.flatnonzero(slack.ravel() <= ACTIVE_TOL).tolist())
 
 
 def build_kkt(
@@ -226,6 +223,7 @@ def gamma_series(
     Windows that run past the end of the road are continued as steady flat
     cruising at the final speed, matching the zero-grade padding previews use.
     """
+    check_spacing(params, road)
     traj = dp_solution.trajectory
     p_steps = road.n_steps
     if len(traj.v) != p_steps + 1 or traj.n_steps != p_steps:

@@ -38,9 +38,9 @@ the images of the full-space ones through that map, built once with them.  A
 step scales the fuel block by ``gamma`` and forms the linear term and the
 right-hand side from ``v0`` and the grade window.  :class:`MpcProblem` shows
 the full-space view (``h_mat``, ``c_vec``, ``a_eq``, ``b_eq``, ``a_in``,
-``b_in``) for certification, :func:`dump_problem` and the tests, and
-:mod:`ecocruise.invopt` inverts the same arrays.  Both programs share their
-optimum and objective value.
+``b_in``) for certification and the tests, and :mod:`ecocruise.invopt`
+inverts the same arrays.  Both programs share their optimum and objective
+value.
 """
 
 from __future__ import annotations
@@ -338,26 +338,3 @@ def kkt_residual(problem: MpcProblem, solution) -> float:
     mult[problem.n + 1 :] = np.maximum(mult[problem.n + 1 :], 0.0)
     return float(np.linalg.norm(grad + a_t @ mult))
 
-
-def dump_problem(problem: MpcProblem, path) -> None:
-    """Write the assembled QP in a labeled matrix-text format.
-
-    Blocks are ``name rows cols`` headers followed by whitespace-separated
-    rows at full precision, so any external tool can re-check a solve.
-    """
-    blocks = [
-        ("H", problem.h_mat),
-        ("c", problem.c_vec.reshape(1, -1)),
-        ("A_eq", problem.a_eq),
-        ("b_eq", problem.b_eq.reshape(1, -1)),
-        ("A_in", problem.a_in),
-        ("b_in", problem.b_in.reshape(1, -1)),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# horizon QP dump: n={problem.n} gamma={problem.gamma:.9g} "
-                 f"soft_weight={SOFT_WEIGHT:.9g} te_ridge={TE_RIDGE:.9g}\n")
-        fh.write(f"# objective constant term: {problem.const:.17g}\n")
-        for name, mat in blocks:
-            fh.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(f"{val:.17g}" for val in row) + "\n")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import formats
 from .blas import serial
 from .road import RoadProfile, preview
 
@@ -64,9 +63,6 @@ class MlpModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Rectified forward pass on already-scaled inputs (batch, features)."""
         return _forward(self.weights, self.biases, x)[-1]
-
-    def weight_norm_sq(self) -> float:
-        return float(sum(np.sum(w * w) for w in self.weights))
 
 
 @dataclass(frozen=True)
@@ -275,9 +271,7 @@ def predict(model: MlpModel, grade_preview, v_ref: float) -> float:
     window = np.asarray(grade_preview, dtype=float)
     if len(window) != PREVIEW_LEN:
         raise ValueError(f"preview must hold {PREVIEW_LEN} samples, got {len(window)}")
-    x = model.input_scaler.transform(np.concatenate([window, [v_ref]])[None, :])
-    out_scaled = model.forward(x)[0, 0]
-    return float(model.target_scaler.inverse([[out_scaled]])[0, 0])
+    return float(predict_batch(model, np.concatenate([window, [v_ref]])[None, :])[0])
 
 
 def predict_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -372,25 +366,3 @@ def load_model(path) -> MlpModel:
         target_scaler=scalers["target"],
     )
 
-
-def write_dataset_csv(dataset: Dataset, path, header_lines: list[str] | None = None) -> None:
-    """Export ``g_1..g_100,v_ref,gamma`` rows."""
-    formats.write_table(
-        path,
-        [f"g_{i}" for i in range(1, PREVIEW_LEN + 1)] + ["v_ref", "gamma"],
-        ([formats.num(v) for v in row] + [formats.num(target)]
-         for row, target in zip(dataset.features, dataset.targets)),
-        header_lines,
-    )
-
-
-def read_dataset_csv(path) -> Dataset:
-    columns, rows = formats.read_table(path)
-    if columns[0] != "g_1":
-        raise ValueError(f"{path}: not a dataset export")
-    body = formats.float_columns(path, rows, range(PREVIEW_LEN + 2)).T
-    return Dataset(
-        features=body[:, : PREVIEW_LEN + 1],
-        targets=body[:, PREVIEW_LEN + 1],
-        positions=np.arange(len(body)),
-    )

@@ -1,9 +1,13 @@
 """Road elevation profiles: synthetic hill generation, CSV ingestion, previews.
 
-A profile is a uniformly spaced (default 30 m) elevation sequence with the
-segment grades derived from it.  Synthetic roads are sums of seeded sinusoids
-rescaled so the steepest slope stays within +/-5%; real elevation data comes
-in through a two-column CSV and is resampled onto the uniform grid.
+A profile is a uniformly spaced elevation sequence with the segment grades
+derived from it.  Synthetic roads are sums of 3-8 seeded sinusoids rescaled
+so the steepest slope stays within +/-5%; real elevation data comes in
+through a two-column CSV and is resampled onto the 30 m grid.  A road read
+back from a profile CSV keeps the spacing it was written with.  The plant
+advances the vehicle's ``ds`` per grade sample, so that spacing must equal
+``ds``: the rollout, the DP solver and the weight recovery raise
+``ValueError`` on a mismatch.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class RoadProfile:
 
     @property
     def n_steps(self) -> int:
-        """Number of 30 m segments (P)."""
+        """Number of segments (P)."""
         return len(self.grade)
 
     @property
@@ -63,19 +67,13 @@ class RoadProfile:
         return RoadProfile(ds=float(ds), elevation=elev, grade=grade)
 
 
-def gen_sinusoidal(
-    seed: int,
-    length_m: float,
-    components: list[tuple[float, float, float]] | None = None,
-) -> RoadProfile:
-    """Generate a hilly road as a sum of sinusoids sampled every 30 m, capped
-    at ``MAX_ABS_GRADE``.
+def gen_sinusoidal(seed: int, length_m: float) -> RoadProfile:
+    """Generate a hilly road as a sum of 3-8 seeded sinusoids sampled every
+    30 m, capped at ``MAX_ABS_GRADE``.
 
-    ``components`` may pin explicit (amplitude_m, wavelength_m, phase_rad)
-    triples; otherwise 3-8 are drawn from the seed.  An empty component list
-    yields a flat road.  The first ~500 m are blended flat so a simulation can
-    start from a steady cruise.  Amplitudes are rescaled after synthesis, so
-    no component choice can exceed the grade cap.
+    The first ~500 m are blended flat so a simulation can start from a
+    steady cruise.  Amplitudes are rescaled after synthesis, so no draw can
+    exceed the grade cap.
     """
     if length_m < 3000.0:
         raise ValueError("road must be at least 3 km to support grade previews")
@@ -83,38 +81,29 @@ def gen_sinusoidal(
     n_samples = int(round(length_m / DEFAULT_DS)) + 1
     s = np.arange(n_samples) * DEFAULT_DS
 
-    if components is None:
-        components = []
-        for _ in range(int(rng.integers(MIN_COMPONENTS, MAX_COMPONENTS + 1))):
-            wavelength = float(rng.uniform(MIN_WAVELENGTH, min(MAX_WAVELENGTH, length_m)))
-            # amplitude drawn relative to wavelength keeps single-component
-            # grades near the cap before the global rescale
-            amplitude = float(rng.uniform(0.2, 1.0) * MAX_ABS_GRADE * wavelength / (2.0 * np.pi))
-            phase = float(rng.uniform(0.0, 2.0 * np.pi))
-            components.append((amplitude, wavelength, phase))
-
     elev = np.zeros(n_samples)
-    for amplitude, wavelength, phase in components:
+    for _ in range(int(rng.integers(MIN_COMPONENTS, MAX_COMPONENTS + 1))):
+        wavelength = float(rng.uniform(MIN_WAVELENGTH, min(MAX_WAVELENGTH, length_m)))
+        # amplitude drawn relative to wavelength keeps single-component
+        # grades near the cap before the global rescale
+        amplitude = float(rng.uniform(0.2, 1.0) * MAX_ABS_GRADE * wavelength / (2.0 * np.pi))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
         elev += amplitude * np.sin(2.0 * np.pi * s / wavelength + phase)
 
     # cosine blend from flat over [lead, 3*lead] so the start is level
-    if len(components) > 0:
-        w = np.ones(n_samples)
-        w[s <= FLAT_LEAD_IN] = 0.0
-        ramp = (s > FLAT_LEAD_IN) & (s < 3.0 * FLAT_LEAD_IN)
-        w[ramp] = 0.5 - 0.5 * np.cos(np.pi * (s[ramp] - FLAT_LEAD_IN) / (2.0 * FLAT_LEAD_IN))
-        elev = elev * w
-        elev -= elev[0]
+    w = np.ones(n_samples)
+    w[s <= FLAT_LEAD_IN] = 0.0
+    ramp = (s > FLAT_LEAD_IN) & (s < 3.0 * FLAT_LEAD_IN)
+    w[ramp] = 0.5 - 0.5 * np.cos(np.pi * (s[ramp] - FLAT_LEAD_IN) / (2.0 * FLAT_LEAD_IN))
+    elev = elev * w
+    elev -= elev[0]
 
-    grade = np.diff(elev) / DEFAULT_DS
-    peak = float(np.max(np.abs(grade))) if len(grade) else 0.0
-    if peak > 0.0:
-        target = float(rng.uniform(0.6, 1.0)) * MAX_ABS_GRADE if components else MAX_ABS_GRADE
-        elev *= target / peak
+    peak = float(np.max(np.abs(np.diff(elev) / DEFAULT_DS)))
+    elev *= float(rng.uniform(0.6, 1.0)) * MAX_ABS_GRADE / peak
     return RoadProfile.from_elevation(elev)
 
 
-def ingest_elevation_csv(path, ds: float = DEFAULT_DS) -> RoadProfile:
+def ingest_elevation_csv(path) -> RoadProfile:
     """Load a ``distance_m,elevation_m`` CSV and resample it to the 30 m grid.
 
     Distances must be strictly increasing; resampling is linear so no
@@ -129,12 +118,12 @@ def ingest_elevation_csv(path, ds: float = DEFAULT_DS) -> RoadProfile:
             f"{path}: {formats.where(i, rows[i][0])}: distance {d_arr[i]} not increasing "
             f"(previous {d_arr[i - 1]})"
         )
-    n_segments = int(np.floor((d_arr[-1] - d_arr[0]) / ds + 1e-9))
+    n_segments = int(np.floor((d_arr[-1] - d_arr[0]) / DEFAULT_DS + 1e-9))
     if n_segments < 1:
-        raise IngestError(f"{path}: span {d_arr[-1] - d_arr[0]:.1f} m shorter than one {ds} m step")
-    grid = d_arr[0] + np.arange(n_segments + 1) * ds
-    resampled = np.interp(grid, d_arr, e_arr)
-    return RoadProfile.from_elevation(resampled, ds)
+        raise IngestError(
+            f"{path}: span {d_arr[-1] - d_arr[0]:.1f} m shorter than one {DEFAULT_DS} m step")
+    grid = d_arr[0] + np.arange(n_segments + 1) * DEFAULT_DS
+    return RoadProfile.from_elevation(np.interp(grid, d_arr, e_arr), DEFAULT_DS)
 
 
 def _samples(path, columns, rows, x_name: str):

@@ -205,6 +205,15 @@ def _vavg_update(s_k, vavg_k, v_k, ds):
     return (s_k + ds) / (s_k / vavg_k + ds / v_k)
 
 
+def check_spacing(params: VehicleParams, road) -> None:
+    """Raise ``ValueError`` unless ``road`` is sampled at the plant's step:
+    the plant advances ``params.ds`` per grade sample, so any other spacing
+    would drive a road of another length."""
+    if abs(road.ds - params.ds) > 1e-6:
+        raise ValueError(f"road spacing {road.ds:g} m differs from the vehicle step "
+                         f"ds = {params.ds:g} m")
+
+
 def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     """Drive ``road`` from ``v_i`` with ``te = torque(k, v, vavg)`` per segment.
 
@@ -212,11 +221,13 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     per-meter fuel and the trip-average velocity and raises
     :class:`StepFailure` naming the step and position where velocity
     collapses.  Errors raised by ``torque`` pass through unchanged.  Only
-    the start velocity is checked; the collapse guard keeps every later one
-    positive, so the steps call the unchecked fuel and trip-average cores.
+    the start velocity and the road spacing are checked; the collapse guard
+    keeps every later velocity positive, so the steps call the unchecked
+    fuel and trip-average cores.
     """
     if v_i <= 0:
         raise ValueError("velocity must be positive")
+    check_spacing(params, road)
     ds = params.ds
     v = vavg = float(v_i)
     vs = [v]
@@ -243,10 +254,10 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     )
 
 
-def equilibrium_torque(params: VehicleParams, v: float, phi: float = 0.0) -> float:
-    """Engine torque holding speed v exactly on grade phi."""
-    a0, a1, a2, a3, a4 = params.alpha
-    return (a1 * phi + a2 + a3 * v + a4 * v * v) / a0
+def equilibrium_torque(params: VehicleParams, v: float) -> float:
+    """Engine torque holding speed v exactly on flat road."""
+    a0, _, a2, a3, a4 = params.alpha
+    return (a2 + a3 * v + a4 * v * v) / a0
 
 
 def linearize(params: VehicleParams, v_ref: float) -> LinearizedModel:
@@ -284,12 +295,11 @@ def linearize(params: VehicleParams, v_ref: float) -> LinearizedModel:
     )
 
 
-def integrate_fine(
-    params: VehicleParams, v0: float, te: float, phi: float, distance: float, ds_fine: float = 1e-3
-) -> float:
+def integrate_fine(params: VehicleParams, v0: float, te: float, phi: float,
+                   distance: float) -> float:
     """High-accuracy reference integration of the velocity flow over a distance.
 
-    RK4 on dv/ds = a(v)/v at sub-millimeter steps: the same continuous flow the
+    RK4 on dv/ds = a(v)/v at millimeter steps: the same continuous flow the
     coarse one-shot Euler step approximates, resolved finely enough to serve as
     an independent truth value for truncation-error checks.
     """
@@ -301,7 +311,7 @@ def integrate_fine(
             raise StepFailure("reference integration stalled")
         return (a0 * te - a1 * phi - a2 - a3 * vv - a4 * vv * vv) / vv
 
-    n_sub = max(1, int(round(distance / ds_fine)))
+    n_sub = max(1, int(round(distance / 1e-3)))
     h = distance / n_sub
     for _ in range(n_sub):
         k1 = f(v)

@@ -348,14 +348,37 @@ class TestReportCache:
     )
     NAMES = ("pareto_fixed_front.csv", "pareto_controllers.csv")
 
-    def _report(self, tmp_path, capsys) -> str:
+    def _report(self, tmp_path, capsys, sweep_text=SWEEP, out="out") -> str:
         sweep = tmp_path / "sweep.csv"
-        sweep.write_text(self.SWEEP)
-        assert main(["report", "--sweep", str(sweep), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        sweep.write_text(sweep_text)
+        assert main(["report", "--sweep", str(sweep), "--out-dir", str(tmp_path / out)]) == EXIT_OK
         return capsys.readouterr().out
 
     def _stats(self, tmp_path):
         return {n: (tmp_path / "out" / n).stat() for n in self.NAMES}
+
+    def _bytes(self, tmp_path, out="out"):
+        return {n: (tmp_path / out / n).read_bytes() for n in self.NAMES}
+
+    def test_step_times_leave_the_pareto_files_unchanged(self, tmp_path, capsys, monkeypatch):
+        # the measured step times differ between any two runs of one sweep
+        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+        retimed = self.SWEEP.replace(",0.004,", ",0.007,").replace(",1e-05,", ",3e-05,")
+        assert retimed != self.SWEEP
+        self._report(tmp_path, capsys)
+        assert "wrote" in self._report(tmp_path, capsys, retimed, out="cold")
+        assert self._bytes(tmp_path, "cold") == self._bytes(tmp_path)
+        assert "cache hit" in self._report(tmp_path, capsys, retimed)
+
+    def test_changed_economy_rewrites_both(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+        self._report(tmp_path, capsys)
+        before = self._bytes(tmp_path)
+        printed = self._report(tmp_path, capsys, self.SWEEP.replace(",22.0,", ",22.5,"))
+        assert "cache hit" not in printed and "wrote" in printed
+        after = self._bytes(tmp_path)
+        assert all(after[n] != before[n] for n in self.NAMES)
+        assert b"22.5" in after["pareto_fixed_front.csv"]
 
     def test_rerun_is_a_cache_hit_that_still_prints(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
@@ -393,6 +416,34 @@ class TestReportCache:
         assert main(list(argv)) == EXIT_OK
         assert capsys.readouterr().out.count("cache hit") == 6
         assert {n: (out_dir / n).stat().st_mtime_ns for n in self.NAMES} == stamps
+
+
+class TestRoadSpacing:
+    """A road sampled at another spacing than the vehicle step is bad input:
+    the stage exits 2, names both spacings and writes no output."""
+
+    def test_vehicle_step_differs_from_the_road(self, tmp_path, road_file, capsys):
+        cfg = tmp_path / "vehicle.cfg"
+        cfg.write_text("ds = 20\n")
+        out = tmp_path / "dp.csv"
+        assert main(["--vehicle-config", str(cfg), "solve-dp", "--road", str(road_file),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "road spacing 30 m differs from the vehicle step ds = 20 m" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["solve-dp"], ["invert", "--dp", "DP"],
+                                         ["simulate", "--controller", "pi"]])
+    def test_road_sampled_every_20_m(self, tmp_path, road_file, capsys, command):
+        dp_csv = tmp_path / "dp.csv"
+        assert main(["solve-dp", "--road", str(road_file), "--out", str(dp_csv)]) == EXIT_OK
+        road_20m = tmp_path / "road20.csv"
+        road_20m.write_text("index,position_m,elevation_m,grade\n" + "".join(
+            f"{i},{20 * i},{np.sin(i / 20.0)},\n" for i in range(151)))
+        out = tmp_path / "out.csv"
+        argv = [str(dp_csv) if a == "DP" else a for a in command]
+        assert main([*argv, "--road", str(road_20m), "--out", str(out)]) == EXIT_VALIDATION
+        assert "road spacing 20 m differs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIoErrors:

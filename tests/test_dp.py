@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EXACT_TINY_SEEDS, enumerate_optimum, make_tiny_instance
 from ecocruise.dp import (
+    INFEASIBLE_COST,
     DpConfig,
     InfeasibleError,
     _cost_to_go_tables,
@@ -218,6 +219,36 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay(params, flat, np.zeros(9), 30.0)
 
+    def test_nonpositive_start_velocity_is_bad_input(self, params):
+        # bad input, not a solver failure: the rollout's ValueError, never
+        # InfeasibleError (a RuntimeError)
+        flat = RoadProfile.from_elevation(np.zeros(11), params.ds)
+        with pytest.raises(ValueError, match="velocity must be positive"):
+            replay(params, flat, np.zeros(10), v_i=0.0)
+
+
+class TestRoadSpacing:
+    """A road sampled at another spacing than the vehicle step is rejected,
+    naming both, before any work is done."""
+
+    @pytest.fixture
+    def road_20m(self):
+        return RoadProfile.from_elevation(np.zeros(151), 20.0)
+
+    def test_solve_rejects_before_the_backward_pass(self, params, road_20m, monkeypatch):
+        monkeypatch.setattr("ecocruise.dp._cost_to_go_tables",
+                            lambda *a: pytest.fail("backward pass ran"))
+        with pytest.raises(ValueError, match=r"road spacing 20 m .* ds = 30 m"):
+            solve(params, road_20m, DpConfig.default(params, 30.0))
+
+    def test_replay_rejects(self, params, road_20m):
+        with pytest.raises(ValueError, match=r"road spacing 20 m .* ds = 30 m"):
+            replay(params, road_20m, np.zeros(road_20m.n_steps), 30.0)
+
+    def test_matching_spacing_within_tolerance_is_accepted(self, params):
+        road = RoadProfile.from_elevation(np.zeros(11), params.ds + 5e-7)
+        assert replay(params, road, np.zeros(10), 30.0).n_steps == 10
+
 
 class TestCsv:
     def test_roundtrip(self, params, tmp_path):
@@ -238,32 +269,6 @@ class TestCsv:
         assert np.allclose(read_dp_csv(path).v, traj.v, atol=1e-7)
 
 
-class TestCostToGo:
-    def test_value_table_retained_on_request(self, params):
-        inst = make_tiny_instance(3001, params)
-        assert solve(params, inst.road, inst.config).cost_to_go is None
-        cfg = DpConfig(
-            v_grid=inst.config.v_grid,
-            vavg_grid=inst.config.vavg_grid,
-            te_grid=inst.config.te_grid,
-            vavg_min=inst.config.vavg_min,
-            vavg_max=inst.config.vavg_max,
-            v_ref=inst.config.v_ref,
-            v_i=inst.config.v_i,
-            keep_cost_to_go=True,
-        )
-        table = solve(params, inst.road, cfg).cost_to_go
-        assert table is not None
-        assert table.shape == (len(cfg.v_grid), len(cfg.vavg_grid))
-
-    def test_retained_table_does_not_pin_the_stage_tables(self, params):
-        road = RoadProfile.from_elevation(np.linspace(0.0, 15.0, 51))
-        config = DpConfig.default(params, 30.0, keep_cost_to_go=True)
-        table = solve(params, road, config).cost_to_go
-        assert table.shape == (len(config.v_grid), len(config.vavg_grid))
-        assert table.base is None
-
-
 def reference_solve(params, road, config):
     """Unblocked backward pass: four 2-D gathers per stage over (na, nv, nu),
     both penalties added to the full stage array, then the forward re-pick.
@@ -273,7 +278,7 @@ def reference_solve(params, road, config):
     cell count).
     """
     v_grid, a_grid, te_grid = config.v_grid, config.vavg_grid, config.te_grid
-    ds, big = params.ds, config.infeasible_cost
+    ds, big = params.ds, INFEASIBLE_COST
     p_steps = road.n_steps
     vv, te = v_grid[:, None], te_grid[None, :]
     step_fuel = fuel_per_meter(params, vv, te) * ds
@@ -356,7 +361,6 @@ def penalized_instances(draw):
         vavg_max=vavg_max,
         v_ref=v_ref,
         v_i=v_i,
-        keep_cost_to_go=True,
     )
     return road, config
 
@@ -375,7 +379,6 @@ class TestBlockedStageMatchesReference:
             assert str(err.value) == message
             return
         solution = solve(params, road, config)
-        assert solution.cost_to_go.tobytes() == tables[0].tobytes()
         for field in ("v", "vavg", "te", "fuel_per_m"):
             assert getattr(solution.trajectory, field).tobytes() == getattr(traj, field).tobytes()
         assert solution.total_fuel == traj.total_fuel_kg

@@ -14,7 +14,6 @@ from ecocruise import cli, formats
 from ecocruise.dp import read_dp_csv, write_dp_csv
 from ecocruise.harness import CONTROLLER_KINDS, SweepRow, read_sweep_csv, write_sweep_csv
 from ecocruise.invopt import GammaSeries, read_gamma_csv, write_gamma_csv
-from ecocruise.net import PREVIEW_LEN, Dataset, read_dataset_csv, write_dataset_csv
 from ecocruise.road import IngestError, RoadProfile, ingest_elevation_csv, read_road_csv, write_road_csv
 from ecocruise.vehicle import Trajectory, load_vehicle_config
 
@@ -83,13 +82,6 @@ def test_gamma_series_round_trip(columns):
                          flags=tuple(flags))
     assert_round_trip(lambda s, p: write_gamma_csv(s, p, header_lines=HEADER), read_gamma_csv,
                       series)
-
-
-@settings(max_examples=30, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(0, 4), st.just(PREVIEW_LEN + 2)), elements=finite))
-def test_dataset_round_trip(body):
-    dataset = Dataset(features=body[:, :-1], targets=body[:, -1], positions=np.arange(len(body)))
-    assert_round_trip(lambda d, p: write_dataset_csv(d, p, HEADER), read_dataset_csv, dataset)
 
 
 sweep_rows = st.builds(

@@ -66,13 +66,6 @@ class TestMetrics:
         m = metrics(make_trajectory(np.full(11, 30.0), fuel=0.0))
         assert np.isinf(m.fuel_economy_km_per_kg)
 
-    def test_transient_exclusion(self):
-        speeds = np.concatenate([np.full(20, 20.0), np.full(81, 30.0)])
-        full = metrics(make_trajectory(speeds))
-        tail = metrics(make_trajectory(speeds), skip_m=600.0)
-        assert tail.avg_velocity_mps == pytest.approx(30.0, abs=1e-12)
-        assert full.avg_velocity_mps < tail.avg_velocity_mps
-
     def test_economy_is_distance_over_fuel(self):
         traj = make_trajectory(np.full(101, 30.0), fuel=2e-5)
         m = metrics(traj)
@@ -178,7 +171,7 @@ def _fake_dp(te_seq):
         te=np.asarray(te_seq, dtype=float),
         fuel_per_m=np.zeros(n),
     )
-    return DpSolution(trajectory=traj, total_fuel=0.0, cost_to_go=None)
+    return DpSolution(trajectory=traj)
 
 
 class TestParetoSweep:

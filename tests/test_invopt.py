@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ecocruise import invopt, mpc
 from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.invopt import (
+    ACTIVE_TOL,
     DeviationWindow,
     GammaSeries,
     KktSystem,
@@ -61,11 +62,11 @@ class TestDetectActive:
 
     def test_tolerance_controls_grazing_detection(self, params, lin):
         n = 6
-        te = np.zeros(n)
-        te[0] = params.te_max - lin.te_lin - 1e-7  # grazes within 1e-6, not 1e-8
-        window = DeviationWindow(np.zeros(n + 1), te)
-        assert detect_active(window, lin, params, tol=1e-6) == (3 * n,)
-        assert detect_active(window, lin, params, tol=1e-8) == ()
+        for gap, active in ((0.1 * ACTIVE_TOL, (3 * n,)), (10 * ACTIVE_TOL, ())):
+            te = np.zeros(n)
+            te[0] = params.te_max - lin.te_lin - gap  # grazes the ceiling within ACTIVE_TOL or not
+            window = DeviationWindow(np.zeros(n + 1), te)
+            assert detect_active(window, lin, params) == active
 
 
 class TestBuildKkt:
@@ -283,6 +284,12 @@ class TestGammaSeries:
         solution = dp_solve(params, short, cfg)
         with pytest.raises(ValueError, match="cover"):
             gamma_series(solution, road, lin, params, 60)
+
+    def test_road_spacing_must_match_the_vehicle_step(self, params, lin):
+        # checked before the trajectory is read
+        road_20m = RoadProfile.from_elevation(np.zeros(151), 20.0)
+        with pytest.raises(ValueError, match=r"road spacing 20 m .* ds = 30 m"):
+            gamma_series(None, road_20m, lin, params, 60)
 
     def test_csv_roundtrip(self, flat_setup, tmp_path):
         _, series = flat_setup

@@ -217,17 +217,3 @@ class TestKktResidual:
         with pytest.raises(ValueError):
             mpc.kkt_residual(problem, np.zeros(3))
 
-
-class TestDump:
-    def test_dump_contains_all_blocks(self, params, lin, tmp_path):
-        problem = mpc.build(0.003, lin, np.zeros(4), 0.1, params)
-        path = tmp_path / "qp.txt"
-        mpc.dump_problem(problem, path)
-        text = path.read_text()
-        for block in ("H", "c", "A_eq", "b_eq", "A_in", "b_in"):
-            assert f"\n{block} " in text or text.startswith(f"{block} ")
-        # H block dimensions are parseable and match
-        for line in text.splitlines():
-            if line.startswith("H "):
-                _, rows, cols = line.split()
-                assert int(rows) == int(cols) == problem.n_vars

@@ -3,7 +3,9 @@
 The controller tunes one cost parameter online, the fuel weight; every other
 cost and solver setting is a module constant.  These checks keep retired
 keyword knobs from coming back and keep definitions that nothing uses from
-accumulating.
+accumulating.  Only the package, the demos and the benchmark count as
+callers: code that only a test reaches, and a default that only a test
+overrides, are surface kept alive for their own tests.
 """
 
 from __future__ import annotations
@@ -21,20 +23,23 @@ from ecocruise.harness import ControllerSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ecocruise"
-CORPUS = ("src", "tests", "demos", "perfbench")
+CALLERS = ("src", "demos", "perfbench")
 
-# overrides of hooks a library calls by name
-HOOKS = {("cli.py", "_Parser.error")}
+# definitions only tests call: the references the tests compare against
+ORACLES = {
+    ("mpc.py", "MpcProblem.objective_at"),  # full-space objective of the condensed solve
+    ("net.py", "_loss_and_grads"),  # the gradients the finite-difference checks test
+    ("vehicle.py", "integrate_fine"),  # RK4 truth value for the plant step's truncation error
+}
 
 
 @pytest.mark.parametrize("fn, params", [
     (mpc.build, ["gamma", "lin", "grade_window", "v_init", "params", "v_ref"]),
     (qp.solve_qp, ["h_mat", "c_vec", "a_eq", "b_eq", "a_in", "b_in", "x0", "working0"]),
-    (road.gen_sinusoidal, ["seed", "length_m", "components"]),
+    (road.gen_sinusoidal, ["seed", "length_m"]),
     (invopt.build_kkt, ["window", "grade_window", "lin", "params", "active_set", "v_ref"]),
     (invopt.gamma_series, ["dp_solution", "road", "lin", "params", "n", "v_ref"]),
-    (DpConfig.default, ["params", "v_ref", "v_i", "v_span", "dv", "dvavg", "dte", "vavg_band",
-                        "keep_cost_to_go"]),
+    (DpConfig.default, ["params", "v_ref", "v_i", "v_span", "dv", "dvavg", "dte", "vavg_band"]),
     (mpc.kkt_residual, ["problem", "solution"]),
 ])
 def test_parameter_lists(fn, params):
@@ -44,6 +49,11 @@ def test_parameter_lists(fn, params):
 def test_controller_spec_fields():
     assert [f.name for f in dataclasses.fields(ControllerSpec)] == [
         "kind", "v_ref", "v_i", "horizon", "gamma"]
+
+
+def _trees(tops) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
 
 
 def _definitions(tree: ast.Module):
@@ -72,8 +82,7 @@ def _references(tree: ast.Module):
 
 
 def test_every_definition_is_referenced():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for top in CORPUS for path in sorted((ROOT / top).rglob("*.py"))}
+    trees = _trees(CALLERS)
     uses: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for name, line in _references(tree):
@@ -83,10 +92,110 @@ def test_every_definition_is_referenced():
     for path in sorted(PACKAGE.glob("*.py")):
         for qualname, node in _definitions(trees[path]):
             name = qualname.rsplit(".", 1)[-1]
-            if name.startswith("__") and name.endswith("__") or (path.name, qualname) in HOOKS:
+            if name.startswith("__") and name.endswith("__") or (path.name, qualname) in ORACLES:
                 continue
             # a use inside the definition itself (recursion) does not count
             own = range(node.lineno, node.end_lineno + 1)
             if not any(p != path or line not in own for p, line in uses.get(name, [])):
                 unused.append(f"{path.name}: {qualname}")
-    assert unused == []
+    assert not unused, "definitions that nothing outside the tests uses:\n" + "\n".join(unused)
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _decorated(node, name: str) -> bool:
+    return any(name in ast.unparse(d) for d in node.decorator_list)
+
+
+def _defaulted(path: Path, tree: ast.Module):
+    """Every value with a default that a package file declares, as
+    ``(label, callee, slots, name, is_field)``: each defaulted parameter of
+    a function or method, called as ``callee``, and each defaulted field of
+    a dataclass, called by its class name.  ``slots`` names the parameter
+    each positional argument of a call fills."""
+    methods = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                methods.add(item)
+                args = item.args.posonlyargs + item.args.args
+                yield from _defaulted_params(f"{node.name}.{item.name}", item,
+                                             args if _decorated(item, "staticmethod") else args[1:])
+        if _decorated(node, "dataclass"):
+            fields = [i for i in node.body
+                      if isinstance(i, ast.AnnAssign) and isinstance(i.target, ast.Name)]
+            slots = [f.target.id for f in fields]
+            for f in fields:
+                if f.value is not None:
+                    yield f"{node.name}.{f.target.id}", node.name, slots, f.target.id, True
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node not in methods:
+            yield from _defaulted_params(node.name, node, node.args.posonlyargs + node.args.args)
+
+
+def _defaulted_params(qualname: str, fn: ast.FunctionDef, positional):
+    slots = [a.arg for a in positional]
+    names = slots[len(slots) - len(fn.args.defaults):] if fn.args.defaults else []
+    names += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    for name in names:
+        yield f"{qualname}({name}=)", fn.name, slots, name, False
+
+
+def _sources(trees: dict[Path, ast.Module], defaults: dict[tuple, tuple]) -> dict[tuple, list]:
+    """Map each key of ``defaults`` to the arguments callers set it with:
+    ``True`` for a value, or the key of the caller's own defaulted
+    parameter when a call forwards that parameter unchanged.
+
+    A call sets a value by keyword, by position, through ``**`` with a
+    mapping whose keys the calling file spells as strings, or, for a
+    dataclass field, through ``dataclasses.replace``."""
+    by_callee: dict[str, list[tuple]] = {}
+    for key, (callee, slots, name, is_field) in defaults.items():
+        by_callee.setdefault(callee, []).append((key, slots, name))
+        if is_field:
+            by_callee.setdefault("replace", []).append((key, [], name))
+    sources: dict[tuple, list] = {key: [] for key in defaults}
+
+    def visit(path: Path, node, own: dict[str, tuple], strings: set[str]) -> None:
+        """Walk ``node`` inside a function whose defaulted parameters
+        ``own`` maps from name to key."""
+        if isinstance(node, ast.FunctionDef):
+            own = {name: key for key, (callee, _, name, is_field) in defaults.items()
+                   if key[0] == path.name and callee == node.name and not is_field}
+        if isinstance(node, ast.Call):
+            for key, slots, name in by_callee.get(_callee(node), []):
+                set_by = [arg for i, arg in enumerate(node.args)
+                          if i < len(slots) and slots[i] == name
+                          or isinstance(arg, ast.Starred) and name in slots[i:]]
+                set_by += [kw.value for kw in node.keywords
+                           if kw.arg == name or kw.arg is None and name in strings]
+                sources[key] += [own.get(arg.id, True) if isinstance(arg, ast.Name) else True
+                                 for arg in set_by]
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, own, strings)
+
+    for path, tree in trees.items():
+        visit(path, tree, {}, {c.value for c in ast.walk(tree)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str)})
+    return sources
+
+
+def test_every_default_is_set_by_a_caller():
+    trees = _trees(CALLERS)
+    defaults = {(path.name, label): rest for path in sorted(PACKAGE.glob("*.py"))
+                for label, *rest in _defaulted(path, trees[path])}
+    sources = _sources(trees, defaults)
+    set_keys: set[tuple] = set()
+    while True:  # a forwarded default is set where its caller's is
+        grown = {key for key, found in sources.items()
+                 if any(s is True or s in set_keys for s in found)}
+        if grown == set_keys:
+            break
+        set_keys = grown
+    unset = sorted(f"{file}: {label}" for file, label in set(defaults) - set_keys)
+    assert not unset, "defaults that no caller outside the tests sets:\n" + "\n".join(unset)
