@@ -30,7 +30,6 @@ from .dp import DpConfig, DpSolution
 from .formats import num
 from .vehicle import VehicleParams, linearize, load_vehicle_config
 
-ENV_OUT_DIR = "ECOCRUISE_OUT_DIR"
 DEFAULT_V_REF = 30.0  # cruise set point, m/s
 
 EXIT_OK = 0
@@ -63,10 +62,6 @@ OPTIONS = {
 
 
 class UsageError(Exception):
-    pass
-
-
-class ValidationError(Exception):
     pass
 
 
@@ -125,12 +120,12 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     if not Path(path).exists():
-        raise ValidationError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     cfg = {}
     for lineno, key, value in formats.read_key_values(path):
         name = key.replace("-", "_")
         if name not in OPTIONS:
-            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         cfg[name] = value
     return cfg
 
@@ -146,7 +141,7 @@ def _resolve(stage: str, args: argparse.Namespace, file_cfg: dict[str, str]) -> 
             try:
                 value = cast(file_cfg[dest])
             except ValueError as exc:
-                raise ValidationError(f"config key {dest}: {exc}") from exc
+                raise ValueError(f"config key {dest}: {exc}") from exc
         cfg[dest] = default if value is None else value
     if "v_i" in cfg and cfg["v_i"] is None:
         cfg["v_i"] = cfg["v_ref"]
@@ -176,16 +171,15 @@ def _produce(stage: str, outs: list, cfg: dict, inputs: list[Path],
 
 def _require_file(path: str | None, what: str) -> Path:
     if not path:
-        raise ValidationError(f"missing required {what}")
+        raise ValueError(f"missing required {what}")
     p = Path(path)
     if not p.exists():
-        raise ValidationError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     return p
 
 
 def _out_dir(path: str | None) -> Path:
-    override = os.environ.get(ENV_OUT_DIR)
-    chosen = Path(override) if override else Path(path) if path else Path(".")
+    chosen = Path(path or ".")
     chosen.mkdir(parents=True, exist_ok=True)
     return chosen
 
@@ -202,14 +196,14 @@ def _parse_ladder(text: str) -> list[float]:
             lo_s, hi_s, n_s = text.split(":")
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         except ValueError as exc:
-            raise ValidationError(f"bad ladder spec {text!r}; want lo:hi:count") from exc
+            raise ValueError(f"bad ladder spec {text!r}; want lo:hi:count") from exc
         if n < 1 or hi < lo:
-            raise ValidationError(f"bad ladder spec {text!r}")
+            raise ValueError(f"bad ladder spec {text!r}")
         return [float(g) for g in np.linspace(lo, hi, n)]
     try:
         return sorted(float(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
-        raise ValidationError(f"bad ladder spec {text!r}") from exc
+        raise ValueError(f"bad ladder spec {text!r}") from exc
 
 
 def _read_solution(path: Path) -> DpSolution:
@@ -475,11 +469,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# exit code and stderr label of every failure main reports; the stages'
-# own errors (QpError, InfeasibleError, StepFailure, TrainingError,
-# SimulationError) are RuntimeErrors, and IngestError is a ValueError
+# exit code and stderr label of every failure main reports: bad input is a
+# ValueError, and the stages' own failures (QpError, InfeasibleError,
+# StepFailure, TrainingError) are RuntimeErrors
 _ERRORS = (((UsageError,), EXIT_USAGE, "usage error"),
-           ((ValidationError, ValueError), EXIT_VALIDATION, "validation error"),
+           ((ValueError,), EXIT_VALIDATION, "validation error"),
            ((RuntimeError,), EXIT_RUNTIME, "runtime error"),
            ((OSError,), EXIT_IO, "I/O error"))
 _FAILURES = tuple(kind for kinds, _, _ in _ERRORS for kind in kinds)

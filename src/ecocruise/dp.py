@@ -23,7 +23,6 @@ from . import formats
 from .formats import num
 from .road import RoadProfile
 from .vehicle import (
-    StepFailure,
     Trajectory,
     VehicleParams,
     check_spacing,
@@ -245,10 +244,7 @@ def replay(params: VehicleParams, road: RoadProfile, torque_sequence, v_i: float
     te_seq = np.asarray(torque_sequence, dtype=float)
     if len(te_seq) != road.n_steps:
         raise ValueError(f"torque sequence length {len(te_seq)} != road segments {road.n_steps}")
-    try:
-        return rollout(params, road, v_i, lambda k, v, vavg: float(te_seq[k]))
-    except StepFailure as exc:
-        raise InfeasibleError(str(exc)) from exc
+    return rollout(params, road, v_i, lambda k, v, vavg: float(te_seq[k]))
 
 
 def write_dp_csv(solution, path, header_lines: list[str] | None = None) -> None:

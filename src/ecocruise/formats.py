@@ -33,10 +33,10 @@ def write_table(path, columns, rows, header_lines=None) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, error=ValueError) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header row and ``(file line number, cells)`` for every record.
 
-    A file with no header row raises ``error``.
+    A file with no header row raises ``ValueError``.
     """
     lineno = 0
 
@@ -49,19 +49,19 @@ def read_table(path, error=ValueError) -> tuple[list[str], list[tuple[int, list[
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = [(lineno, cells) for cells in csv.reader(content(fh))]
     if not records:
-        raise error(f"{path}: empty file")
+        raise ValueError(f"{path}: empty file")
     return records[0][1], records[1:]
 
 
-def parse_rows(path, rows, convert, error=ValueError) -> list:
+def parse_rows(path, rows, convert) -> list:
     """``convert(cells)`` for every row; a row it cannot parse (a bad number
-    or a missing cell) raises ``error`` naming it by :func:`where`."""
+    or a missing cell) raises ``ValueError`` naming it by :func:`where`."""
     out = []
     for i, (lineno, cells) in enumerate(rows):
         try:
             out.append(convert(cells))
         except (ValueError, IndexError) as exc:
-            raise error(f"{path}: {where(i, lineno)}: unparsable {cells!r}") from exc
+            raise ValueError(f"{path}: {where(i, lineno)}: unparsable {cells!r}") from exc
     return out
 
 
@@ -71,9 +71,9 @@ def where(i: int, lineno: int) -> str:
     return f"row {i + 2} (line {lineno})"
 
 
-def float_columns(path, rows, columns, error=ValueError) -> np.ndarray:
+def float_columns(path, rows, columns) -> np.ndarray:
     """The given columns of ``rows`` as floats, one array per column."""
-    values = parse_rows(path, rows, lambda cells: [float(cells[j]) for j in columns], error)
+    values = parse_rows(path, rows, lambda cells: [float(cells[j]) for j in columns])
     return np.array(values, dtype=float).reshape(len(rows), len(columns)).T.copy()
 
 

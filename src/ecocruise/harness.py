@@ -12,15 +12,16 @@ builder, ``_policy``, turns a spec into a torque callback ``torque(k, v)``:
                  conventional-cruise baseline.
 * ``DP_REPLAY``  the global optimizer's torque schedule applied open loop.
 
-The three MPC kinds share one warm-started receding-horizon loop; where the
-weight comes from is their only difference.
+The three MPC kinds share one receding-horizon loop and differ only in where
+the weight comes from.  No controller carries state between calls except PI's
+integral: an MPC torque is a function of ``(k, v)`` alone.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import median
 
 import numpy as np
@@ -46,10 +47,6 @@ CONTROLLER_KINDS = ("AT_MPC", "PT_MPC", "FIXED_LMPC", "PI", "DP_REPLAY")
 # PI gains: torque per m/s of speed error, and per m/s of its per-step sum
 PI_KP = 150.0
 PI_KI = 15.0
-
-
-class SimulationError(RuntimeError):
-    """The plant left its physical envelope during a run."""
 
 
 @dataclass(frozen=True)
@@ -79,37 +76,41 @@ class Artifacts:
 
 @dataclass(frozen=True)
 class SimResult:
-    """A drive and its summary; ``step_runtimes`` times each controller call."""
+    """A nonempty drive, with ``step_runtimes`` timing each controller call;
+    fuel, distance and harmonic-average velocity are read off the drive."""
 
     trajectory: Trajectory
-    total_fuel_kg: float
-    distance_km: float
-    avg_velocity_mps: float
-    fuel_economy_km_per_kg: float
     step_runtimes: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __post_init__(self) -> None:
+        if self.trajectory.n_steps == 0:
+            raise ValueError("empty trajectory")
+
+    @property
+    def _ds(self) -> float:
+        return float(self.trajectory.position[1] - self.trajectory.position[0])
+
+    @property
+    def total_fuel_kg(self) -> float:
+        return self.trajectory.total_fuel_kg
+
+    @property
+    def distance_km(self) -> float:
+        return self.trajectory.n_steps * self._ds / 1000.0
+
+    @property
+    def avg_velocity_mps(self) -> float:
+        ds = self._ds
+        return self.trajectory.n_steps * ds / float(np.sum(ds / self.trajectory.v[:-1]))
+
+    @property
+    def fuel_economy_km_per_kg(self) -> float:
+        fuel = self.total_fuel_kg
+        return self.distance_km / fuel if fuel > 0 else float("inf")
 
     @property
     def median_step_s(self) -> float:
         return float(median(self.step_runtimes)) if len(self.step_runtimes) else 0.0
-
-
-def metrics(trajectory: Trajectory) -> SimResult:
-    """Fuel, distance and harmonic-average velocity of a drive; the result
-    carries no step times."""
-    if trajectory.n_steps == 0:
-        raise ValueError("empty trajectory")
-    ds = float(trajectory.position[1] - trajectory.position[0])
-    fuel = trajectory.total_fuel_kg
-    distance_m = trajectory.n_steps * ds
-    avg_v = distance_m / float(np.sum(ds / trajectory.v[:-1]))
-    economy = (distance_m / 1000.0) / fuel if fuel > 0 else float("inf")
-    return SimResult(
-        trajectory=trajectory,
-        total_fuel_kg=fuel,
-        distance_km=distance_m / 1000.0,
-        avg_velocity_mps=avg_v,
-        fuel_economy_km_per_kg=economy,
-    )
 
 
 def _artifact_error(spec: ControllerSpec, road: RoadProfile, artifacts: Artifacts) -> str:
@@ -170,15 +171,11 @@ def _policy(spec: ControllerSpec, road: RoadProfile, params: VehicleParams,
         weight = lambda k: max(  # noqa: E731
             0.0, predict(artifacts.model, preview(road, k, PREVIEW_LEN), spec.v_ref))
     lin = artifacts.lin if artifacts.lin is not None else linearize(params, spec.v_ref)
-    warm: tuple[int, ...] | None = None
 
     def mpc_torque(k: int, v: float) -> float:
-        nonlocal warm
         problem = mpc.build(weight(k), lin, preview(road, k, spec.horizon), v - lin.v_lin,
                             params, v_ref=spec.v_ref)
-        solution = mpc.solve(problem, warm_working=warm)
-        warm = solution.working_set
-        return float(np.clip(lin.te_lin + solution.te[0], params.te_min, params.te_max))
+        return float(np.clip(lin.te_lin + mpc.solve(problem).te[0], params.te_min, params.te_max))
     return mpc_torque
 
 
@@ -188,7 +185,8 @@ def run(
     params: VehicleParams,
     artifacts: Artifacts | None = None,
 ) -> SimResult:
-    """Drive the road once with the requested controller."""
+    """Drive the road once with the requested controller; a plant failure
+    raises the rollout's :class:`StepFailure`."""
     policy = _policy(spec, road, params, artifacts or Artifacts())
     runtimes: list[float] = []
 
@@ -198,11 +196,8 @@ def run(
         runtimes.append(time.perf_counter() - tic)
         return te
 
-    try:
-        traj = rollout(params, road, spec.v_i, timed_torque)
-    except StepFailure as exc:
-        raise SimulationError(f"{spec.kind}: {exc}") from exc
-    return replace(metrics(traj), step_runtimes=np.asarray(runtimes))
+    traj = rollout(params, road, spec.v_i, timed_torque)
+    return SimResult(traj, np.asarray(runtimes))
 
 
 @dataclass(frozen=True)
@@ -252,7 +247,7 @@ def pareto_sweep(
             try:
                 rows.append(SweepRow.of(kind, gamma, run(spec, road, params, artifacts)))
                 continue
-            except (SimulationError, QpError) as exc:
+            except (StepFailure, QpError) as exc:
                 error = str(exc)
         rows.append(SweepRow(kind, gamma, np.nan, np.nan, np.nan, np.nan, error=error))
     return rows

@@ -18,8 +18,8 @@ horizon N, over the full-space vector
 
 as fuel rows F with their constant c0, the tracking row t, the weight-free
 Hessian (tracking, slew and slack), the N+1 equality rows of the initial
-condition and the dynamics, and the 5N inequality rows (order matters for
-warm starts):
+condition and the dynamics, and the 5N inequality rows (in the order that
+``MpcSolution.working_set`` numbers them):
 
     [0,N)   dte(k) <= te_max_dev          [N,2N)  -dte(k) <= -te_min_dev
     [2N,3N) dv(k+1) - s(k) <= v_max_dev   [3N,4N) -dv(k+1) - s(k) <= -v_min_dev
@@ -226,7 +226,7 @@ class MpcSolution:
     slack: np.ndarray            # N velocity-violation slacks
     objective: float
     kkt_residual: float
-    working_set: tuple[int, ...]  # active inequality rows, reusable as warm start
+    working_set: tuple[int, ...]  # active inequality rows at the optimum
     iterations: int
 
     def as_vector(self) -> np.ndarray:
@@ -295,7 +295,7 @@ def _feasible_start(problem: MpcProblem) -> np.ndarray:
     return np.concatenate([problem.v_free, np.zeros(problem.n), spill])
 
 
-def solve(problem: MpcProblem, warm_working: tuple[int, ...] | None = None) -> MpcSolution:
+def solve(problem: MpcProblem) -> MpcSolution:
     """Solve the condensed horizon QP to optimality and certify the result."""
     n = problem.n
     result = solve_qp(
@@ -306,7 +306,6 @@ def solve(problem: MpcProblem, warm_working: tuple[int, ...] | None = None) -> M
         problem.program.a_in_y,
         problem.b_in_y,
         _feasible_start(problem)[n + 1 :],
-        working0=list(warm_working) if warm_working else None,
     )
     te, slack = result.x[:n], result.x[n:]
     return MpcSolution(

@@ -10,8 +10,8 @@ for positive semidefinite H, starting from a caller-supplied feasible point.
 Each iteration solves the equality-constrained subproblem for the current
 working set through the bordered KKT system, steps to the nearest blocking
 inequality, and drops working constraints with negative multipliers.  The
-solve is deterministic, warm-startable via an initial working set, and
-certifies its result with the stationarity residual of the original data.
+working set starts empty; the solve is deterministic and certifies its
+result with the stationarity residual of the original data.
 
 Columns are equilibrated internally (torques, velocities and slack variables
 live on very different scales here); multipliers are invariant under column
@@ -29,7 +29,7 @@ import numpy as np
 
 from .blas import serial
 
-FEAS_TOL = 1e-7    # relative violation a start point or warm row may carry
+FEAS_TOL = 1e-7    # relative violation a start point may carry
 STEP_TOL = 1e-11   # relative step length that counts as the subproblem optimum
 MULT_TOL = 1e-10   # most negative working multiplier accepted at the optimum
 
@@ -98,7 +98,6 @@ def solve_qp(
     a_in,
     b_in,
     x0,
-    working0: list[int] | None = None,
 ) -> QpResult:
     h_mat = np.asarray(h_mat, dtype=float)
     c_vec = np.asarray(c_vec, dtype=float)
@@ -128,11 +127,6 @@ def solve_qp(
 
     n_in = a_in.shape[0]
     working: list[int] = []
-    if working0:
-        slack = ain_s @ xs - b_in if n_in else np.zeros(0)
-        for i in working0:
-            if 0 <= i < n_in and slack[i] > -FEAS_TOL * (1.0 + abs(b_in[i])):
-                working.append(i)
     max_iter = 20 * (n + n_in) + 50
 
     for iteration in range(1, max_iter + 1):

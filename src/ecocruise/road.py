@@ -29,10 +29,6 @@ MAX_WAVELENGTH = 8000.0
 FLAT_LEAD_IN = 500.0
 
 
-class IngestError(ValueError):
-    """Elevation CSV could not be turned into a profile."""
-
-
 @dataclass(frozen=True)
 class RoadProfile:
     """Uniform elevation samples plus per-segment grades.
@@ -109,18 +105,18 @@ def ingest_elevation_csv(path) -> RoadProfile:
     Distances must be strictly increasing; resampling is linear so no
     curvature is fabricated between survey points.
     """
-    columns, rows = formats.read_table(path, IngestError)
+    columns, rows = formats.read_table(path)
     d_arr, e_arr = _samples(path, columns, rows, "distance_m")
     bad = np.flatnonzero(np.diff(d_arr) <= 0)
     if len(bad):
         i = bad[0] + 1
-        raise IngestError(
+        raise ValueError(
             f"{path}: {formats.where(i, rows[i][0])}: distance {d_arr[i]} not increasing "
             f"(previous {d_arr[i - 1]})"
         )
     n_segments = int(np.floor((d_arr[-1] - d_arr[0]) / DEFAULT_DS + 1e-9))
     if n_segments < 1:
-        raise IngestError(
+        raise ValueError(
             f"{path}: span {d_arr[-1] - d_arr[0]:.1f} m shorter than one {DEFAULT_DS} m step")
     grid = d_arr[0] + np.arange(n_segments + 1) * DEFAULT_DS
     return RoadProfile.from_elevation(np.interp(grid, d_arr, e_arr), DEFAULT_DS)
@@ -130,12 +126,11 @@ def _samples(path, columns, rows, x_name: str):
     """The ``x_name`` and ``elevation_m`` columns of a table, at least two rows."""
     names = [c.strip().lower() for c in columns]
     if x_name not in names or "elevation_m" not in names:
-        raise IngestError(f"{path}: header must contain {x_name} and elevation_m, got {columns!r}")
+        raise ValueError(f"{path}: header must contain {x_name} and elevation_m, got {columns!r}")
     x, elevation = formats.float_columns(
-        path, rows, [names.index(x_name), names.index("elevation_m")], IngestError
-    )
+        path, rows, [names.index(x_name), names.index("elevation_m")])
     if len(x) < 2:
-        raise IngestError(f"{path}: need at least 2 data rows, got {len(x)}")
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(x)}")
     return x, elevation
 
 
@@ -172,12 +167,12 @@ def read_road_csv(path) -> RoadProfile:
 
     A ``distance_m,elevation_m`` survey without ``position_m`` is handed to
     :func:`ingest_elevation_csv` and resampled."""
-    columns, rows = formats.read_table(path, IngestError)
+    columns, rows = formats.read_table(path)
     names = [c.strip().lower() for c in columns]
     if "distance_m" in names and "position_m" not in names:
         return ingest_elevation_csv(path)
     positions, elevations = _samples(path, columns, rows, "position_m")
     ds = positions[1] - positions[0]
     if not np.allclose(np.diff(positions), ds, rtol=0, atol=1e-6):
-        raise IngestError(f"{path}: positions are not uniformly spaced")
+        raise ValueError(f"{path}: positions are not uniformly spaced")
     return RoadProfile.from_elevation(elevations, float(ds))

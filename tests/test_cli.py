@@ -111,8 +111,7 @@ class TestStages:
 
 
 class TestPipelineAndReport:
-    def test_full_pipeline_with_cache(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+    def test_full_pipeline_with_cache(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         argv = ["pipeline", "--length-km", "3", "--seed", "5", "--v-ref", "30",
                 "--epochs", "40", "--gammas", "0.001:0.005:3",
@@ -163,18 +162,6 @@ class TestPipelineAndReport:
         )
         assert main(["report", "--sweep", str(sweep)]) == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
-
-    def test_out_dir_env_override(self, tmp_path, capsys, monkeypatch):
-        sweep = tmp_path / "sweep.csv"
-        sweep.write_text(
-            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
-            "PI,,29.98,21.5,1.33,1e-05,\n"
-        )
-        env_dir = tmp_path / "redirected"
-        monkeypatch.setenv("ECOCRUISE_OUT_DIR", str(env_dir))
-        assert main(["report", "--sweep", str(sweep), "--out-dir",
-                     str(tmp_path / "ignored")]) == EXIT_OK
-        assert (env_dir / "pareto_controllers.csv").exists()
 
     def test_config_file_supplies_defaults_flags_win(self, tmp_path, road_file):
         cfg = tmp_path / "run.cfg"
@@ -299,8 +286,7 @@ class TestPublicSurface:
 
 
 class TestStageErrors:
-    def test_pipeline_stage_keeps_its_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+    def test_pipeline_stage_keeps_its_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         rows = [f"{d},{d / 100}" for d in range(0, 3001, 30)]
         rows[1] = "30,abc"
@@ -360,9 +346,8 @@ class TestReportCache:
     def _bytes(self, tmp_path, out="out"):
         return {n: (tmp_path / out / n).read_bytes() for n in self.NAMES}
 
-    def test_step_times_leave_the_pareto_files_unchanged(self, tmp_path, capsys, monkeypatch):
+    def test_step_times_leave_the_pareto_files_unchanged(self, tmp_path, capsys):
         # the measured step times differ between any two runs of one sweep
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
         retimed = self.SWEEP.replace(",0.004,", ",0.007,").replace(",1e-05,", ",3e-05,")
         assert retimed != self.SWEEP
         self._report(tmp_path, capsys)
@@ -370,8 +355,7 @@ class TestReportCache:
         assert self._bytes(tmp_path, "cold") == self._bytes(tmp_path)
         assert "cache hit" in self._report(tmp_path, capsys, retimed)
 
-    def test_changed_economy_rewrites_both(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+    def test_changed_economy_rewrites_both(self, tmp_path, capsys):
         self._report(tmp_path, capsys)
         before = self._bytes(tmp_path)
         printed = self._report(tmp_path, capsys, self.SWEEP.replace(",22.0,", ",22.5,"))
@@ -380,8 +364,7 @@ class TestReportCache:
         assert all(after[n] != before[n] for n in self.NAMES)
         assert b"22.5" in after["pareto_fixed_front.csv"]
 
-    def test_rerun_is_a_cache_hit_that_still_prints(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+    def test_rerun_is_a_cache_hit_that_still_prints(self, tmp_path, capsys):
         assert "cache hit" not in self._report(tmp_path, capsys)
         before = self._stats(tmp_path)
         printed = self._report(tmp_path, capsys)
@@ -392,8 +375,7 @@ class TestReportCache:
                                                        before[name].st_mtime_ns), name
 
     @pytest.mark.parametrize("deleted", NAMES)
-    def test_missing_file_rewrites_both(self, tmp_path, capsys, monkeypatch, deleted):
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+    def test_missing_file_rewrites_both(self, tmp_path, capsys, deleted):
         self._report(tmp_path, capsys)
         before = {n: (tmp_path / "out" / n).read_text() for n in self.NAMES}
         kept = next(n for n in self.NAMES if n != deleted)
@@ -405,8 +387,7 @@ class TestReportCache:
         assert (tmp_path / "out" / kept).stat().st_ino != kept_inode
         assert {n: (tmp_path / "out" / n).read_text() for n in self.NAMES} == before
 
-    def test_pipeline_rerun_hits_every_stage(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+    def test_pipeline_rerun_hits_every_stage(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         argv = ["pipeline", "--length-km", "3", "--seed", "5", "--epochs", "20",
                 "--gammas", "0.001:0.005:2", "--out-dir", str(out_dir)]
@@ -454,8 +435,7 @@ class TestIoErrors:
                      "--out", str(blocker / "x.csv")]) == EXIT_IO
         assert capsys.readouterr().err.startswith("I/O error: ")
 
-    def test_pipeline_names_the_stage(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ECOCRUISE_OUT_DIR", raising=False)
+    def test_pipeline_names_the_stage(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         (out_dir / "dp.csv").mkdir(parents=True)  # solve-dp cannot replace a directory
         assert main(["pipeline", "--length-km", "3", "--seed", "1",

@@ -20,7 +20,13 @@ from ecocruise.dp import (
     write_dp_csv,
 )
 from ecocruise.road import RoadProfile, gen_sinusoidal
-from ecocruise.vehicle import equilibrium_torque, fuel_per_meter, next_velocity, rollout
+from ecocruise.vehicle import (
+    StepFailure,
+    equilibrium_torque,
+    fuel_per_meter,
+    next_velocity,
+    rollout,
+)
 
 
 class TestVavgUpdate:
@@ -68,6 +74,20 @@ class TestSolveTinyExact:
             solution = solve(params, inst.road, inst.config)
             assert solution.total_fuel >= best_cost - 1e-12
 
+    def test_gap_to_enumeration_over_a_hundred_seeds(self, params):
+        # every seed, not a curated few: linear interpolation of the
+        # cost-to-go across the kink at the velocity floor can steer the grid
+        # DP off a cheap path that runs close to the floor.  Over 3000-3099,
+        # 91 seeds are exact and the worst gap is +4.41% (seed 3068).
+        exact = 0
+        for seed in range(3000, 3100):
+            inst = make_tiny_instance(seed, params)
+            best_cost, _ = enumerate_optimum(params, inst.road, inst.config)
+            gap = solve(params, inst.road, inst.config).total_fuel / best_cost - 1.0
+            assert -1e-12 <= gap <= 0.045, seed
+            exact += gap <= 1e-12
+        assert exact >= 91
+
     def test_beats_random_feasible_samples(self, params):
         inst = make_tiny_instance(EXACT_TINY_SEEDS[0], params)
         solution = solve(params, inst.road, inst.config)
@@ -80,7 +100,7 @@ class TestSolveTinyExact:
             seq = te_grid[rng.integers(0, len(te_grid), road.n_steps)]
             try:
                 traj = replay(params, road, seq, cfg.v_i)
-            except InfeasibleError:
+            except StepFailure:
                 continue
             if not (
                 np.all(traj.v >= cfg.v_grid[0] - 1e-12)

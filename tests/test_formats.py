@@ -14,7 +14,7 @@ from ecocruise import cli, formats
 from ecocruise.dp import read_dp_csv, write_dp_csv
 from ecocruise.harness import CONTROLLER_KINDS, SweepRow, read_sweep_csv, write_sweep_csv
 from ecocruise.invopt import GammaSeries, read_gamma_csv, write_gamma_csv
-from ecocruise.road import IngestError, RoadProfile, ingest_elevation_csv, read_road_csv, write_road_csv
+from ecocruise.road import RoadProfile, ingest_elevation_csv, read_road_csv, write_road_csv
 from ecocruise.vehicle import Trajectory, load_vehicle_config
 
 HEADER = ["ecocruise test v0", "fingerprint: 0123456789abcdef", "config: a=1 b=x,y"]
@@ -131,7 +131,7 @@ class TestTableReader:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# only metadata\n")
-        with pytest.raises(IngestError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             read_road_csv(path)
 
     def test_road_reader_resamples_a_survey(self, tmp_path):

@@ -10,9 +10,8 @@ from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.harness import (
     Artifacts,
     ControllerSpec,
-    SimulationError,
+    SimResult,
     SweepRow,
-    metrics,
     pareto_sweep,
     read_sweep_csv,
     run,
@@ -21,7 +20,7 @@ from ecocruise.harness import (
 from ecocruise.invopt import GammaSeries
 from ecocruise.qp import QpError
 from ecocruise.road import RoadProfile, gen_sinusoidal
-from ecocruise.vehicle import Trajectory, fuel_per_meter
+from ecocruise.vehicle import StepFailure, Trajectory, fuel_per_meter
 
 
 @pytest.fixture(scope="module")
@@ -52,23 +51,23 @@ def make_trajectory(speeds, fuel=1e-5, ds=30.0):
 class TestMetrics:
     def test_constant_speed_average_exact(self):
         traj = make_trajectory(np.full(101, 30.0))
-        m = metrics(traj)
+        m = SimResult(traj)
         assert m.avg_velocity_mps == pytest.approx(30.0, abs=1e-12)
         assert m.distance_km == pytest.approx(3.0, rel=1e-12)
 
     def test_two_segment_harmonic_mean(self):
         # equal distances at 20 and 30 m/s average 24 m/s, not 25
         speeds = np.concatenate([np.full(50, 20.0), np.full(50, 30.0), [30.0]])
-        m = metrics(make_trajectory(speeds))
+        m = SimResult(make_trajectory(speeds))
         assert m.avg_velocity_mps == pytest.approx(24.0, rel=1e-12)
 
     def test_zero_fuel_flagged_infinite(self):
-        m = metrics(make_trajectory(np.full(11, 30.0), fuel=0.0))
+        m = SimResult(make_trajectory(np.full(11, 30.0), fuel=0.0))
         assert np.isinf(m.fuel_economy_km_per_kg)
 
     def test_economy_is_distance_over_fuel(self):
         traj = make_trajectory(np.full(101, 30.0), fuel=2e-5)
-        m = metrics(traj)
+        m = SimResult(traj)
         assert m.fuel_economy_km_per_kg == pytest.approx(
             m.distance_km / m.total_fuel_kg, rel=1e-12
         )
@@ -151,7 +150,7 @@ class TestRun:
         from ecocruise.vehicle import VehicleParams
 
         weak = VehicleParams(te_max=240.0, te_min=-30.0, v_min=1.0, v_max=40.0)
-        with pytest.raises(SimulationError, match="position"):
+        with pytest.raises(StepFailure, match="position"):
             run(ControllerSpec(kind="DP_REPLAY", v_ref=30.0, v_i=5.0), climb, weak,
                 Artifacts(dp_solution=_fake_dp(np.zeros(299))))
 

@@ -157,12 +157,6 @@ class TestSolve:
             responses.append(moved.as_vector() - base.as_vector())
         assert np.allclose(responses[0], responses[1], atol=1e-7)
 
-    def test_warm_start_consistency(self, params, lin):
-        problem = make_problem(params, lin, gamma=0.01, seed=5, v_init=-1.5)
-        cold = mpc.solve(problem)
-        warm = mpc.solve(problem, warm_working=cold.working_set)
-        assert np.allclose(cold.as_vector(), warm.as_vector(), atol=1e-9)
-
 
 class TestCondensedMatchesFullSpace:
     """The condensed solve reproduces the full-space program it eliminates,

@@ -91,14 +91,6 @@ class TestInequalities:
         assert achieved == pytest.approx(best, abs=1e-9)
         assert np.all(res.x >= -1e-12)
 
-    def test_warm_start_reaches_same_optimum_faster(self):
-        rng = np.random.default_rng(5)
-        h, c, a_eq, b_eq, a_in, b_in, x_feas = random_convex_qp(rng, 10, 2, 12)
-        cold = solve_qp(h, c, a_eq, b_eq, a_in, b_in, x_feas)
-        warm = solve_qp(h, c, a_eq, b_eq, a_in, b_in, x_feas, working0=cold.working)
-        assert np.allclose(cold.x, warm.x, atol=1e-8)
-        assert warm.iterations <= cold.iterations
-
     def test_determinism(self):
         rng = np.random.default_rng(6)
         h, c, a_eq, b_eq, a_in, b_in, x_feas = random_convex_qp(rng, 9, 2, 10)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ecocruise.road import (
-    IngestError,
     RoadProfile,
     gen_sinusoidal,
     ingest_elevation_csv,
@@ -76,25 +75,25 @@ class TestIngestion:
     def test_unsorted_rows_name_the_offender(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("distance_m,elevation_m\n0,0\n60,1\n30,2\n")
-        with pytest.raises(IngestError, match="row 4"):
+        with pytest.raises(ValueError, match="row 4"):
             ingest_elevation_csv(path)
 
     def test_unparsable_row_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("distance_m,elevation_m\n0,0\nsixty,1\n")
-        with pytest.raises(IngestError, match="row 3"):
+        with pytest.raises(ValueError, match="row 3"):
             ingest_elevation_csv(path)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("distance_m,elevation_m\n0,0\n")
-        with pytest.raises(IngestError, match="at least 2"):
+        with pytest.raises(ValueError, match="at least 2"):
             ingest_elevation_csv(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "noheader.csv"
         path.write_text("a,b\n0,0\n30,1\n")
-        with pytest.raises(IngestError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             ingest_elevation_csv(path)
 
     def test_resampling_idempotent_on_uniform_input(self, tmp_path):
@@ -158,5 +157,5 @@ class TestRoadCsv:
     def test_nonuniform_positions_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("index,position_m,elevation_m,grade\n0,0,0,0\n1,30,1,0\n2,90,2,\n")
-        with pytest.raises(IngestError, match="uniform"):
+        with pytest.raises(ValueError, match="uniform"):
             read_road_csv(path)
