@@ -9,7 +9,7 @@ the demo quick; the shipping configuration trains on 100 km or more.
 from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.invopt import gamma_series
 from ecocruise.net import TrainConfig, evaluate, make_dataset, predict, train
-from ecocruise.road import gen_sinusoidal, preview
+from ecocruise.road import DS, gen_sinusoidal, preview
 from ecocruise.vehicle import VehicleParams, linearize
 
 params = VehicleParams()
@@ -39,6 +39,6 @@ print(f"held-out original: mse {metrics.mse_original:.3e}  mae {metrics.mae_orig
 print("\nsample predictions along the road:")
 for k in (10, 200, 500, 800):
     window = preview(road, k, 100)
-    print(f"position {k * 30 / 1000:5.2f} km: predicted weight "
+    print(f"position {k * DS / 1000:5.2f} km: predicted weight "
           f"{predict(model, window, v_ref):.5f}  "
           f"(label {series.gamma[k]:.5f}{' [' + series.flags[k] + ']' if series.flags[k] else ''})")

@@ -17,7 +17,7 @@ import contextlib
 import hashlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -76,7 +76,10 @@ def _fingerprint(stage: str, config: dict, input_paths: list[Path] | None = None
     for key in sorted(config):
         parts.append(f"{key}={config[key]!r}")
     if params is not None:
-        parts.append(f"vehicle={params!r}")
+        # the repr the vehicle had while it still carried the road step, so
+        # that caches written by earlier releases stay valid
+        spelled = ", ".join(f"{k}={v!r}" for k, v in {**asdict(params), "ds": road_mod.DS}.items())
+        parts.append(f"vehicle=VehicleParams({spelled})")
     for path in input_paths or []:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
         parts.append(f"input:{Path(path).name}={digest}")
@@ -251,7 +254,7 @@ def cmd_invert(args, file_cfg) -> int:
         lin = linearize(params, cfg["v_ref"])
         series = invopt.gamma_series(_read_solution(dp_path), profile, lin, params,
                                      cfg["horizon"], v_ref=cfg["v_ref"])
-        invopt.write_gamma_csv(series, tmp, ds=params.ds, header_lines=meta)
+        invopt.write_gamma_csv(series, tmp, header_lines=meta)
         clean = sum(1 for f in series.flags if not f)
         return f"{clean}/{len(series)} clean recoveries"
 

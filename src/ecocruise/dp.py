@@ -21,16 +21,8 @@ import numpy as np
 
 from . import formats
 from .formats import num
-from .road import RoadProfile
-from .vehicle import (
-    Trajectory,
-    VehicleParams,
-    check_spacing,
-    fuel_per_meter,
-    next_velocity,
-    rollout,
-    vavg_update,
-)
+from .road import DS, RoadProfile
+from .vehicle import Trajectory, VehicleParams, fuel_per_meter, next_velocity, rollout, vavg_update
 
 DEFAULT_V_SPAN = 8.0
 DEFAULT_DV = 0.25
@@ -125,13 +117,12 @@ def _cost_to_go_tables(params: VehicleParams, road: RoadProfile, config: DpConfi
     v_grid = config.v_grid
     a_grid = config.vavg_grid
     te_grid = config.te_grid
-    ds = params.ds
     big = INFEASIBLE_COST
 
     nv, na, nu = len(v_grid), len(a_grid), len(te_grid)
     vv = v_grid[:, None]                      # (nv, 1)
     te = te_grid[None, :]                     # (1, nu)
-    step_fuel = fuel_per_meter(params, vv, te) * ds  # (nv, nu), kg per segment
+    step_fuel = fuel_per_meter(params, vv, te) * DS  # (nv, nu), kg per segment
 
     # tables[k] is the cost-to-go at step k; terminal value: finish with the
     # trip average at or above the set point
@@ -161,7 +152,7 @@ def _cost_to_go_tables(params: VehicleParams, road: RoadProfile, config: DpConfi
         fuel_v = step_fuel.T + np.where(ok_v, 0.0, big)            # (nu, nv)
         row_v = iv * na
 
-        next_a = vavg_update(k * ds, a_grid[:, None], v_grid[None, :], ds)  # (na, nv)
+        next_a = vavg_update(k, a_grid[:, None], v_grid[None, :])  # (na, nv)
         ok_a = (next_a >= config.vavg_min - 1e-12) & (next_a <= config.vavg_max + 1e-12)
         ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
         wa = 1 - ta
@@ -203,11 +194,9 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
     """Backward value iteration plus exact-dynamics forward rollout."""
     if road.n_steps < 2:
         raise ValueError("road must contain at least two segments")
-    check_spacing(params, road)
     v_grid = config.v_grid
     a_grid = config.vavg_grid
     te_grid = config.te_grid
-    ds = params.ds
     big = INFEASIBLE_COST
     tables = _cost_to_go_tables(params, road, config)
 
@@ -215,7 +204,7 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
         """Re-pick the torque from the continuous state against the tables."""
         cand_v = next_velocity(params, v, te_grid, road.grade[k])
         cand_ok = (cand_v >= v_grid[0]) & (cand_v <= v_grid[-1])
-        next_a = vavg_update(k * ds, vavg, v, ds)
+        next_a = vavg_update(k, vavg, v)
         a_ok = config.vavg_min - 1e-12 <= next_a <= config.vavg_max + 1e-12
 
         table = tables[k + 1]
@@ -224,14 +213,14 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
         j_next = (1 - tv) * ((1 - ta) * table[iv, ia] + ta * table[iv, ia + 1]) + tv * (
             (1 - ta) * table[iv + 1, ia] + ta * table[iv + 1, ia + 1]
         )
-        cost = fuel_per_meter(params, v, te_grid) * ds + j_next
+        cost = fuel_per_meter(params, v, te_grid) * DS + j_next
         cost = cost + np.where(cand_ok, 0.0, big)
         if not a_ok:
             cost = cost + big
         best = int(np.argmin(cost))
         if cost[best] >= big:
             raise InfeasibleError(
-                f"no feasible torque at step {k} (position {k * ds:.0f} m, v={v:.2f} m/s)"
+                f"no feasible torque at step {k} (position {k * DS:.0f} m, v={v:.2f} m/s)"
             )
         return float(te_grid[best])
 
@@ -258,7 +247,7 @@ def write_dp_csv(solution, path, header_lines: list[str] | None = None) -> None:
         path,
         ["index", "position_m", "v_mps", "vavg_mps", "te_nm", "fuel_kg_per_m"],
         (
-            [i, num(traj.position[i]), num(traj.v[i]), num(traj.vavg[i])]
+            [i, num(i * DS), num(traj.v[i]), num(traj.vavg[i])]
             + ([num(traj.te[i]), num(traj.fuel_per_m[i])] if i < traj.n_steps else ["", ""])
             for i in range(len(traj.v))
         ),
@@ -271,6 +260,6 @@ def read_dp_csv(path) -> Trajectory:
     columns, rows = formats.read_table(path)
     if columns[:2] != ["index", "position_m"]:
         raise ValueError(f"{path}: not a trajectory export")
-    pos, v, vavg = formats.float_columns(path, rows, (1, 2, 3))
+    v, vavg = formats.float_columns(path, rows, (2, 3))
     te, fuel = formats.float_columns(path, rows[:-1], (4, 5))
-    return Trajectory(position=pos, v=v, vavg=vavg, te=te, fuel_per_m=fuel)
+    return Trajectory(v=v, vavg=vavg, te=te, fuel_per_m=fuel)

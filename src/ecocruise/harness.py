@@ -32,7 +32,7 @@ from .formats import num
 from .invopt import GammaSeries
 from .net import MlpModel, PREVIEW_LEN, predict
 from .qp import QpError
-from .road import RoadProfile, preview
+from .road import DS, RoadProfile, preview
 from .vehicle import (
     LinearizedModel,
     StepFailure,
@@ -87,21 +87,16 @@ class SimResult:
             raise ValueError("empty trajectory")
 
     @property
-    def _ds(self) -> float:
-        return float(self.trajectory.position[1] - self.trajectory.position[0])
-
-    @property
     def total_fuel_kg(self) -> float:
         return self.trajectory.total_fuel_kg
 
     @property
     def distance_km(self) -> float:
-        return self.trajectory.n_steps * self._ds / 1000.0
+        return self.trajectory.n_steps * DS / 1000.0
 
     @property
     def avg_velocity_mps(self) -> float:
-        ds = self._ds
-        return self.trajectory.n_steps * ds / float(np.sum(ds / self.trajectory.v[:-1]))
+        return self.trajectory.n_steps * DS / float(np.sum(DS / self.trajectory.v[:-1]))
 
     @property
     def fuel_economy_km_per_kg(self) -> float:
@@ -120,8 +115,11 @@ def _artifact_error(spec: ControllerSpec, road: RoadProfile, artifacts: Artifact
             return "DP_REPLAY needs a solved global optimum"
         if len(artifacts.dp_solution.trajectory.te) != road.n_steps:
             return "stored torque schedule does not cover this road"
-    if spec.kind == "PT_MPC" and artifacts.series is None:
-        return "PT_MPC needs a precomputed weight series"
+    if spec.kind == "PT_MPC":
+        if artifacts.series is None:
+            return "PT_MPC needs a precomputed weight series"
+        if len(artifacts.series) != road.n_steps:
+            return "stored weight series does not cover this road"
     if spec.kind == "AT_MPC" and artifacts.model is None:
         return "AT_MPC needs a trained weight predictor"
     return ""
@@ -166,7 +164,7 @@ def _policy(spec: ControllerSpec, road: RoadProfile, params: VehicleParams,
         weight = lambda k: spec.gamma  # noqa: E731
     elif spec.kind == "PT_MPC":
         held = _held_weights(artifacts.series)
-        weight = lambda k: float(held[min(k, len(held) - 1)])  # noqa: E731
+        weight = lambda k: float(held[k])  # noqa: E731
     else:
         weight = lambda k: max(  # noqa: E731
             0.0, predict(artifacts.model, preview(road, k, PREVIEW_LEN), spec.v_ref))

@@ -28,8 +28,8 @@ import numpy as np
 from . import formats, mpc
 from .formats import num
 from .qp import QpError, solve_qp
-from .road import RoadProfile
-from .vehicle import LinearizedModel, VehicleParams, check_spacing, equilibrium_torque
+from .road import DS, RoadProfile
+from .vehicle import LinearizedModel, VehicleParams, equilibrium_torque
 
 ACTIVE_TOL = 1e-6
 GAMMA_CAP = 0.05
@@ -87,14 +87,14 @@ class GammaRecovery:
 
 @dataclass(frozen=True)
 class GammaSeries:
-    """Per-position recovered fuel weights along a road.
+    """Per-position recovered fuel weights along a road: entry ``k`` is the
+    weight at step ``k``.
 
     ``flags`` holds an empty string for clean recoveries and a short reason
     ("degenerate", "clamped", "failed") otherwise; flagged rows are excluded
     from training datasets.
     """
 
-    positions: np.ndarray
     gamma: np.ndarray
     residuals: np.ndarray
     flags: tuple[str, ...]
@@ -223,7 +223,6 @@ def gamma_series(
     Windows that run past the end of the road are continued as steady flat
     cruising at the final speed, matching the zero-grade padding previews use.
     """
-    check_spacing(params, road)
     traj = dp_solution.trajectory
     p_steps = road.n_steps
     if len(traj.v) != p_steps + 1 or traj.n_steps != p_steps:
@@ -258,23 +257,16 @@ def gamma_series(
             flag = "failed"
         gammas[k] = gamma
         flags.append(flag)
-    return GammaSeries(
-        positions=np.arange(p_steps),
-        gamma=gammas,
-        residuals=residuals,
-        flags=tuple(flags),
-    )
+    return GammaSeries(gamma=gammas, residuals=residuals, flags=tuple(flags))
 
 
-def write_gamma_csv(series: GammaSeries, path, ds: float = 30.0,
-                    header_lines: list[str] | None = None) -> None:
+def write_gamma_csv(series: GammaSeries, path, header_lines: list[str] | None = None) -> None:
     """Export ``index,position_m,gamma,residual,flags`` (the training labels)."""
     formats.write_table(
         path,
         ["index", "position_m", "gamma", "residual", "flags"],
         (
-            [int(series.positions[i]), num(series.positions[i] * ds), num(series.gamma[i]),
-             num(series.residuals[i]), series.flags[i]]
+            [i, num(i * DS), num(series.gamma[i]), num(series.residuals[i]), series.flags[i]]
             for i in range(len(series))
         ),
         header_lines,
@@ -285,10 +277,6 @@ def read_gamma_csv(path) -> GammaSeries:
     columns, rows = formats.read_table(path)
     if columns[:3] != ["index", "position_m", "gamma"]:
         raise ValueError(f"{path}: not a gamma-series export")
-    index, gamma, residuals = formats.float_columns(path, rows, (0, 2, 3))
-    return GammaSeries(
-        positions=index.astype(int),
-        gamma=gamma,
-        residuals=residuals,
-        flags=tuple(r[4] if len(r) > 4 else "" for _, r in rows),
-    )
+    gamma, residuals = formats.float_columns(path, rows, (2, 3))
+    return GammaSeries(gamma=gamma, residuals=residuals,
+                       flags=tuple(r[4] if len(r) > 4 else "" for _, r in rows))

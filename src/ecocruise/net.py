@@ -333,11 +333,13 @@ def load_model(path) -> MlpModel:
 
     def take() -> str:
         nonlocal cursor
+        if cursor == len(lines):
+            raise ValueError(f"{path}: model file ends early")
         cursor += 1
         return lines[cursor - 1]
 
     head = take().split()
-    if head[0] != "dims":
+    if head[:1] != ["dims"]:
         raise ValueError(f"{path}: not a model file")
     dims = tuple(int(d) for d in head[1:])
     scalers = {}

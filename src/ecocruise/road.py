@@ -1,13 +1,13 @@
 """Road elevation profiles: synthetic hill generation, CSV ingestion, previews.
 
-A profile is a uniformly spaced elevation sequence with the segment grades
-derived from it.  Synthetic roads are sums of 3-8 seeded sinusoids rescaled
-so the steepest slope stays within +/-5%; real elevation data comes in
-through a two-column CSV and is resampled onto the 30 m grid.  A road read
-back from a profile CSV keeps the spacing it was written with.  The plant
-advances the vehicle's ``ds`` per grade sample, so that spacing must equal
-``ds``: the rollout, the DP solver and the weight recovery raise
-``ValueError`` on a mismatch.
+Every road lives on one grid: elevation samples ``DS`` = 30 m apart, with the
+segment grades derived from them.  Position ``k`` is the step index and its
+distance is ``k * DS``; the plant advances one step per grade sample, and the
+predictor's preview and the controller's horizon are counted in these steps.
+Synthetic roads are sums of 3-8 seeded sinusoids rescaled so the steepest
+slope stays within +/-5%; real elevation data comes in through a two-column
+CSV and is resampled onto the grid.  A profile CSV spaced otherwise is
+rejected when it is read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import formats
 from .formats import num
 
-DEFAULT_DS = 30.0
+DS = 30.0  # position step (m): the one road grid
 MAX_ABS_GRADE = 0.05
 # Synthetic generator envelope: component count and wavelength span (m).
 MIN_COMPONENTS = 3
@@ -31,13 +31,12 @@ FLAT_LEAD_IN = 500.0
 
 @dataclass(frozen=True)
 class RoadProfile:
-    """Uniform elevation samples plus per-segment grades.
+    """Elevation samples ``DS`` apart plus per-segment grades.
 
     ``grade[i]`` is the slope of the segment from sample i to i+1, so there is
     always one fewer grade than elevation samples.
     """
 
-    ds: float
     elevation: np.ndarray
     grade: np.ndarray
 
@@ -48,19 +47,17 @@ class RoadProfile:
 
     @property
     def length_m(self) -> float:
-        return self.n_steps * self.ds
+        return self.n_steps * DS
 
     @staticmethod
-    def from_elevation(elevation, ds: float = DEFAULT_DS) -> "RoadProfile":
+    def from_elevation(elevation) -> "RoadProfile":
         elev = np.asarray(elevation, dtype=float)
         if elev.ndim != 1 or len(elev) < 1:
             raise ValueError("elevation must be a 1-D sequence with at least one sample")
-        if ds <= 0:
-            raise ValueError("sample spacing must be positive")
-        grade = np.diff(elev) / ds
+        grade = np.diff(elev) / DS
         elev.setflags(write=False)
         grade.setflags(write=False)
-        return RoadProfile(ds=float(ds), elevation=elev, grade=grade)
+        return RoadProfile(elevation=elev, grade=grade)
 
 
 def gen_sinusoidal(seed: int, length_m: float) -> RoadProfile:
@@ -74,8 +71,8 @@ def gen_sinusoidal(seed: int, length_m: float) -> RoadProfile:
     if length_m < 3000.0:
         raise ValueError("road must be at least 3 km to support grade previews")
     rng = np.random.default_rng(seed)
-    n_samples = int(round(length_m / DEFAULT_DS)) + 1
-    s = np.arange(n_samples) * DEFAULT_DS
+    n_samples = int(round(length_m / DS)) + 1
+    s = np.arange(n_samples) * DS
 
     elev = np.zeros(n_samples)
     for _ in range(int(rng.integers(MIN_COMPONENTS, MAX_COMPONENTS + 1))):
@@ -94,7 +91,7 @@ def gen_sinusoidal(seed: int, length_m: float) -> RoadProfile:
     elev = elev * w
     elev -= elev[0]
 
-    peak = float(np.max(np.abs(np.diff(elev) / DEFAULT_DS)))
+    peak = float(np.max(np.abs(np.diff(elev) / DS)))
     elev *= float(rng.uniform(0.6, 1.0)) * MAX_ABS_GRADE / peak
     return RoadProfile.from_elevation(elev)
 
@@ -114,12 +111,12 @@ def ingest_elevation_csv(path) -> RoadProfile:
             f"{path}: {formats.where(i, rows[i][0])}: distance {d_arr[i]} not increasing "
             f"(previous {d_arr[i - 1]})"
         )
-    n_segments = int(np.floor((d_arr[-1] - d_arr[0]) / DEFAULT_DS + 1e-9))
+    n_segments = int(np.floor((d_arr[-1] - d_arr[0]) / DS + 1e-9))
     if n_segments < 1:
         raise ValueError(
-            f"{path}: span {d_arr[-1] - d_arr[0]:.1f} m shorter than one {DEFAULT_DS} m step")
-    grid = d_arr[0] + np.arange(n_segments + 1) * DEFAULT_DS
-    return RoadProfile.from_elevation(np.interp(grid, d_arr, e_arr), DEFAULT_DS)
+            f"{path}: span {d_arr[-1] - d_arr[0]:.1f} m shorter than one {DS} m step")
+    grid = d_arr[0] + np.arange(n_segments + 1) * DS
+    return RoadProfile.from_elevation(np.interp(grid, d_arr, e_arr))
 
 
 def _samples(path, columns, rows, x_name: str):
@@ -154,7 +151,7 @@ def write_road_csv(road: RoadProfile, path, header_lines: list[str] | None = Non
         path,
         ["index", "position_m", "elevation_m", "grade"],
         (
-            [i, num(i * road.ds), num(elev), num(road.grade[i]) if i < road.n_steps else ""]
+            [i, num(i * DS), num(elev), num(road.grade[i]) if i < road.n_steps else ""]
             for i, elev in enumerate(road.elevation)
         ),
         header_lines,
@@ -163,7 +160,8 @@ def write_road_csv(road: RoadProfile, path, header_lines: list[str] | None = Non
 
 def read_road_csv(path) -> RoadProfile:
     """Read back a profile written by :func:`write_road_csv` (or any CSV with
-    position_m/elevation_m columns); grades are rederived from elevation.
+    position_m/elevation_m columns ``DS`` apart); grades are rederived from
+    elevation.
 
     A ``distance_m,elevation_m`` survey without ``position_m`` is handed to
     :func:`ingest_elevation_csv` and resampled."""
@@ -172,7 +170,10 @@ def read_road_csv(path) -> RoadProfile:
     if "distance_m" in names and "position_m" not in names:
         return ingest_elevation_csv(path)
     positions, elevations = _samples(path, columns, rows, "position_m")
-    ds = positions[1] - positions[0]
-    if not np.allclose(np.diff(positions), ds, rtol=0, atol=1e-6):
-        raise ValueError(f"{path}: positions are not uniformly spaced")
-    return RoadProfile.from_elevation(elevations, float(ds))
+    steps = np.diff(positions)
+    bad = np.flatnonzero(~(np.abs(steps - DS) <= 1e-6))
+    if len(bad):
+        i = bad[0] + 1
+        raise ValueError(f"{path}: {formats.where(i, rows[i][0])}: positions are not on "
+                         f"the uniform {DS:g} m grid (step {steps[i - 1]:g} m)")
+    return RoadProfile.from_elevation(elevations)

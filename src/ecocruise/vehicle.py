@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import read_key_values
+from .road import DS
 
 # Fixed-gear coefficient sets for the reference SUV.
 DEFAULT_ALPHA = (0.00315, 9.81, 0.05536, 0.00229, 2.8272e-4)
@@ -38,7 +39,8 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Coefficient sets plus actuator/velocity limits and the position step."""
+    """Coefficient sets plus actuator/velocity limits; the plant steps the
+    road grid, ``road.DS`` per grade sample."""
 
     alpha: tuple[float, ...] = DEFAULT_ALPHA
     lam: tuple[float, ...] = DEFAULT_LAMBDA
@@ -46,15 +48,12 @@ class VehicleParams:
     v_max: float = 40.0
     te_min: float = -30.0
     te_max: float = 240.0
-    ds: float = 30.0
 
     def __post_init__(self) -> None:
         if len(self.alpha) != 5 or len(self.lam) != 6:
             raise ValueError("expected 5 dynamics and 6 fuel coefficients")
         if self.alpha[0] <= 0:
             raise ValueError("alpha0 must be positive (torque must propel)")
-        if self.ds <= 0:
-            raise ValueError("position step must be positive")
         if self.v_min <= 0:
             raise ValueError("v_min must be positive (position-domain rates divide by V)")
         if self.v_min >= self.v_max:
@@ -102,11 +101,11 @@ class LinearizedModel:
 class Trajectory:
     """Aligned per-step records of a simulated or optimized drive.
 
-    ``position``, ``v`` and ``vavg`` have one more sample than ``te`` and
-    ``fuel_per_m`` (states at nodes, inputs over segments).
+    ``v`` and ``vavg`` have one more sample than ``te`` and ``fuel_per_m``
+    (states at nodes, inputs over segments); node ``k`` lies ``k * DS`` from
+    the start.
     """
 
-    position: np.ndarray
     v: np.ndarray
     vavg: np.ndarray
     te: np.ndarray
@@ -120,8 +119,7 @@ class Trajectory:
     def total_fuel_kg(self) -> float:
         if self.n_steps == 0:
             return 0.0
-        ds = float(self.position[1] - self.position[0])
-        return float(np.sum(self.fuel_per_m) * ds)
+        return float(np.sum(self.fuel_per_m) * DS)
 
 
 def accel(params: VehicleParams, v, te, phi):
@@ -166,7 +164,7 @@ def next_velocity(params: VehicleParams, v, te, phi):
     advance the plant through it, elementwise over arrays or on scalars, so
     their trajectories agree to the bit.
     """
-    return v + params.ds * _accel(params.alpha, v, te, phi) / v
+    return v + DS * _accel(params.alpha, v, te, phi) / v
 
 
 def space_step(params: VehicleParams, v, te, phi):
@@ -186,32 +184,24 @@ def space_step(params: VehicleParams, v, te, phi):
     return v_next
 
 
-def vavg_update(s_k: float, vavg_k: float, v_k: float, ds: float):
-    """Trip-average velocity after one more segment.
+def vavg_update(k: int, vavg_k: float, v_k: float):
+    """Trip-average velocity after segment ``k``.
 
     Total distance over total elapsed time: the new average harmonically
-    blends the history (distance ``s_k`` at average ``vavg_k``) with one more
-    segment of length ``ds`` traversed at ``v_k``.  ``s_k = 0`` is the start
-    of the trip, where the result is simply ``v_k``.
+    blends the history (distance ``k * DS`` at average ``vavg_k``) with one
+    more segment traversed at ``v_k``.  ``k = 0`` is the start of the trip,
+    where the result is simply ``v_k``.
     """
     if np.any(np.asarray(vavg_k) <= 0) or np.any(np.asarray(v_k) <= 0):
         raise ValueError("velocities must be positive")
-    if s_k < 0 or ds <= 0:
-        raise ValueError("distances must be nonnegative (ds positive)")
-    return _vavg_update(s_k, vavg_k, v_k, ds)
+    if k < 0:
+        raise ValueError("step index must be nonnegative")
+    return _vavg_update(k, vavg_k, v_k)
 
 
-def _vavg_update(s_k, vavg_k, v_k, ds):
-    return (s_k + ds) / (s_k / vavg_k + ds / v_k)
-
-
-def check_spacing(params: VehicleParams, road) -> None:
-    """Raise ``ValueError`` unless ``road`` is sampled at the plant's step:
-    the plant advances ``params.ds`` per grade sample, so any other spacing
-    would drive a road of another length."""
-    if abs(road.ds - params.ds) > 1e-6:
-        raise ValueError(f"road spacing {road.ds:g} m differs from the vehicle step "
-                         f"ds = {params.ds:g} m")
+def _vavg_update(k, vavg_k, v_k):
+    s_k = k * DS
+    return (s_k + DS) / (s_k / vavg_k + DS / v_k)
 
 
 def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
@@ -221,14 +211,12 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     per-meter fuel and the trip-average velocity and raises
     :class:`StepFailure` naming the step and position where velocity
     collapses.  Errors raised by ``torque`` pass through unchanged.  Only
-    the start velocity and the road spacing are checked; the collapse guard
-    keeps every later velocity positive, so the steps call the unchecked
-    fuel and trip-average cores.
+    the start velocity is checked; the collapse guard keeps every later
+    velocity positive, so the steps call the unchecked fuel and trip-average
+    cores.
     """
     if v_i <= 0:
         raise ValueError("velocity must be positive")
-    check_spacing(params, road)
-    ds = params.ds
     v = vavg = float(v_i)
     vs = [v]
     vavgs = [vavg]
@@ -239,14 +227,13 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
         fuels.append(float(_fuel_rate_space(params.lam, v, te) / SECONDS_PER_HOUR))
         v_next = float(next_velocity(params, v, te, road.grade[k]))
         if v_next <= 0:
-            raise StepFailure(f"velocity collapsed at step {k} (position {k * ds:.0f} m)")
-        vavg = float(_vavg_update(k * ds, vavg, v, ds))
+            raise StepFailure(f"velocity collapsed at step {k} (position {k * DS:.0f} m)")
+        vavg = float(_vavg_update(k, vavg, v))
         v = v_next
         vs.append(v)
         vavgs.append(vavg)
         tes.append(te)
     return Trajectory(
-        position=np.arange(road.n_steps + 1) * ds,
         v=np.asarray(vs),
         vavg=np.asarray(vavgs),
         te=np.asarray(tes, dtype=float),
@@ -275,11 +262,10 @@ def linearize(params: VehicleParams, v_ref: float) -> LinearizedModel:
             f"[{params.te_min}, {params.te_max}]"
         )
     a0, a1, a2, a3, a4 = params.alpha
-    ds = params.ds
     # d(a/V)/dV at the equilibrium collapses to -(a3/V + 2*a4).
-    a_coef = 1.0 + ds * (-(a0 * te_lin) / v_ref**2 + a2 / v_ref**2 - a4)
-    b1 = ds * a0 / v_ref
-    b2 = -ds * a1 / v_ref
+    a_coef = 1.0 + DS * (-(a0 * te_lin) / v_ref**2 + a2 / v_ref**2 - a4)
+    b1 = DS * a0 / v_ref
+    b2 = -DS * a1 / v_ref
 
     l0, l1, l2, l3, l4, l5 = params.lam
     c0 = fuel_rate_time(params, v_ref, te_lin)
@@ -338,7 +324,6 @@ _PARAM_KEYS = {
     "v_max": ("v_max", None),
     "te_min": ("te_min", None),
     "te_max": ("te_max", None),
-    "ds": ("ds", None),
 }
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ecocruise.dp import DpConfig
-from ecocruise.road import RoadProfile
+from ecocruise.road import DS, RoadProfile
 from ecocruise.vehicle import VehicleParams, accel, equilibrium_torque, fuel_per_meter
 
 
@@ -31,9 +31,7 @@ def make_tiny_instance(seed: int, params: VehicleParams) -> TinyInstance:
     rng = np.random.default_rng(seed)
     p_steps = int(rng.integers(3, 6))
     grades = rng.uniform(-0.025, 0.025, p_steps)
-    road = RoadProfile.from_elevation(
-        np.concatenate([[0.0], np.cumsum(grades) * params.ds]), params.ds
-    )
+    road = RoadProfile.from_elevation(np.concatenate([[0.0], np.cumsum(grades) * DS]))
     v_i = 30.0
     te_eq = equilibrium_torque(params, v_i)
     n_te = int(rng.integers(5, 8))
@@ -63,7 +61,7 @@ def enumerate_optimum(params: VehicleParams, road: RoadProfile, config: DpConfig
     vavg = np.full(n_seq, config.v_i)
     cost = np.zeros(n_seq)
     alive = np.ones(n_seq, dtype=bool)
-    ds = params.ds
+    ds = DS
     for k in range(p_steps):
         te = te_grid[seqs[:, k]]
         cost += fuel_per_meter(params, v, te) * ds

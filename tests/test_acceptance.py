@@ -20,8 +20,8 @@ from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.harness import Artifacts, ControllerSpec, SweepRow, pareto_sweep, run
 from ecocruise.invopt import DeviationWindow, build_kkt, detect_active, recover_gamma
 from ecocruise.net import TrainConfig, evaluate, make_dataset, train
-from ecocruise.road import gen_sinusoidal
-from ecocruise.vehicle import VehicleParams, integrate_fine, linearize, space_step
+from ecocruise.road import DS, gen_sinusoidal
+from ecocruise.vehicle import accel, integrate_fine, linearize, space_step
 
 V_REF = 30.0
 TRAIN_ROAD_SEED = 101
@@ -279,10 +279,13 @@ class TestCriterion9DynamicsConsistency:
             v = rng.uniform(18.0, 38.0)
             te = rng.uniform(0.0, 220.0)
             phi = rng.uniform(-0.05, 0.05)
-            exact = integrate_fine(params, v, te, phi, params.ds)
+            exact = integrate_fine(params, v, te, phi, DS)
             coarse = space_step(params, v, te, phi)
-            half = VehicleParams(ds=params.ds / 2)
-            two_halves = space_step(half, space_step(half, v, te, phi), te, phi)
+
+            def half_step(u):
+                # next_velocity's operation order at half the road step
+                return u + (DS / 2) * accel(params, u, te, phi) / u
+            two_halves = half_step(half_step(v))
             e1 = abs(coarse - exact)
             e2 = abs(two_halves - exact)
             agreements.append(e1)

@@ -325,6 +325,27 @@ class TestStageErrors:
         assert heads[0].startswith("# fingerprint: ") and heads[0] != heads[1]
 
 
+    @pytest.mark.parametrize("rows", [100, 0], ids=["3_km_series", "header_only"])
+    def test_weight_series_must_cover_the_road(self, tmp_path, capsys, rows):
+        road = tmp_path / "road6.csv"
+        assert main(["gen-road", "--length-km", "6", "--seed", "7", "--out", str(road)]) == EXIT_OK
+        gammas = tmp_path / "gammas.csv"
+        gammas.write_text("index,position_m,gamma,residual,flags\n" + "".join(
+            f"{i},{30 * i},0.002,0,\n" for i in range(rows)))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--road", str(road), "--controller", "pt",
+                     "--gammas", str(gammas), "--out", str(out)]) == EXIT_VALIDATION
+        assert "stored weight series does not cover this road" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_model_is_validation_error(self, tmp_path, road_file, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("# ecocruise mlp v1\ndims 101 64 64 1\n")
+        assert main(["simulate", "--road", str(road_file), "--controller", "at",
+                     "--model", str(model)]) == EXIT_VALIDATION
+        assert "model file ends early" in capsys.readouterr().err
+
+
 class TestReportCache:
     SWEEP = (
         "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
@@ -400,8 +421,9 @@ class TestReportCache:
 
 
 class TestRoadSpacing:
-    """A road sampled at another spacing than the vehicle step is bad input:
-    the stage exits 2, names both spacings and writes no output."""
+    """Every road is on the 30 m grid and the vehicle has no step of its own:
+    a ``ds`` vehicle key or a road export at another spacing is bad input, so
+    the stage exits 2, says why and writes no output."""
 
     def test_vehicle_step_differs_from_the_road(self, tmp_path, road_file, capsys):
         cfg = tmp_path / "vehicle.cfg"
@@ -409,7 +431,7 @@ class TestRoadSpacing:
         out = tmp_path / "dp.csv"
         assert main(["--vehicle-config", str(cfg), "solve-dp", "--road", str(road_file),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert "road spacing 30 m differs from the vehicle step ds = 20 m" in capsys.readouterr().err
+        assert "unknown parameter 'ds'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["solve-dp"], ["invert", "--dp", "DP"],
@@ -423,7 +445,7 @@ class TestRoadSpacing:
         out = tmp_path / "out.csv"
         argv = [str(dp_csv) if a == "DP" else a for a in command]
         assert main([*argv, "--road", str(road_20m), "--out", str(out)]) == EXIT_VALIDATION
-        assert "road spacing 20 m differs" in capsys.readouterr().err
+        assert "not on the uniform 30 m grid (step 20 m)" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -19,39 +19,32 @@ from ecocruise.dp import (
     vavg_update,
     write_dp_csv,
 )
-from ecocruise.road import RoadProfile, gen_sinusoidal
-from ecocruise.vehicle import (
-    StepFailure,
-    equilibrium_torque,
-    fuel_per_meter,
-    next_velocity,
-    rollout,
-)
+from ecocruise.road import DS, RoadProfile, gen_sinusoidal
+from ecocruise.vehicle import equilibrium_torque, fuel_per_meter, next_velocity, rollout
 
 
 class TestVavgUpdate:
     def test_constant_speed_is_fixed_point(self):
-        assert vavg_update(300.0, 27.5, 27.5, 30.0) == pytest.approx(27.5, rel=1e-14)
+        assert vavg_update(10, 27.5, 27.5) == pytest.approx(27.5, rel=1e-14)
 
     def test_hand_computed_example(self):
-        assert vavg_update(30.0, 30.0, 20.0, 30.0) == pytest.approx(24.0, rel=1e-14)
+        assert vavg_update(1, 30.0, 20.0) == pytest.approx(24.0, rel=1e-14)
 
     def test_first_segment_returns_current_speed(self):
-        assert vavg_update(0.0, 30.0, 26.0, 30.0) == pytest.approx(26.0, rel=1e-14)
+        assert vavg_update(0, 30.0, 26.0) == pytest.approx(26.0, rel=1e-14)
 
     def test_recursion_telescopes_to_harmonic_mean(self):
         rng = np.random.default_rng(0)
         speeds = rng.uniform(24.0, 36.0, 50)
-        ds = 30.0
         vavg = speeds[0]
         for k in range(len(speeds)):
-            vavg = vavg_update(k * ds, vavg, speeds[k], ds)
-        closed_form = len(speeds) * ds / np.sum(ds / speeds)
+            vavg = vavg_update(k, vavg, speeds[k])
+        closed_form = len(speeds) * DS / np.sum(DS / speeds)
         assert vavg == pytest.approx(closed_form, rel=1e-12)
 
     def test_zero_velocity_rejected(self):
         with pytest.raises(ValueError):
-            vavg_update(30.0, 30.0, 0.0, 30.0)
+            vavg_update(1, 30.0, 0.0)
 
 
 class TestSolveTinyExact:
@@ -88,31 +81,6 @@ class TestSolveTinyExact:
             exact += gap <= 1e-12
         assert exact >= 91
 
-    def test_beats_random_feasible_samples(self, params):
-        inst = make_tiny_instance(EXACT_TINY_SEEDS[0], params)
-        solution = solve(params, inst.road, inst.config)
-        rng = np.random.default_rng(1)
-        te_grid = inst.config.te_grid
-        road = inst.road
-        cfg = inst.config
-        tried = 0
-        while tried < 100:
-            seq = te_grid[rng.integers(0, len(te_grid), road.n_steps)]
-            try:
-                traj = replay(params, road, seq, cfg.v_i)
-            except StepFailure:
-                continue
-            if not (
-                np.all(traj.v >= cfg.v_grid[0] - 1e-12)
-                and np.all(traj.v <= cfg.v_grid[-1] + 1e-12)
-                and np.all(traj.vavg >= cfg.vavg_min - 1e-12)
-                and np.all(traj.vavg <= cfg.vavg_max + 1e-12)
-                and traj.vavg[-1] >= cfg.v_ref - 1e-12
-            ):
-                continue
-            tried += 1
-            assert solution.total_fuel <= traj.total_fuel_kg + 1e-12
-
     def test_wider_torque_bounds_never_cost_more(self, params):
         for seed in EXACT_TINY_SEEDS[:3]:
             inst = make_tiny_instance(seed, params)
@@ -134,7 +102,7 @@ class TestSolveTinyExact:
 
 class TestSolveBehavior:
     def test_flat_road_near_constant_with_terminal_glide(self, params):
-        flat = RoadProfile.from_elevation(np.zeros(201), params.ds)
+        flat = RoadProfile.from_elevation(np.zeros(201))
         cfg = DpConfig.default(params, 30.0, v_span=4.0)
         solution = solve(params, flat, cfg)
         traj = solution.trajectory
@@ -221,53 +189,30 @@ class TestReplay:
         assert traj.total_fuel_kg == pytest.approx(solution.total_fuel, abs=1e-12)
 
     def test_zero_length_road(self, params):
-        road = RoadProfile.from_elevation([0.0], params.ds)
+        road = RoadProfile.from_elevation([0.0])
         traj = replay(params, road, [], 28.0)
         assert traj.n_steps == 0
         assert traj.v[0] == 28.0
         assert traj.total_fuel_kg == 0.0
 
     def test_equilibrium_torque_holds_speed_on_flat(self, params):
-        flat = RoadProfile.from_elevation(np.zeros(51), params.ds)
+        flat = RoadProfile.from_elevation(np.zeros(51))
         te = equilibrium_torque(params, 30.0)
         traj = replay(params, flat, np.full(50, te), 30.0)
         assert np.allclose(traj.v, 30.0, atol=1e-10)
         assert np.allclose(traj.vavg, 30.0, atol=1e-10)
 
     def test_length_mismatch_rejected(self, params):
-        flat = RoadProfile.from_elevation(np.zeros(51), params.ds)
+        flat = RoadProfile.from_elevation(np.zeros(51))
         with pytest.raises(ValueError):
             replay(params, flat, np.zeros(9), 30.0)
 
     def test_nonpositive_start_velocity_is_bad_input(self, params):
         # bad input, not a solver failure: the rollout's ValueError, never
         # InfeasibleError (a RuntimeError)
-        flat = RoadProfile.from_elevation(np.zeros(11), params.ds)
+        flat = RoadProfile.from_elevation(np.zeros(11))
         with pytest.raises(ValueError, match="velocity must be positive"):
             replay(params, flat, np.zeros(10), v_i=0.0)
-
-
-class TestRoadSpacing:
-    """A road sampled at another spacing than the vehicle step is rejected,
-    naming both, before any work is done."""
-
-    @pytest.fixture
-    def road_20m(self):
-        return RoadProfile.from_elevation(np.zeros(151), 20.0)
-
-    def test_solve_rejects_before_the_backward_pass(self, params, road_20m, monkeypatch):
-        monkeypatch.setattr("ecocruise.dp._cost_to_go_tables",
-                            lambda *a: pytest.fail("backward pass ran"))
-        with pytest.raises(ValueError, match=r"road spacing 20 m .* ds = 30 m"):
-            solve(params, road_20m, DpConfig.default(params, 30.0))
-
-    def test_replay_rejects(self, params, road_20m):
-        with pytest.raises(ValueError, match=r"road spacing 20 m .* ds = 30 m"):
-            replay(params, road_20m, np.zeros(road_20m.n_steps), 30.0)
-
-    def test_matching_spacing_within_tolerance_is_accepted(self, params):
-        road = RoadProfile.from_elevation(np.zeros(11), params.ds + 5e-7)
-        assert replay(params, road, np.zeros(10), 30.0).n_steps == 10
 
 
 class TestCsv:
@@ -298,7 +243,7 @@ def reference_solve(params, road, config):
     cell count).
     """
     v_grid, a_grid, te_grid = config.v_grid, config.vavg_grid, config.te_grid
-    ds, big = params.ds, INFEASIBLE_COST
+    ds, big = DS, INFEASIBLE_COST
     p_steps = road.n_steps
     vv, te = v_grid[:, None], te_grid[None, :]
     step_fuel = fuel_per_meter(params, vv, te) * ds
@@ -310,7 +255,7 @@ def reference_solve(params, road, config):
         next_v = next_velocity(params, vv, te, road.grade[k])
         ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
         iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
-        next_a = vavg_update(k * ds, a_grid[:, None], v_grid[None, :], ds)
+        next_a = vavg_update(k, a_grid[:, None], v_grid[None, :])
         ok_a = (next_a >= config.vavg_min - 1e-12) & (next_a <= config.vavg_max + 1e-12)
         ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
         bad_v += int(np.sum(~ok_v))
@@ -327,7 +272,7 @@ def reference_solve(params, road, config):
     def pick(k, v, vavg):
         cand_v = next_velocity(params, v, te_grid, road.grade[k])
         cand_ok = (cand_v >= v_grid[0]) & (cand_v <= v_grid[-1])
-        next_a = vavg_update(k * ds, vavg, v, ds)
+        next_a = vavg_update(k, vavg, v)
         a_ok = config.vavg_min - 1e-12 <= next_a <= config.vavg_max + 1e-12
         table = tables[k + 1]
         iv, tv = _interp_weights(v_grid, np.clip(cand_v, v_grid[0], v_grid[-1]))
@@ -367,7 +312,7 @@ def penalized_instances(draw):
     """
     p_steps = draw(st.integers(2, 7))
     grades = draw(st.lists(st.floats(-0.02, 0.02), min_size=p_steps, max_size=p_steps))
-    road = RoadProfile.from_elevation(np.concatenate([[0.0], np.cumsum(grades) * 30.0]), 30.0)
+    road = RoadProfile.from_elevation(np.concatenate([[0.0], np.cumsum(grades) * DS]))
     v_i = 30.0
     v_half = draw(st.floats(0.4, 3.0))
     a_half = draw(st.floats(0.1, 0.9)) * v_half

@@ -56,19 +56,18 @@ def _nine_digits(values) -> np.ndarray:
 
 
 @settings(max_examples=60, deadline=None)
-@given(elevation=st.lists(finite, min_size=2, max_size=40),
-       ds=st.sampled_from([30.0, 15.0, 10.0, 2.5]))
-def test_road_round_trip(elevation, ds):
-    road = RoadProfile.from_elevation(_nine_digits(elevation), ds)
+@given(elevation=st.lists(finite, min_size=2, max_size=40))
+def test_road_round_trip(elevation):
+    road = RoadProfile.from_elevation(_nine_digits(elevation))
     assert_round_trip(lambda r, p: write_road_csv(r, p, HEADER), read_road_csv, road)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 30).flatmap(lambda n: st.tuples(
-    arrays(np.float64, (3, n + 1), elements=finite), arrays(np.float64, (2, n), elements=anything))))
+    arrays(np.float64, (2, n + 1), elements=finite), arrays(np.float64, (2, n), elements=anything))))
 def test_trajectory_round_trip(columns):
-    (position, v, vavg), (te, fuel) = columns
-    traj = Trajectory(position=position, v=v, vavg=vavg, te=te, fuel_per_m=fuel)
+    (v, vavg), (te, fuel) = columns
+    traj = Trajectory(v=v, vavg=vavg, te=te, fuel_per_m=fuel)
     assert_round_trip(lambda t, p: write_dp_csv(t, p, HEADER), read_dp_csv, traj)
 
 
@@ -78,8 +77,7 @@ def test_trajectory_round_trip(columns):
     st.lists(st.sampled_from(["", "degenerate", "clamped", "failed"]), min_size=n, max_size=n))))
 def test_gamma_series_round_trip(columns):
     (gamma, residuals), flags = columns
-    series = GammaSeries(positions=np.arange(len(gamma)), gamma=gamma, residuals=residuals,
-                         flags=tuple(flags))
+    series = GammaSeries(gamma=gamma, residuals=residuals, flags=tuple(flags))
     assert_round_trip(lambda s, p: write_gamma_csv(s, p, header_lines=HEADER), read_gamma_csv,
                       series)
 
@@ -142,7 +140,7 @@ class TestTableReader:
         via_reader = read_road_csv(path)
         direct = ingest_elevation_csv(path)
         assert np.array_equal(via_reader.elevation, direct.elevation)
-        assert via_reader.ds == direct.ds == 30.0
+        assert np.array_equal(via_reader.grade, direct.grade)
 
 
 class TestKeyValues:

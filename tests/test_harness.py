@@ -19,13 +19,13 @@ from ecocruise.harness import (
 )
 from ecocruise.invopt import GammaSeries
 from ecocruise.qp import QpError
-from ecocruise.road import RoadProfile, gen_sinusoidal
+from ecocruise.road import DS, RoadProfile, gen_sinusoidal
 from ecocruise.vehicle import StepFailure, Trajectory, fuel_per_meter
 
 
 @pytest.fixture(scope="module")
 def flat_road(params):
-    return RoadProfile.from_elevation(np.zeros(101), params.ds)
+    return RoadProfile.from_elevation(np.zeros(101))
 
 
 @pytest.fixture(scope="module")
@@ -33,14 +33,13 @@ def hilly_road():
     return gen_sinusoidal(seed=13, length_m=6000.0)
 
 
-def make_trajectory(speeds, fuel=1e-5, ds=30.0):
+def make_trajectory(speeds, fuel=1e-5):
     speeds = np.asarray(speeds, dtype=float)
     n = len(speeds) - 1
     vavg = [speeds[0]]
     for k in range(n):
-        vavg.append((k + 1) * ds / ((k * ds / vavg[-1] if k else 0.0) + ds / speeds[k]))
+        vavg.append((k + 1) * DS / ((k * DS / vavg[-1] if k else 0.0) + DS / speeds[k]))
     return Trajectory(
-        position=np.arange(n + 1) * ds,
         v=speeds,
         vavg=np.asarray(vavg),
         te=np.full(n, 100.0),
@@ -85,7 +84,7 @@ class TestPiController:
         assert np.max(np.abs(tail - 30.0)) < 0.1
 
     def test_torque_saturates_on_steep_climb(self, params):
-        climb = RoadProfile.from_elevation(np.arange(101) * 30.0 * 0.05, params.ds)
+        climb = RoadProfile.from_elevation(np.arange(101) * DS * 0.05)
         res = run(ControllerSpec(kind="PI", v_ref=30.0, v_i=30.0), climb, params)
         assert np.max(res.trajectory.te) <= params.te_max + 1e-9
         assert np.max(res.trajectory.te) == pytest.approx(params.te_max, abs=1e-6)
@@ -95,9 +94,9 @@ class TestRun:
     def test_sim_result_invariants(self, params, hilly_road):
         res = run(ControllerSpec(kind="PI", v_ref=30.0, v_i=30.0), hilly_road, params)
         traj = res.trajectory
-        elapsed = float(np.sum(params.ds / traj.v[:-1]))
+        elapsed = float(np.sum(DS / traj.v[:-1]))
         assert res.avg_velocity_mps == pytest.approx(
-            traj.position[-1] / elapsed, abs=1e-9
+            hilly_road.length_m / elapsed, abs=1e-9
         )
         assert res.fuel_economy_km_per_kg == pytest.approx(
             res.distance_km / res.total_fuel_kg, rel=1e-12
@@ -146,7 +145,7 @@ class TestRun:
 
     def test_velocity_collapse_reported_with_position(self, params):
         # absurd sustained 5% climb with a crippled engine
-        climb = RoadProfile.from_elevation(np.arange(300) * 30.0 * 0.05, params.ds)
+        climb = RoadProfile.from_elevation(np.arange(300) * DS * 0.05)
         from ecocruise.vehicle import VehicleParams
 
         weak = VehicleParams(te_max=240.0, te_min=-30.0, v_min=1.0, v_max=40.0)
@@ -164,7 +163,6 @@ def _fake_dp(te_seq):
 
     n = len(te_seq)
     traj = Trajectory(
-        position=np.arange(n + 1) * 30.0,
         v=np.full(n + 1, 30.0),
         vavg=np.full(n + 1, 30.0),
         te=np.asarray(te_seq, dtype=float),
@@ -176,7 +174,6 @@ def _fake_dp(te_seq):
 class TestParetoSweep:
     def test_single_gamma_gives_five_rows(self, params, flat_road):
         series = GammaSeries(
-            positions=np.arange(flat_road.n_steps),
             gamma=np.full(flat_road.n_steps, 0.002),
             residuals=np.zeros(flat_road.n_steps),
             flags=("",) * flat_road.n_steps,
@@ -275,7 +272,7 @@ class TestOnePlantLoop:
         res = run(ControllerSpec(kind="DP_REPLAY", v_ref=30.0, v_i=30.0), hilly_road, params,
                   Artifacts(dp_solution=solution))
         ref = replay(params, hilly_road, solution.trajectory.te, 30.0)
-        for name in ("position", "v", "vavg", "te", "fuel_per_m"):
+        for name in ("v", "vavg", "te", "fuel_per_m"):
             assert getattr(res.trajectory, name).tobytes() == getattr(ref, name).tobytes()
             # the DP's own forward pass steps the same plant
             assert getattr(solution.trajectory, name).tobytes() == getattr(ref, name).tobytes()
@@ -283,8 +280,8 @@ class TestOnePlantLoop:
 
 def _series(gamma, flags):
     n = len(gamma)
-    return GammaSeries(positions=np.arange(n), gamma=np.asarray(gamma, dtype=float),
-                       residuals=np.zeros(n), flags=tuple(flags))
+    return GammaSeries(gamma=np.asarray(gamma, dtype=float), residuals=np.zeros(n),
+                       flags=tuple(flags))
 
 
 class TestPretunedWeightHold:
@@ -308,6 +305,18 @@ class TestPretunedWeightHold:
         ref = self._drive(params, hilly_road, _series(filled, [""] * n))
         for name in ("v", "vavg", "te", "fuel_per_m"):
             assert getattr(held, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_series_must_cover_the_road(self, params, hilly_road):
+        # neither held past its end nor cut short: a series is one weight per step
+        n = hilly_road.n_steps
+        for m in (n - 1, n + 1, 0):
+            with pytest.raises(ValueError, match="does not cover this road"):
+                self._drive(params, hilly_road, _series(np.full(m, 0.002), [""] * m))
+        rows = pareto_sweep(hilly_road, params, [0.003],
+                            Artifacts(series=_series(np.full(n - 1, 0.002), [""] * (n - 1))),
+                            v_ref=30.0)
+        pt = next(r for r in rows if r.controller == "PT_MPC")
+        assert pt.error == "stored weight series does not cover this road"
 
     def test_all_flagged_series_drives_on_stored_weights(self, params, hilly_road):
         n = hilly_road.n_steps

@@ -69,7 +69,6 @@ class TestMakeDataset:
         p = road.n_steps
         rng = np.random.default_rng(4)
         return GammaSeries(
-            positions=np.arange(p),
             gamma=rng.uniform(0.0, 0.01, p),
             residuals=np.zeros(p),
             flags=tuple(flags) if flags is not None else ("",) * p,
@@ -93,15 +92,13 @@ class TestMakeDataset:
     def test_flat_road_warns_zero_variance(self, params):
         from ecocruise.road import RoadProfile
 
-        flat = RoadProfile.from_elevation(np.zeros(121), 30.0)
+        flat = RoadProfile.from_elevation(np.zeros(121))
         series = self.make_series(flat)
         with pytest.warns(UserWarning, match="zero variance"):
             make_dataset(flat, series, 30.0)
 
     def test_alignment_mismatch_rejected(self, dataset_road):
-        short = GammaSeries(
-            positions=np.arange(5), gamma=np.zeros(5), residuals=np.zeros(5), flags=("",) * 5
-        )
+        short = GammaSeries(gamma=np.zeros(5), residuals=np.zeros(5), flags=("",) * 5)
         with pytest.raises(ValueError, match="match"):
             make_dataset(dataset_road, short, 30.0)
 
@@ -315,6 +312,14 @@ class TestSerialization:
             window = rng.uniform(-0.05, 0.05, 100)
             assert predict(loaded, window, 30.0) == predict(model, window, 30.0)
         assert "abc123" in path.read_text()
+
+    @pytest.mark.parametrize("text", ["", "# ecocruise mlp v1\ndims 2 3 1\n"],
+                             ids=["empty", "dims_only"])
+    def test_truncated_file_is_bad_input(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="model file ends early"):
+            load_model(path)
 
     def test_values_written_as_shortest_round_trip_text(self, tmp_path):
         special = [0.1, -0.0, 5e-324, 1e-300, 1.7976931348623157e308]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ecocruise.road import (
+    DS,
     RoadProfile,
     gen_sinusoidal,
     ingest_elevation_csv,
@@ -26,8 +27,8 @@ class TestGenerator:
         # for h(s) = A sin(2 pi s / L), the analytic peak slope is 2 pi A / L;
         # the generator derives its grades the same way from its sampled sum
         wavelength = 2000.0
-        s = np.arange(401) * 30.0
-        r = RoadProfile.from_elevation(8.0 * np.sin(2 * np.pi * s / wavelength), 30.0)
+        s = np.arange(401) * DS
+        r = RoadProfile.from_elevation(8.0 * np.sin(2 * np.pi * s / wavelength))
         assert np.max(np.abs(r.grade)) == pytest.approx(2 * np.pi * 8.0 / wavelength, rel=2e-3)
 
     def test_grade_cap_over_many_seeds(self):
@@ -51,7 +52,7 @@ class TestGenerator:
 
     def test_reconstruction_identity(self):
         r = gen_sinusoidal(seed=3, length_m=6000.0)
-        rebuilt = np.cumsum(r.grade) * r.ds + r.elevation[0]
+        rebuilt = np.cumsum(r.grade) * DS + r.elevation[0]
         assert np.allclose(rebuilt, r.elevation[1:], atol=1e-10)
 
 
@@ -150,7 +151,6 @@ class TestRoadCsv:
         path = tmp_path / "road.csv"
         write_road_csv(r, path, header_lines=["test export"])
         back = read_road_csv(path)
-        assert back.ds == r.ds
         assert np.allclose(back.elevation, r.elevation, atol=1e-7)
         assert np.allclose(back.grade, r.grade, atol=1e-8)
 
@@ -159,3 +159,18 @@ class TestRoadCsv:
         path.write_text("index,position_m,elevation_m,grade\n0,0,0,0\n1,30,1,0\n2,90,2,\n")
         with pytest.raises(ValueError, match="uniform"):
             read_road_csv(path)
+
+    def test_export_spaced_20_m_apart_rejected(self, tmp_path):
+        path = tmp_path / "road20.csv"
+        path.write_text("index,position_m,elevation_m,grade\n" + "".join(
+            f"{i},{20 * i},{0.1 * i},\n" for i in range(11)))
+        with pytest.raises(ValueError, match=r"row 3 \(line 3\): .*grid \(step 20 m\)"):
+            read_road_csv(path)
+
+    def test_step_within_tolerance_of_the_grid_is_read(self, tmp_path):
+        path = tmp_path / "road.csv"
+        path.write_text("index,position_m,elevation_m,grade\n" + "".join(
+            f"{i},{(DS + 5e-7) * i!r},{0.3 * i},\n" for i in range(3)))
+        road = read_road_csv(path)
+        assert road.n_steps == 2
+        assert np.allclose(road.grade, 0.01, rtol=1e-12)

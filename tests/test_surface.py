@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ecocruise import invopt, mpc, qp, road
+from ecocruise import invopt, mpc, qp, road, vehicle
 from ecocruise.dp import DpConfig
 from ecocruise.harness import ControllerSpec
 
@@ -41,6 +41,7 @@ ORACLES = {
     (invopt.gamma_series, ["dp_solution", "road", "lin", "params", "n", "v_ref"]),
     (DpConfig.default, ["params", "v_ref", "v_i", "v_span", "dv", "dvavg", "dte", "vavg_band"]),
     (mpc.kkt_residual, ["problem", "solution"]),
+    (vehicle.vavg_update, ["k", "vavg_k", "v_k"]),
 ])
 def test_parameter_lists(fn, params):
     assert list(inspect.signature(fn).parameters) == params
@@ -49,6 +50,18 @@ def test_parameter_lists(fn, params):
 def test_controller_spec_fields():
     assert [f.name for f in dataclasses.fields(ControllerSpec)] == [
         "kind", "v_ref", "v_i", "horizon", "gamma"]
+
+
+# no record stores a spacing or a position: the grid is road.DS, and
+# position k lies k * DS from the start
+@pytest.mark.parametrize("record, fields", [
+    (vehicle.VehicleParams, ["alpha", "lam", "v_min", "v_max", "te_min", "te_max"]),
+    (road.RoadProfile, ["elevation", "grade"]),
+    (vehicle.Trajectory, ["v", "vavg", "te", "fuel_per_m"]),
+    (invopt.GammaSeries, ["gamma", "residuals", "flags"]),
+])
+def test_record_fields(record, fields):
+    assert [f.name for f in dataclasses.fields(record)] == fields
 
 
 def _trees(tops) -> dict[Path, ast.Module]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ecocruise.road import gen_sinusoidal
+from ecocruise.road import DS, gen_sinusoidal
 from ecocruise.vehicle import (
+    DEFAULT_LAMBDA,
     LinearizedModel,
     StepFailure,
     VehicleParams,
@@ -15,7 +16,6 @@ from ecocruise.vehicle import (
     fuel_per_meter,
     fuel_rate_space,
     fuel_rate_time,
-    integrate_fine,
     linearize,
     load_vehicle_config,
     rollout,
@@ -105,7 +105,7 @@ class TestSpaceStep:
 
     def test_downhill_max_torque_accelerates(self, params):
         v_next = space_step(params, 30.0, params.te_max, -0.05)
-        hand = 30.0 + params.ds * accel(params, 30.0, params.te_max, -0.05) / 30.0
+        hand = 30.0 + DS * accel(params, 30.0, params.te_max, -0.05) / 30.0
         assert v_next > 30.0
         assert v_next == pytest.approx(hand, rel=1e-15)
 
@@ -124,30 +124,11 @@ class TestSpaceStep:
         with pytest.raises(StepFailure):
             space_step(tiny, 0.6, tiny.te_min, 0.05)
 
-    def test_truncation_error_halves_with_step(self, params):
-        # one 30 m Euler step vs two 15 m steps, judged against a fine
-        # reference integration of the same flow
-        rng = np.random.default_rng(3)
-        ratios = []
-        for _ in range(100):
-            v = rng.uniform(18.0, 38.0)
-            te = rng.uniform(0.0, 220.0)
-            phi = rng.uniform(-0.05, 0.05)
-            exact = integrate_fine(params, v, te, phi, params.ds)
-            coarse = space_step(params, v, te, phi)
-            half = VehicleParams(ds=params.ds / 2)
-            fine2 = space_step(half, space_step(half, v, te, phi), te, phi)
-            e1 = abs(coarse - exact)
-            e2 = abs(fine2 - exact)
-            if e1 > 1e-10:
-                ratios.append(e1 / e2)
-        assert 1.6 < np.mean(ratios) < 2.6
-
 
 class TestLinearize:
     def test_grade_coefficient_exact(self, params):
         lin = linearize(params, 30.0)
-        assert lin.b2 == pytest.approx(-params.ds * params.alpha[1] / 30.0, rel=1e-15)
+        assert lin.b2 == pytest.approx(-DS * params.alpha[1] / 30.0, rel=1e-15)
 
     def test_jacobians_match_central_differences(self, params):
         for v_ref in (20.0, 30.0, 35.0):
@@ -224,12 +205,11 @@ class TestParams:
     def test_defaults_match_published_coefficients(self, params):
         assert params.alpha == (0.00315, 9.81, 0.05536, 0.00229, 2.8272e-4)
         assert params.lam == (0.5352, -0.03021, 0.00062, 5.503e-5, 0.00079, 0.00131)
-        assert params.ds == 30.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"ds": 0.0},
+            {"lam": DEFAULT_LAMBDA[:5]},
             {"v_min": 0.0},
             {"v_min": 40.0, "v_max": 30.0},
             {"te_min": 250.0},
@@ -242,11 +222,10 @@ class TestParams:
 
     def test_config_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "vehicle.cfg"
-        cfg.write_text("alpha0 = 0.004\nte_max = 260  # uprated engine\nds=15\n")
+        cfg.write_text("alpha0 = 0.004\nte_max = 260  # uprated engine\n")
         loaded = load_vehicle_config(cfg)
         assert loaded.alpha[0] == 0.004
         assert loaded.te_max == 260.0
-        assert loaded.ds == 15.0
         assert loaded.lam == VehicleParams().lam
 
     def test_config_file_unknown_key(self, tmp_path):
@@ -269,7 +248,7 @@ class TestRollout:
         for k in range(road.n_steps):
             v, te = traj.v[k], traj.te[k]
             assert traj.fuel_per_m[k] == fuel_per_meter(params, v, te)
-            assert traj.vavg[k + 1] == vavg_update(k * params.ds, traj.vavg[k], v, params.ds)
+            assert traj.vavg[k + 1] == vavg_update(k, traj.vavg[k], v)
             assert traj.v[k + 1] == space_step(params, v, te, road.grade[k])
 
     def test_start_velocity_checked_before_the_first_step(self, params):
