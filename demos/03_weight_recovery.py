@@ -2,22 +2,17 @@
 
 Two experiments.  First the self-consistency round trip: solve the horizon
 problem with a known weight, hand only the trajectory to the recovery
-machinery, and get the weight back.  Then the production use: cut horizon
-windows out of a global-optimum trajectory and recover a weight per road
-position; these become training labels for the online predictor.
+machinery, and get the weight back.  Then the production use: cut one
+horizon window per road position out of a global-optimum trajectory and
+recover all their weights in one pass over the stack; these become training
+labels for the online predictor.
 """
 
 import numpy as np
 
 from ecocruise import mpc
 from ecocruise.dp import DpConfig, solve as dp_solve
-from ecocruise.invopt import (
-    DeviationWindow,
-    build_kkt,
-    detect_active,
-    gamma_series,
-    recover_gamma,
-)
+from ecocruise.invopt import detect_active, gamma_series, recover_weights
 from ecocruise.road import gen_sinusoidal
 from ecocruise.vehicle import VehicleParams, linearize
 
@@ -31,11 +26,11 @@ for gamma_true in (0.0005, 0.003, 0.009):
     grades = rng.uniform(-0.05, 0.05, 60)
     problem = mpc.build(gamma_true, lin, grades, rng.uniform(-1, 1), params, v_ref=v_ref)
     sol = mpc.solve(problem)
-    window = DeviationWindow(sol.v, sol.te)
-    active = detect_active(window, lin, params)
-    rec = recover_gamma(build_kkt(window, grades, lin, params, active, v_ref=v_ref))
-    print(f"true {gamma_true:.4f} -> recovered {rec.gamma:.6f} "
-          f"(residual {rec.residual:.2e}, active bounds: {len(active)})")
+    # a stack of one window: one row of velocities, one row of torques
+    active = detect_active(sol.v[None], sol.te[None], lin, params)
+    rec = recover_weights(sol.v[None], sol.te[None], lin, params, v_ref)
+    print(f"true {gamma_true:.4f} -> recovered {rec.gamma[0]:.6f} "
+          f"(residual {rec.residuals[0]:.2e}, active bounds: {active.sum()})")
 
 print("\n== per-position weights along a road ==")
 road = gen_sinusoidal(seed=13, length_m=9000.0)

@@ -120,8 +120,12 @@ def _artifact_error(spec: ControllerSpec, road: RoadProfile, artifacts: Artifact
             return "PT_MPC needs a precomputed weight series"
         if len(artifacts.series) != road.n_steps:
             return "stored weight series does not cover this road"
-    if spec.kind == "AT_MPC" and artifacts.model is None:
-        return "AT_MPC needs a trained weight predictor"
+    if spec.kind == "AT_MPC":
+        if artifacts.model is None:
+            return "AT_MPC needs a trained weight predictor"
+        if artifacts.model.layer_dims[0] != PREVIEW_LEN + 1:
+            return (f"weight predictor takes {artifacts.model.layer_dims[0]} inputs; "
+                    f"AT_MPC feeds it {PREVIEW_LEN + 1} (the grade preview and the set point)")
     return ""
 
 

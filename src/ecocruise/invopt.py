@@ -1,31 +1,42 @@
-"""Recover the controller's fuel weight from an observed optimal trajectory.
+"""Recover the controller's fuel weight from observed optimal trajectories.
 
 A trajectory window that is optimal for the horizon problem must satisfy its
-first-order optimality conditions.  Writing those conditions with the fuel
-weight and the constraint multipliers as the only unknowns gives a linear
-system Q y = w with
+first-order optimality conditions.  With the fuel weight ``gamma``, the N+1
+equality multipliers ``p`` and the multipliers ``q`` of the bounds the
+window meets as the only unknowns, stationarity in the window's 2N+1 primal
+variables (velocities, then torques, at zero slack) reads
 
-    y = [ weight | p(0..N) equality multipliers | q_j active-bound multipliers ]
+    a gamma + M p + C q = b
 
-one stationarity row per primal variable (2N+1 rows), so the system is
-overdetermined whenever few bounds are active.  Every entry is read off the
-controller's own program, :func:`ecocruise.mpc.horizon_program`, at zero
-slack: the weight column is its fuel gradient, the multiplier columns its
-equality and bound rows, the right side its negated weight-free gradient.
-Windows cut from the global optimizer do not satisfy the linear horizon
-dynamics exactly, so instead of solving we minimize a row-weighted residual
-with the weight and all bound multipliers constrained nonnegative; the row
-weights decay linearly from the start of the window to its end because only
-the first control of a horizon is ever applied.
+Every entry is read off the controller's own program,
+:func:`ecocruise.mpc.horizon_program`: ``a`` is its fuel gradient at the
+window, ``M`` its equality rows, ``C`` its met bound rows and ``b`` its
+negated weight-free gradient.  Windows cut from the global optimizer do not
+satisfy the linear horizon dynamics exactly, so instead of solving we fit
+the unknowns by row-weighted least squares with ``gamma`` and ``q``
+nonnegative; the row weights decay linearly from the start of the window to
+its end because only the first control of a horizon is ever applied.
+
+``M`` and the row weights are the same for every window of a horizon and
+``p`` is free, so one QR of the weighted ``M`` per model and horizon
+projects ``p`` out (Keshavarz, Wang & Boyd, "Imputing a convex objective
+function", 2011): ``gamma`` and ``q`` fit ``P a`` and ``P C`` to ``P b``,
+with ``P`` the projector onto the complement of the weighted ``M``.  A
+window that meets no bound needs only the clipped ratio
+``max(0, <Pa, Pb> / <Pa, Pa>)``, which a few matrix products give for a
+whole stack of windows; a window that meets bounds solves the small
+sign-constrained fit in ``gamma`` and ``q``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import formats, mpc
+from .blas import serial
 from .formats import num
 from .qp import QpError, solve_qp
 from .road import DS, RoadProfile
@@ -37,58 +48,9 @@ DEGENERACY_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
-class DeviationWindow:
-    """One horizon of states/inputs expressed as deviations from the
-    linearization point: N+1 velocities, N torques."""
-
-    v: np.ndarray
-    te: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.v) != len(self.te) + 1:
-            raise ValueError("window needs one more velocity than torque samples")
-
-    @property
-    def n(self) -> int:
-        return len(self.te)
-
-    @property
-    def z(self) -> np.ndarray:
-        """The window as a point of the controller's program, zero slack."""
-        return np.concatenate([self.v, self.te, np.zeros(self.n)])
-
-
-@dataclass(frozen=True)
-class KktSystem:
-    """Stationarity system Q y = w with row weights and the unknown layout."""
-
-    q_mat: np.ndarray
-    w_vec: np.ndarray
-    r_weights: np.ndarray
-    active_set: tuple[int, ...]
-    n: int
-
-    @property
-    def gamma_col(self) -> int:
-        return 0
-
-    @property
-    def q_cols(self) -> slice:
-        return slice(self.n + 2, self.n + 2 + len(self.active_set))
-
-
-@dataclass(frozen=True)
-class GammaRecovery:
-    gamma: float
-    residual: float
-    degenerate: bool
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
 class GammaSeries:
-    """Per-position recovered fuel weights along a road: entry ``k`` is the
-    weight at step ``k``.
+    """Recovered fuel weights, one per window: along a road (from
+    :func:`gamma_series`) entry ``k`` is the weight at step ``k``.
 
     ``flags`` holds an empty string for clean recoveries and a short reason
     ("degenerate", "clamped", "failed") otherwise; flagged rows are excluded
@@ -103,111 +65,121 @@ class GammaSeries:
         return len(self.gamma)
 
 
-def window_from_absolute(v_abs, te_abs, lin: LinearizedModel) -> DeviationWindow:
-    """Shift absolute velocity/torque samples into deviation coordinates."""
-    return DeviationWindow(
-        v=np.asarray(v_abs, dtype=float) - lin.v_lin,
-        te=np.asarray(te_abs, dtype=float) - lin.te_lin,
-    )
+def _points(v, te) -> np.ndarray:
+    """A stack of windows as points of the controller's program, one per
+    row, at zero slack."""
+    v = np.asarray(v, dtype=float)
+    te = np.asarray(te, dtype=float)
+    if te.ndim != 2 or v.shape != (len(te), te.shape[1] + 1):
+        raise ValueError("need one row of N+1 velocities per row of N torques")
+    return np.hstack([v, te, np.zeros_like(te)])
 
 
-def detect_active(
-    window: DeviationWindow, lin: LinearizedModel, params: VehicleParams
-) -> tuple[int, ...]:
-    """Indices of bounds met within ``ACTIVE_TOL``.
+@lru_cache(maxsize=16)
+def _fit_basis(lin: LinearizedModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Square roots of the row weights, and a basis that maps a stationarity
+    row vector to the coordinates of its weighted image with the weighted
+    multiplier block ``M`` projected out.  One complete QR per model and
+    horizon; every window of the program shares it."""
+    steps = np.arange(n + 1)
+    sqrt_r = np.sqrt(np.concatenate([(n - steps) / n, (n - steps[:n]) / n]))
+    multipliers = sqrt_r[:, None] * mpc.horizon_program(lin, n).a_eq[:, : 2 * n + 1].T
+    complement = np.linalg.qr(multipliers, mode="complete")[0][:, n + 1 :]
+    basis = sqrt_r[:, None] * complement
+    for arr in (sqrt_r, basis):
+        arr.flags.writeable = False
+    return sqrt_r, basis
 
-    Layout over 4N slots: velocity-floor hits on v(1..N) in [0,N), ceiling
-    hits in [N,2N), torque-floor hits in [2N,3N), torque-ceiling in [3N,4N).
-    These are the controller's inequality rows [3N,4N), [2N,3N), [N,2N) and
-    [0,N) at zero slack.  The first velocity carries no bound; it is pinned
-    by the initial condition.
+
+def _min_norm_fit(fit: np.ndarray, rhs: np.ndarray, cutoff: float) -> tuple[np.ndarray, int]:
+    """Minimum-norm least-squares solution of ``fit @ y = rhs`` with the
+    singular values at or below ``cutoff`` counted as zero, and the rank
+    that leaves."""
+    u, svals, vt = np.linalg.svd(fit, full_matrices=False)
+    keep = svals > cutoff
+    return vt[keep].T @ (u[:, keep].T @ rhs / svals[keep]), int(keep.sum())
+
+
+def detect_active(v, te, lin: LinearizedModel, params: VehicleParams) -> np.ndarray:
+    """Which bounds each window of a stack meets within ``ACTIVE_TOL``.
+
+    ``v`` holds one row of N+1 velocity deviations per window and ``te`` one
+    row of N torque deviations.  The (windows, 4N) mask covers the
+    controller's inequality rows [0, 4N) at zero slack: torque ceiling and
+    floor on te(0..N-1), then velocity ceiling and floor on v(1..N).  The
+    first velocity carries no bound; it is pinned by the initial condition.
     """
-    n = window.n
+    z = _points(v, te)
+    n = z.shape[1] // 3
     program = mpc.horizon_program(lin, n)
     rhs = program.in_rhs(mpc.deviation_bounds(lin, params))[: 4 * n]
-    slack = (rhs - program.a_in[: 4 * n] @ window.z).reshape(4, n)[::-1]
-    return tuple(np.flatnonzero(slack.ravel() <= ACTIVE_TOL).tolist())
+    return rhs - z @ program.a_in[: 4 * n].T <= ACTIVE_TOL
 
 
-def build_kkt(
-    window: DeviationWindow,
-    grade_window,
-    lin: LinearizedModel,
-    params: VehicleParams,
-    active_set: tuple[int, ...] = (),
-    v_ref: float | None = None,
-) -> KktSystem:
-    """Assemble the stationarity system at an observed window.
+@serial
+def recover_weights(v, te, lin: LinearizedModel, params: VehicleParams,
+                    v_ref: float | None) -> GammaSeries:
+    """Fit the fuel weight of every window of a stack (layout as in
+    :func:`detect_active`); each window's fit depends on that window alone.
 
-    Row r is the derivative of the Lagrangian with respect to primal variable
-    r (velocities first, then torques) of the controller's program at zero
-    slack.  Column 0 carries the fuel-term gradient (multiplied by the
-    unknown weight), the next N+1 columns the initial-condition and dynamics
-    rows, then one column per active bound.  The known right side is the
-    negated weight-free gradient: tracking plus the torque-slew tie-break.
+    The weights are nonnegative but not capped.  A window is flagged
+    "degenerate" when its projected weight and bound columns are
+    rank-deficient: a singular value is at most ``DEGENERACY_RCOND`` times
+    the norm of the weighted unprojected columns, e.g. when every torque of
+    the window sits on a bound.  Its fit is not unique, so it is the
+    minimum-norm least-squares fit, with those singular values counted as
+    zero and the sign-constrained entries clipped at 0.  A window whose
+    sign-constrained fit does not converge is flagged "failed", with weight
+    0 and an infinite residual.  ``residuals`` are the weighted
+    stationarity residuals.
     """
-    n = window.n
-    if len(grade_window) != n:
-        raise ValueError(f"grade window length {len(grade_window)} != horizon {n}")
-    bad = [j for j in active_set if not 0 <= j < 4 * n]
-    if bad:
-        raise ValueError(f"active index {bad[0]} outside 4N layout")
+    active = detect_active(v, te, lin, params)
+    n = active.shape[1] // 4
     program = mpc.horizon_program(lin, n)
-    n_x = 2 * n + 1
-    z = window.z
+    sqrt_r, basis = _fit_basis(lin, n)
     r_bar = 0.0 if v_ref is None else float(v_ref - lin.v_lin)
-    rows = [(3 - j // n) * n + j % n for j in active_set]  # slot -> row, see detect_active
+    # each window a one-row matrix: no product mixes windows, so a window's
+    # numbers are the same bits in any stack
+    z = _points(v, te)[:, None, :]
+    a = program.fuel_gradient(z)[..., : 2 * n + 1]
+    pa = (a @ basis)[:, 0]
+    pb = (-program.rest_gradient(z, r_bar)[..., : 2 * n + 1] @ basis)[:, 0]
+    a = a[:, 0]
 
-    q = np.empty((n_x, n + 2 + len(rows)))
-    q[:, 0] = program.fuel_gradient(z)[:n_x]
-    q[:, 1 : n + 2] = program.a_eq[:, :n_x].T
-    q[:, 1] *= -1.0
-    q[:, n + 2 :] = program.a_in[rows, :n_x].T
-    w = -program.rest_gradient(z, r_bar)[:n_x]
+    # no bound met: one sign-constrained unknown, the clipped ratio
+    paa = np.einsum("ij,ij->i", pa, pa)
+    degenerate = np.sqrt(paa) <= DEGENERACY_RCOND * np.linalg.norm(sqrt_r * a, axis=1)
+    ratio = np.divide(np.einsum("ij,ij->i", pa, pb), paa, out=np.zeros_like(paa),
+                      where=~degenerate)
+    gamma = np.maximum(ratio, 0.0)
+    residuals = np.linalg.norm(pb - gamma[:, None] * pa, axis=1)
+    failed = np.zeros(len(a), dtype=bool)
 
-    # near-term rows weigh most: linear decay from 1 at the window start
-    steps = np.arange(n + 1)
-    r_weights = np.concatenate([(n - steps) / n, (n - steps[:n]) / n])
-    return KktSystem(q_mat=q, w_vec=w, r_weights=r_weights, active_set=tuple(active_set), n=n)
+    bound_rows = program.a_in[: 4 * n, : 2 * n + 1]
+    for i in np.flatnonzero(active.any(axis=1)):
+        columns = np.vstack([a[i], bound_rows[active[i]]])  # gamma, then q
+        fit = (columns @ basis).T
+        cutoff = DEGENERACY_RCOND * np.linalg.norm(sqrt_r * columns)
+        y, rank = _min_norm_fit(fit, pb[i], cutoff)
+        degenerate[i] = rank < len(y)
+        if not degenerate[i]:
+            try:
+                working = solve_qp(2.0 * fit.T @ fit, -2.0 * fit.T @ pb[i], None, None,
+                                   -np.eye(len(y)), np.zeros(len(y)), np.zeros(len(y))).working
+            except QpError:
+                failed[i] = True
+                gamma[i], residuals[i] = 0.0, np.inf
+                continue
+            # the QP's normal equations square the fit's condition number:
+            # keep its support and refit the entries off their bound
+            free = np.delete(np.arange(len(y)), working)
+            y = np.zeros(len(y))
+            y[free] = _min_norm_fit(fit[:, free], pb[i], cutoff)[0]
+        y = np.maximum(y, 0.0)
+        gamma[i], residuals[i] = y[0], np.linalg.norm(fit @ y - pb[i])
 
-
-def recover_gamma(kkt: KktSystem) -> GammaRecovery:
-    """Weighted least-squares fit of the unknowns with sign constraints.
-
-    The weight and every active-bound multiplier are projected onto the
-    nonnegative orthant exactly (active-set QP), not truncated afterwards.
-    When the weighted system is rank-deficient (smallest singular value at
-    most ``DEGENERACY_RCOND`` times the largest, e.g. every torque of the
-    window on a bound) its fit is not unique and the active-set method can
-    cycle, so the QP is skipped: ``y`` is then the minimum-norm
-    least-squares solution with its sign-constrained entries clipped at 0,
-    ``degenerate`` is set, and ``residual`` is the weighted residual of that
-    clipped ``y``.
-    """
-    sqrt_r = np.sqrt(kkt.r_weights)
-    a_mat = sqrt_r[:, None] * kkt.q_mat
-    b_vec = sqrt_r * kkt.w_vec
-    svals = np.linalg.svd(a_mat, compute_uv=False)
-    degenerate = bool(svals[-1] <= DEGENERACY_RCOND * svals[0]) if len(svals) else True
-
-    nonneg = [kkt.gamma_col] + list(range(kkt.q_cols.start, kkt.q_cols.stop))
-    if degenerate:
-        y = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
-    else:
-        n_cols = a_mat.shape[1]
-        h = 2.0 * a_mat.T @ a_mat
-        c = -2.0 * a_mat.T @ b_vec
-        a_in = np.zeros((len(nonneg), n_cols))
-        for row, idx in enumerate(nonneg):
-            a_in[row, idx] = -1.0
-        b_in = np.zeros(len(nonneg))
-        y = solve_qp(h, c, None, None, a_in, b_in, np.zeros(n_cols)).x.copy()
-        # bound-active entries come back with numerical dust; project exactly
-        if np.min(y[nonneg], initial=0.0) < -1e-9:
-            raise QpError("sign-constrained entries escaped their bound")
-    y[nonneg] = np.maximum(y[nonneg], 0.0)
-    residual = float(np.linalg.norm(a_mat @ y - b_vec))
-    return GammaRecovery(gamma=float(y[0]), residual=residual, degenerate=degenerate, y=y)
+    flags = tuple("failed" if f else "degenerate" if d else "" for f, d in zip(failed, degenerate))
+    return GammaSeries(gamma=gamma, residuals=residuals, flags=flags)
 
 
 def gamma_series(
@@ -218,7 +190,8 @@ def gamma_series(
     n: int,
     v_ref: float | None = None,
 ) -> GammaSeries:
-    """Recover one fuel weight per road position from a global-optimum run.
+    """Recover one fuel weight per road position from a global-optimum run,
+    capped at ``GAMMA_CAP`` (flagged "clamped" where the cap bites).
 
     Windows that run past the end of the road are continued as steady flat
     cruising at the final speed, matching the zero-grade padding previews use.
@@ -229,35 +202,15 @@ def gamma_series(
         raise ValueError("trajectory does not cover the road")
 
     pad_v = float(traj.v[-1])
-    pad_te = equilibrium_torque(params, pad_v)
-    v_ext = np.concatenate([traj.v, np.full(n, pad_v)])
-    te_ext = np.concatenate([traj.te, np.full(n, pad_te)])
-    grade_ext = np.concatenate([road.grade, np.zeros(n)])
-
-    gammas = np.zeros(p_steps)
-    residuals = np.zeros(p_steps)
-    flags: list[str] = []
-    for k in range(p_steps):
-        window = window_from_absolute(v_ext[k : k + n + 1], te_ext[k : k + n], lin)
-        grades = grade_ext[k : k + n]
-        flag = ""
-        try:
-            active = detect_active(window, lin, params)
-            rec = recover_gamma(build_kkt(window, grades, lin, params, active, v_ref))
-            gamma = rec.gamma
-            residuals[k] = rec.residual
-            if rec.degenerate:
-                flag = "degenerate"
-            if gamma > GAMMA_CAP or gamma < 0.0:
-                gamma = min(max(gamma, 0.0), GAMMA_CAP)
-                flag = flag or "clamped"
-        except QpError:
-            gamma = 0.0
-            residuals[k] = np.inf
-            flag = "failed"
-        gammas[k] = gamma
-        flags.append(flag)
-    return GammaSeries(gamma=gammas, residuals=residuals, flags=tuple(flags))
+    v_ext = np.concatenate([traj.v, np.full(n, pad_v)]) - lin.v_lin
+    te_ext = np.concatenate([traj.te, np.full(n, equilibrium_torque(params, pad_v))]) - lin.te_lin
+    windows = np.lib.stride_tricks.sliding_window_view
+    fits = recover_weights(windows(v_ext, n + 1)[:p_steps], windows(te_ext, n)[:p_steps],
+                           lin, params, v_ref)
+    flags = tuple(flag or ("clamped" if g > GAMMA_CAP else "")
+                  for flag, g in zip(fits.flags, fits.gamma))
+    return GammaSeries(gamma=np.minimum(fits.gamma, GAMMA_CAP), residuals=fits.residuals,
+                       flags=flags)
 
 
 def write_gamma_csv(series: GammaSeries, path, header_lines: list[str] | None = None) -> None:

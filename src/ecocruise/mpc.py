@@ -90,12 +90,14 @@ class HorizonProgram:
     a_in_y: np.ndarray   # (5N, 2N)
 
     def fuel_gradient(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of the fuel term ||fuel0 + F z||^2 per unit weight."""
-        return 2.0 * self.fuel.T @ (self.fuel0 + self.fuel @ z)
+        """Gradient of the fuel term ||fuel0 + F z||^2 per unit weight, at a
+        point or at each row of a stack of points."""
+        return 2.0 * (self.fuel0 + z @ self.fuel.T) @ self.fuel
 
     def rest_gradient(self, z: np.ndarray, v_ref_dev: float) -> np.ndarray:
-        """Gradient of the tracking, slew and slack terms."""
-        return self.h_rest @ z - 2.0 * v_ref_dev * self.track
+        """Gradient of the tracking, slew and slack terms, at a point or at
+        each row of a stack of points (the Hessian is symmetric)."""
+        return z @ self.h_rest - 2.0 * v_ref_dev * self.track
 
     def in_rhs(self, bounds: tuple[float, float, float, float]) -> np.ndarray:
         """Right-hand side of the inequality rows for ``deviation_bounds``."""

@@ -18,7 +18,7 @@ from conftest import EXACT_TINY_SEEDS, enumerate_optimum, make_tiny_instance
 from ecocruise import invopt, mpc, net
 from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.harness import Artifacts, ControllerSpec, SweepRow, pareto_sweep, run
-from ecocruise.invopt import DeviationWindow, build_kkt, detect_active, recover_gamma
+from ecocruise.invopt import detect_active, recover_weights
 from ecocruise.net import TrainConfig, evaluate, make_dataset, train
 from ecocruise.road import DS, gen_sinusoidal
 from ecocruise.vehicle import accel, integrate_fine, linearize, space_step
@@ -102,12 +102,11 @@ class TestCriterion1WeightRecovery:
             v_init = float(rng.uniform(-1.0, 1.0))
             problem = mpc.build(gamma_true, lin, grades, v_init, params, v_ref=V_REF)
             sol = mpc.solve(problem)
-            window = DeviationWindow(sol.v, sol.te)
-            active = detect_active(window, lin, params)
-            assert active == (), f"trial {trial} not interior"
+            active = detect_active(sol.v[None], sol.te[None], lin, params)
+            assert not active.any(), f"trial {trial} not interior"
             assert np.max(sol.slack) == 0.0
-            rec = recover_gamma(build_kkt(window, grades, lin, params, (), v_ref=V_REF))
-            rel = abs(rec.gamma - gamma_true) / gamma_true
+            rec = recover_weights(sol.v[None], sol.te[None], lin, params, V_REF)
+            rel = abs(rec.gamma[0] - gamma_true) / gamma_true
             worst = max(worst, rel)
             assert rel <= 0.01, f"trial {trial}: {rel:.3%} off"
         elapsed = time.perf_counter() - start

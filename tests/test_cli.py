@@ -345,6 +345,20 @@ class TestStageErrors:
                      "--model", str(model)]) == EXIT_VALIDATION
         assert "model file ends early" in capsys.readouterr().err
 
+    def test_predictor_of_another_input_width_is_validation_error(self, tmp_path, road_file,
+                                                                  capsys):
+        from ecocruise.net import MinMaxScaler, MlpModel, save_model
+
+        model = tmp_path / "model.txt"
+        save_model(MlpModel(layer_dims=(51, 1), weights=[np.zeros((51, 1))],
+                            biases=[np.zeros(1)],
+                            input_scaler=MinMaxScaler(np.zeros(51), np.ones(51), "train"),
+                            target_scaler=MinMaxScaler(np.zeros(1), np.ones(1), "train")), model)
+        assert main(["simulate", "--road", str(road_file), "--controller", "at",
+                     "--model", str(model)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "takes 51 inputs" in err and "101" in err
+
 
 class TestReportCache:
     SWEEP = (

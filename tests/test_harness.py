@@ -198,6 +198,20 @@ class TestParetoSweep:
         fixed = next(r for r in rows if r.controller == "FIXED_LMPC")
         assert not fixed.error
 
+    def test_predictor_of_another_input_width_fails_only_its_row(self, params, flat_road):
+        series = GammaSeries(gamma=np.full(flat_road.n_steps, 0.002),
+                             residuals=np.zeros(flat_road.n_steps),
+                             flags=("",) * flat_road.n_steps)
+        solution = dp_solve(params, flat_road, DpConfig.default(params, 30.0, v_span=4.0))
+        model = _constant_model(0.002, inputs=51)
+        rows = pareto_sweep(flat_road, params, [0.003],
+                            Artifacts(series=series, dp_solution=solution, model=model),
+                            v_ref=30.0)
+        at_row = next(r for r in rows if r.controller == "AT_MPC")
+        assert "takes 51 inputs" in at_row.error and "101" in at_row.error
+        assert np.isnan(at_row.fuel_economy_km_per_kg)
+        assert all(not r.error for r in rows if r.controller != "AT_MPC")
+
     def test_controller_bug_propagates(self, params, flat_road, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("bug in the controller")
@@ -236,17 +250,19 @@ class TestParetoSweep:
         assert back[2].error == "boom"
 
 
-def _constant_model(value: float):
+def _constant_model(value: float, inputs: int = 101):
     from ecocruise.net import LAYER_DIMS, MinMaxScaler, MlpModel
 
-    weights = [np.zeros((LAYER_DIMS[i], LAYER_DIMS[i + 1])) for i in range(len(LAYER_DIMS) - 1)]
-    biases = [np.zeros(LAYER_DIMS[i + 1]) for i in range(len(LAYER_DIMS) - 1)]
+    dims = (inputs, *LAYER_DIMS[1:])
+    weights = [np.zeros((dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
+    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
     biases[-1][:] = 1.0
     return MlpModel(
-        layer_dims=LAYER_DIMS,
+        layer_dims=dims,
         weights=weights,
         biases=biases,
-        input_scaler=MinMaxScaler(mins=np.zeros(101), ranges=np.ones(101), fitted_on="train"),
+        input_scaler=MinMaxScaler(mins=np.zeros(inputs), ranges=np.ones(inputs),
+                                  fitted_on="train"),
         target_scaler=MinMaxScaler(
             mins=np.array([0.0]), ranges=np.array([value]), fitted_on="train"
         ),

@@ -10,15 +10,10 @@ from ecocruise import invopt, mpc
 from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.invopt import (
     ACTIVE_TOL,
-    DeviationWindow,
-    GammaSeries,
-    KktSystem,
-    build_kkt,
     detect_active,
     gamma_series,
     read_gamma_csv,
-    recover_gamma,
-    window_from_absolute,
+    recover_weights,
     write_gamma_csv,
 )
 from ecocruise.qp import solve_qp
@@ -39,161 +34,184 @@ def solved_window(params, lin, gamma, seed=0, v_init=0.2, n=60):
     return problem, solution, grades
 
 
+def recover_one(v, te, lin, params, v_ref=30.0):
+    """Weight, residual and flag of one window, as a one-window stack."""
+    fit = recover_weights(np.asarray(v)[None], np.asarray(te)[None], lin, params, v_ref)
+    return fit.gamma[0], fit.residuals[0], fit.flags[0]
+
+
+def stationarity_system(v, te, lin, params, v_ref=30.0):
+    """The unprojected system of one window, built without invopt's
+    projection: ``q @ [gamma | p(0..N) | q_active] = b`` over the window's
+    velocity and torque rows, with the square roots of the linearly
+    decaying row weights.  The oracle the fits are checked against."""
+    n = len(te)
+    program = mpc.horizon_program(lin, n)
+    z = np.concatenate([v, te, np.zeros(n)])
+    active = detect_active(np.asarray(v)[None], np.asarray(te)[None], lin, params)[0]
+    rows = slice(0, 2 * n + 1)
+    q = np.hstack([program.fuel_gradient(z)[rows, None], program.a_eq[:, rows].T,
+                   program.a_in[: 4 * n][active, rows].T])
+    b = -program.rest_gradient(z, v_ref - lin.v_lin)[rows]
+    steps = np.arange(n + 1)
+    sqrt_r = np.sqrt(np.concatenate([(n - steps) / n, (n - steps[:n]) / n]))
+    return q, b, sqrt_r, int(active.sum())
+
+
+def oracle_fit(v, te, lin, params, v_ref=30.0):
+    """Weighted least squares over every unknown of the unprojected system,
+    the weight and the bound multipliers nonnegative, by the general QP."""
+    q, b, sqrt_r, n_active = stationarity_system(v, te, lin, params, v_ref)
+    a, rhs = sqrt_r[:, None] * q, sqrt_r * b
+    n_cols = a.shape[1]
+    nonneg = [0, *range(n_cols - n_active, n_cols)]
+    y = solve_qp(2.0 * a.T @ a, -2.0 * a.T @ rhs, None, None, -np.eye(n_cols)[nonneg],
+                 np.zeros(len(nonneg)), np.zeros(n_cols)).x
+    y[nonneg] = np.maximum(y[nonneg], 0.0)
+    return y, a, rhs
+
+
+def capped_bound_window():
+    """A plan whose torque rides the 150 N·m ceiling on a steep climb."""
+    capped = VehicleParams(te_max=150.0)
+    lin_c = linearize(capped, 30.0)
+    grades = np.concatenate([np.full(20, 0.045), np.zeros(40)])
+    sol = mpc.solve(mpc.build(0.002, lin_c, grades, 0.0, capped, v_ref=30.0))
+    return capped, lin_c, sol
+
+
 class TestDetectActive:
     def test_interior_window_is_empty(self, params, lin):
         _, sol, _ = solved_window(params, lin, 0.003)
-        window = DeviationWindow(sol.v, sol.te)
-        assert detect_active(window, lin, params) == ()
+        assert not detect_active(sol.v[None], sol.te[None], lin, params).any()
 
-    def test_torque_ceiling_lands_in_last_block(self, params, lin):
+    def test_torque_ceiling_lands_in_first_block(self, params, lin):
         n = 10
         te = np.zeros(n)
         te[4] = params.te_max - lin.te_lin  # exactly at the upper bound
-        window = DeviationWindow(np.zeros(n + 1), te)
-        active = detect_active(window, lin, params)
-        assert active == (3 * n + 4,)
+        active = detect_active(np.zeros((1, n + 1)), te[None], lin, params)
+        assert np.flatnonzero(active).tolist() == [4]
 
-    def test_velocity_floor_lands_in_first_block(self, params, lin):
+    def test_velocity_floor_lands_in_last_block(self, params, lin):
         n = 8
         v = np.zeros(n + 1)
         v[3] = params.v_min - lin.v_lin
-        window = DeviationWindow(v, np.zeros(n))
-        assert detect_active(window, lin, params) == (2,)  # bound on v(1..N) slot j=2
+        active = detect_active(v[None], np.zeros((1, n)), lin, params)
+        assert np.flatnonzero(active).tolist() == [3 * n + 2]  # bound on v(1..N), j=2
 
     def test_tolerance_controls_grazing_detection(self, params, lin):
         n = 6
-        for gap, active in ((0.1 * ACTIVE_TOL, (3 * n,)), (10 * ACTIVE_TOL, ())):
+        for gap, active in ((0.1 * ACTIVE_TOL, [0]), (10 * ACTIVE_TOL, [])):
             te = np.zeros(n)
             te[0] = params.te_max - lin.te_lin - gap  # grazes the ceiling within ACTIVE_TOL or not
-            window = DeviationWindow(np.zeros(n + 1), te)
-            assert detect_active(window, lin, params) == active
+            mask = detect_active(np.zeros((1, n + 1)), te[None], lin, params)
+            assert np.flatnonzero(mask).tolist() == active
 
 
 class TestBuildKkt:
     def test_forward_solve_multipliers_satisfy_system(self, params, lin):
         gamma = 0.004
-        problem, sol, grades = solved_window(params, lin, gamma, seed=5, v_init=0.3)
+        problem, _, _ = solved_window(params, lin, gamma, seed=5, v_init=0.3)
         res = solve_qp(
             problem.h_mat, problem.c_vec, problem.a_eq, problem.b_eq,
             problem.a_in, problem.b_in, mpc._feasible_start(problem),
         )
         v, te, _ = problem.split(res.x)
-        kkt = build_kkt(DeviationWindow(v, te), grades, lin, params, (), v_ref=30.0)
-        lam = res.eq_mult
-        y = np.concatenate([[gamma], [-lam[0]], lam[1:]])
-        assert np.linalg.norm(kkt.q_mat @ y - kkt.w_vec) <= 1e-8
+        q, b, _, n_active = stationarity_system(v, te, lin, params)
+        assert n_active == 0
+        y = np.concatenate([[gamma], res.eq_mult])
+        assert np.linalg.norm(q @ y - b) <= 1e-8
+        weight, residual, flag = recover_one(v, te, lin, params)
+        assert weight == pytest.approx(gamma, rel=1e-8)
+        assert residual <= 1e-8
+        assert flag == ""
 
-    def test_zero_window_zero_grades_torque_rows_vanish(self, params, lin):
-        n = 12
-        kkt = build_kkt(
-            DeviationWindow(np.zeros(n + 1), np.zeros(n)), np.zeros(n), lin, params, ()
-        )
-        assert np.all(kkt.w_vec[n + 1 :] == 0.0)
-
-    def test_column_count_tracks_active_set(self, params, lin):
-        n = 12
-        window = DeviationWindow(np.zeros(n + 1), np.zeros(n))
-        base = build_kkt(window, np.zeros(n), lin, params, ())
-        grown = build_kkt(window, np.zeros(n), lin, params, (0, 3 * n + 2))
-        assert base.q_mat.shape == (2 * n + 1, 1 + n + 1)
-        assert grown.q_mat.shape[1] == base.q_mat.shape[1] + 2
-
-    def test_row_weights_decay_linearly_from_one(self, params, lin):
+    def test_row_weights_decay_linearly_from_one(self, lin):
         n = 10
-        kkt = build_kkt(DeviationWindow(np.zeros(n + 1), np.zeros(n)), np.zeros(n), lin, params, ())
-        assert kkt.r_weights[0] == 1.0
-        assert kkt.r_weights[n] == 0.0  # last velocity row
-        assert kkt.r_weights[n + 1] == 1.0  # first torque row
-        v_rows = kkt.r_weights[: n + 1]
+        r_weights = invopt._fit_basis(lin, n)[0] ** 2
+        assert r_weights[0] == 1.0
+        assert r_weights[n] == 0.0  # last velocity row
+        assert r_weights[n + 1] == 1.0  # first torque row
+        v_rows = r_weights[: n + 1]
         assert np.allclose(np.diff(v_rows), -1.0 / n)
-
-    def test_grade_window_length_checked(self, params, lin):
-        with pytest.raises(ValueError):
-            build_kkt(DeviationWindow(np.zeros(11), np.zeros(10)), np.zeros(9), lin, params, ())
 
 
 class TestRecoverGamma:
     def test_round_trip_interior(self, params, lin):
         for gamma in (1e-4, 0.003, 0.01):
-            _, sol, grades = solved_window(params, lin, gamma, seed=3)
-            window = DeviationWindow(sol.v, sol.te)
-            rec = recover_gamma(build_kkt(window, grades, lin, params, (), v_ref=30.0))
-            assert rec.gamma == pytest.approx(gamma, rel=1e-6)
-            assert not rec.degenerate
+            _, sol, _ = solved_window(params, lin, gamma, seed=3)
+            weight, _, flag = recover_one(sol.v, sol.te, lin, params)
+            assert weight == pytest.approx(gamma, rel=1e-6)
+            assert flag == ""
 
-    def test_round_trip_with_active_torque_bound(self, lin):
-        capped = VehicleParams(te_max=150.0)
-        lin_c = linearize(capped, 30.0)
-        grades = np.concatenate([np.full(20, 0.045), np.zeros(40)])
-        problem = mpc.build(0.002, lin_c, grades, 0.0, capped, v_ref=30.0)
-        sol = mpc.solve(problem)
+    def test_round_trip_with_active_torque_bound(self):
+        capped, lin_c, sol = capped_bound_window()
         assert np.max(sol.te) == pytest.approx(capped.te_max - lin_c.te_lin, abs=1e-8)
-        window = DeviationWindow(sol.v, sol.te)
-        active = detect_active(window, lin_c, capped)
-        assert len(active) > 0
-        rec = recover_gamma(build_kkt(window, grades, lin_c, capped, active, v_ref=30.0))
-        assert rec.gamma == pytest.approx(0.002, rel=1e-4)
-        assert np.all(rec.y[len(rec.y) - len(active):] >= 0.0)
+        assert detect_active(sol.v[None], sol.te[None], lin_c, capped).any()
+        weight, _, flag = recover_one(sol.v, sol.te, lin_c, capped)
+        assert weight == pytest.approx(0.002, rel=1e-4)
+        assert flag == ""
 
     def test_interior_matches_normal_equations_oracle(self, params, lin):
-        _, sol, grades = solved_window(params, lin, 0.005, seed=9)
-        kkt = build_kkt(DeviationWindow(sol.v, sol.te), grades, lin, params, (), v_ref=30.0)
-        rec = recover_gamma(kkt)
-        a = np.sqrt(kkt.r_weights)[:, None] * kkt.q_mat
-        b = np.sqrt(kkt.r_weights) * kkt.w_vec
-        y_ls = np.linalg.solve(a.T @ a, a.T @ b)
+        _, sol, _ = solved_window(params, lin, 0.005, seed=9)
+        q, b, sqrt_r, n_active = stationarity_system(sol.v, sol.te, lin, params)
+        assert n_active == 0
+        a = sqrt_r[:, None] * q
+        y_ls = np.linalg.solve(a.T @ a, a.T @ (sqrt_r * b))
         assert y_ls[0] >= 0  # interior instance: sign constraint inactive
-        assert rec.gamma == pytest.approx(y_ls[0], abs=1e-8)
+        assert recover_one(sol.v, sol.te, lin, params)[0] == pytest.approx(y_ls[0], abs=1e-8)
 
-    def test_weight_scaling_leaves_argmin_unchanged(self, params, lin):
-        _, sol, grades = solved_window(params, lin, 0.002, seed=11)
-        kkt = build_kkt(DeviationWindow(sol.v, sol.te), grades, lin, params, (), v_ref=30.0)
-        scaled = KktSystem(
-            q_mat=kkt.q_mat, w_vec=kkt.w_vec, r_weights=5.0 * kkt.r_weights,
-            active_set=kkt.active_set, n=kkt.n,
-        )
-        assert recover_gamma(scaled).gamma == pytest.approx(recover_gamma(kkt).gamma, rel=1e-9)
+    def test_bound_windows_match_sign_constrained_oracle(self, params, lin):
+        """Windows meeting bounds, inexact ones included: the projected fit
+        and the general QP over every unknown agree on the weight and the
+        residual."""
+        capped, lin_c, sol = capped_bound_window()
+        cases = [(capped, lin_c, sol.v, sol.te)]
+        for seed, lo, hi in ((5, 0, 15), (7, 30, 45), (11, 50, 60)):
+            _, sol, _ = solved_window(params, lin, 0.003, seed=seed)
+            te = sol.te.copy()
+            te[lo:hi] += 2.0  # off the plan: the system is no longer consistent
+            te[lo] = params.te_max - lin.te_lin  # and one torque on its ceiling
+            cases.append((params, lin, sol.v, te))
+        for case_params, case_lin, v, te in cases:
+            assert detect_active(v[None], te[None], case_lin, case_params).any()
+            y, a, rhs = oracle_fit(v, te, case_lin, case_params)
+            weight, residual, flag = recover_one(v, te, case_lin, case_params)
+            assert flag == ""
+            assert weight == pytest.approx(y[0], abs=1e-9)
+            assert residual == pytest.approx(np.linalg.norm(a @ y - rhs), rel=1e-6, abs=1e-9)
 
     def test_feasible_perturbations_increase_residual(self, params, lin):
-        _, sol, grades = solved_window(params, lin, 0.003, seed=13)
-        kkt = build_kkt(DeviationWindow(sol.v, sol.te), grades, lin, params, (), v_ref=30.0)
-        rec = recover_gamma(kkt)
-        a = np.sqrt(kkt.r_weights)[:, None] * kkt.q_mat
-        b = np.sqrt(kkt.r_weights) * kkt.w_vec
+        _, sol, _ = solved_window(params, lin, 0.003, seed=13)
+        te = sol.te + 0.5  # inexact, so the minimum residual is positive
+        _, residual, _ = recover_one(sol.v, te, lin, params)
+        y_opt, a, rhs = oracle_fit(sol.v, te, lin, params)
+        assert residual > 0.0
         rng = np.random.default_rng(0)
         for _ in range(30):
-            step = rng.normal(scale=1e-3, size=len(rec.y))
-            y = rec.y + step
-            if y[0] < 0:
-                y[0] = 0.0
-            assert np.linalg.norm(a @ y - b) >= rec.residual - 1e-12
+            y = y_opt + rng.normal(scale=1e-3, size=len(y_opt))
+            y[0] = max(y[0], 0.0)
+            assert np.linalg.norm(a @ y - rhs) >= residual - 1e-12
 
     def test_early_window_errors_move_gamma_more(self, params, lin):
-        _, sol, grades = solved_window(params, lin, 0.003, seed=5)
-        base = recover_gamma(
-            build_kkt(DeviationWindow(sol.v, sol.te), grades, lin, params, (), v_ref=30.0)
-        ).gamma
+        _, sol, _ = solved_window(params, lin, 0.003, seed=5)
+        base = recover_one(sol.v, sol.te, lin, params)[0]
 
         def perturbed(lo, hi):
             te = sol.te.copy()
             te[lo:hi] += 2.0
-            window = DeviationWindow(sol.v, te)
-            active = detect_active(window, lin, params)
-            return recover_gamma(build_kkt(window, grades, lin, params, active, v_ref=30.0)).gamma
+            return recover_one(sol.v, te, lin, params)[0]
 
         early = abs(perturbed(0, 15) - base)
         late = abs(perturbed(45, 60) - base)
         assert early > late
 
     def test_rank_deficient_system_flagged(self, params, lin):
-        n = 4
-        kkt = build_kkt(DeviationWindow(np.zeros(n + 1), np.zeros(n)), np.zeros(n), lin, params, ())
-        # duplicate the weight column to force rank deficiency
-        q = kkt.q_mat.copy()
-        q = np.hstack([q, q[:, :1]])
-        broken = KktSystem(q_mat=q, w_vec=kkt.w_vec, r_weights=kkt.r_weights,
-                           active_set=(0,), n=n)
-        assert recover_gamma(broken).degenerate
+        # a one-step horizon: the two multipliers absorb both weighted rows,
+        # so the weight column projects to zero and the weight is unidentifiable
+        weight, residual, flag = recover_one(np.array([0.3, 0.1]), np.array([2.0]), lin, params)
+        assert flag == "degenerate"
+        assert weight == 0.0 and residual == 0.0
 
     def test_every_torque_on_a_bound_returns_the_clipped_minimum_norm_fit(self):
         capped = VehicleParams(te_max=150.0)
@@ -204,19 +222,20 @@ class TestRecoverGamma:
         v = np.zeros(n + 1)
         for k in range(n):
             v[k + 1] = lin_c.a_coef * v[k] + lin_c.b1 * te[k] + lin_c.b2 * grades[k]
-        window = DeviationWindow(v, te)
-        active = detect_active(window, lin_c, capped)
-        assert len(active) == n
-        kkt = build_kkt(window, grades, lin_c, capped, active, v_ref=30.0)
-        rec = recover_gamma(kkt)
-        a = np.sqrt(kkt.r_weights)[:, None] * kkt.q_mat
-        b = np.sqrt(kkt.r_weights) * kkt.w_vec
-        expected = np.linalg.lstsq(a, b, rcond=None)[0]
-        nonneg = [kkt.gamma_col, *range(kkt.q_cols.start, kkt.q_cols.stop)]
-        expected[nonneg] = np.maximum(expected[nonneg], 0.0)
-        assert rec.degenerate
-        assert rec.y.tobytes() == expected.tobytes()
-        assert rec.residual == float(np.linalg.norm(a @ expected - b))
+        q, b, sqrt_r, n_active = stationarity_system(v, te, lin_c, capped)
+        assert n_active == n
+        # project the free multiplier columns out, then take the minimum-norm
+        # fit, counting singular values below the degeneracy threshold as 0
+        a, rhs = sqrt_r[:, None] * q, sqrt_r * b
+        m = a[:, 1 : n + 2]
+        proj = np.eye(len(a)) - m @ np.linalg.pinv(m)
+        fit = proj @ np.delete(a, np.s_[1 : n + 2], axis=1)
+        expected = np.linalg.lstsq(fit, proj @ rhs, rcond=invopt.DEGENERACY_RCOND)[0]
+        expected = np.maximum(expected, 0.0)
+        weight, residual, flag = recover_one(v, te, lin_c, capped)
+        assert flag == "degenerate"
+        assert weight == pytest.approx(expected[0], rel=1e-9, abs=1e-15)
+        assert residual == pytest.approx(np.linalg.norm(fit @ expected - proj @ rhs), rel=1e-9)
 
 
 class TestRoundTripThroughTheController:
@@ -241,12 +260,45 @@ class TestRoundTripThroughTheController:
         grades = np.random.default_rng(grade_seed).uniform(-steepness, steepness, n) + climb
         sol = mpc.solve(mpc.build(gamma, lin, grades, v_init, params, v_ref=30.0))
         assume(np.max(sol.slack) == 0.0)
-        window = DeviationWindow(sol.v, sol.te)
-        kkt = build_kkt(window, grades, lin, params, detect_active(window, lin, params), 30.0)
-        rec = recover_gamma(kkt)
-        if not rec.degenerate:
+        rec = recover_weights(sol.v[None], sol.te[None], lin, params, 30.0)
+        if rec.flags[0] != "degenerate":
             # worst seen over 2100 random non-degenerate windows: 3.5e-6
-            assert rec.gamma == pytest.approx(gamma, rel=1e-4)
+            assert rec.gamma[0] == pytest.approx(gamma, rel=1e-4)
+
+
+class TestStackedRecovery:
+    """A window's fit depends on that window alone: recovering a stack gives
+    what recovering each window on its own gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        te_max=st.sampled_from([150.0, 240.0]),
+        n=st.integers(1, 60),
+        plans=st.lists(st.tuples(
+            st.floats(-4.0, -1.0).map(lambda e: 10.0**e),
+            st.integers(0, 2**32 - 1),
+            st.floats(0.0, 0.08),
+            st.floats(-0.05, 0.05),
+            st.floats(-20.0, 15.0),
+        ), min_size=2, max_size=6),
+    )
+    def test_stack_equals_each_window_alone(self, te_max, n, plans):
+        params = VehicleParams(te_max=te_max)
+        lin = linearize(params, 30.0)
+        sols = []
+        for gamma, grade_seed, steepness, climb, v_init in plans:
+            grades = np.random.default_rng(grade_seed).uniform(-steepness, steepness, n) + climb
+            sols.append(mpc.solve(mpc.build(gamma, lin, grades, v_init, params, v_ref=30.0)))
+        stack = recover_weights(np.array([s.v for s in sols]), np.array([s.te for s in sols]),
+                                lin, params, 30.0)
+        for i, sol in enumerate(sols):
+            weight, _, flag = recover_one(sol.v, sol.te, lin, params)
+            assert stack.flags[i] == flag
+            assert abs(stack.gamma[i] - weight) <= 1e-15
+
+    def test_window_shapes_checked(self, params, lin):
+        with pytest.raises(ValueError, match="one row"):
+            recover_weights(np.zeros((2, 11)), np.zeros((2, 9)), lin, params, 30.0)
 
 
 @pytest.fixture(scope="module")

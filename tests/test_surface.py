@@ -37,7 +37,7 @@ ORACLES = {
     (mpc.build, ["gamma", "lin", "grade_window", "v_init", "params", "v_ref"]),
     (qp.solve_qp, ["h_mat", "c_vec", "a_eq", "b_eq", "a_in", "b_in", "x0"]),
     (road.gen_sinusoidal, ["seed", "length_m"]),
-    (invopt.build_kkt, ["window", "grade_window", "lin", "params", "active_set", "v_ref"]),
+    (invopt.recover_weights, ["v", "te", "lin", "params", "v_ref"]),
     (invopt.gamma_series, ["dp_solution", "road", "lin", "params", "n", "v_ref"]),
     (DpConfig.default, ["params", "v_ref", "v_i", "v_span", "dv", "dvavg", "dte", "vavg_band"]),
     (mpc.kkt_residual, ["problem", "solution"]),
