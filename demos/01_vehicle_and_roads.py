@@ -18,7 +18,7 @@ from ecocruise.vehicle import (
     fuel_per_meter,
     fuel_rate_time,
     linearize,
-    space_step,
+    next_velocity,
 )
 
 params = VehicleParams()
@@ -41,7 +41,7 @@ worst = 0.0
 for dv in np.linspace(-2, 2, 5):
     for dte in np.linspace(-40, 40, 5):
         for phi in (-0.05, 0.0, 0.05):
-            truth = space_step(params, v_ref + dv, lin.te_lin + dte, phi)
+            truth = next_velocity(params, v_ref + dv, lin.te_lin + dte, phi)
             pred = v_ref + lin.a_coef * dv + lin.b1 * dte + lin.b2 * phi
             worst = max(worst, abs(truth - pred))
 print(f"worst one-step prediction error over a +/-2 m/s, +/-40 N.m, +/-5% box: {worst:.4f} m/s")

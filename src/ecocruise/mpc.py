@@ -36,17 +36,15 @@ with no equality rows: the velocities follow from the torques by the
 rollout dv = Phi * v0 + Gamma @ dte + Psi @ phi, so the condensed blocks are
 the images of the full-space ones through that map, built once with them.  A
 step scales the fuel block by ``gamma`` and forms the linear term and the
-right-hand side from ``v0`` and the grade window.  :class:`MpcProblem` shows
-the full-space view (``h_mat``, ``c_vec``, ``a_eq``, ``b_eq``, ``a_in``,
-``b_in``) for certification and the tests, and :mod:`ecocruise.invopt`
-inverts the same arrays.  Both programs share their optimum and objective
-value.
+right-hand side from ``v0`` and the grade window.  :mod:`ecocruise.invopt`
+inverts the full-space arrays.  Both programs share their optimum and
+objective value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,8 +62,6 @@ SOFT_WEIGHT = 1e3
 # equilibria, the whole zero-weight tracking family) cost nothing, while the
 # glide shapes are almost entirely slew.
 TE_RIDGE = 1e-6
-# relative slack below which kkt_residual counts an inequality row as active
-KKT_ACTIVE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -155,14 +151,8 @@ def deviation_bounds(lin: LinearizedModel, params: VehicleParams) -> tuple[float
 
 @dataclass(frozen=True)
 class MpcProblem:
-    gamma: float
     n: int
-    lin: LinearizedModel
-    grade_window: np.ndarray
-    v_init: float                # initial velocity deviation
-    v_ref_dev: float             # set point in deviation coordinates
     bounds: tuple[float, float, float, float]  # v_min_dev, v_max_dev, te_min_dev, te_max_dev
-    const: float                 # constant term of the full-space objective
     v_free: np.ndarray           # N+1 velocities of the zero-torque-deviation rollout
     # condensed program over y = [dte | s]: 0.5 y'(h_y)y + (c_y)'y + const_y,
     # subject to program.a_in_y @ y <= b_in_y
@@ -171,46 +161,6 @@ class MpcProblem:
     const_y: float
     b_in_y: np.ndarray
     program: HorizonProgram
-
-    @property
-    def n_vars(self) -> int:
-        return 3 * self.n + 1
-
-    def objective_at(self, z: np.ndarray) -> float:
-        return float(0.5 * z @ self.h_mat @ z + self.c_vec @ z + self.const)
-
-    def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self.n
-        return z[: n + 1], z[n + 1 : 2 * n + 1], z[2 * n + 1 :]
-
-    # full-space view over z = [dv | dte | s]: the program at this weight
-
-    @cached_property
-    def h_mat(self) -> np.ndarray:
-        fuel = self.program.fuel
-        return 2.0 * self.gamma * fuel.T @ fuel + self.program.h_rest
-
-    @cached_property
-    def c_vec(self) -> np.ndarray:
-        zero = np.zeros(self.n_vars)
-        return (self.gamma * self.program.fuel_gradient(zero)
-                + self.program.rest_gradient(zero, self.v_ref_dev))
-
-    @property
-    def a_eq(self) -> np.ndarray:
-        return self.program.a_eq
-
-    @cached_property
-    def b_eq(self) -> np.ndarray:
-        return np.concatenate([[self.v_init], self.lin.b2 * self.grade_window])
-
-    @property
-    def a_in(self) -> np.ndarray:
-        return self.program.a_in
-
-    @cached_property
-    def b_in(self) -> np.ndarray:
-        return self.program.in_rhs(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -230,9 +180,6 @@ class MpcSolution:
     kkt_residual: float
     working_set: tuple[int, ...]  # active inequality rows at the optimum
     iterations: int
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.v, self.te, self.slack])
 
 
 def build(
@@ -270,14 +217,8 @@ def build(
     v_next = v_free[1:]
 
     return MpcProblem(
-        gamma=float(gamma),
         n=n,
-        lin=lin,
-        grade_window=grades,
-        v_init=float(v_init),
-        v_ref_dev=v_ref_dev,
         bounds=bounds,
-        const=gamma * n * program.fuel0 * program.fuel0 + v_ref_dev * v_ref_dev,
         v_free=v_free,
         h_y=gamma * program.h_fuel_y + program.h_rest_y,
         c_y=2.0 * gamma * (program.fuel_y.T @ rho) - 2.0 * gap * program.track_y,
@@ -289,12 +230,12 @@ def build(
 
 
 def _feasible_start(problem: MpcProblem) -> np.ndarray:
-    """Zero-torque rollout of the linear dynamics with slacks absorbing any
-    velocity-bound spill, in the full-space layout."""
+    """The condensed start ``[dte | s]``: zero torque deviation, with slacks
+    absorbing any velocity-bound spill of the free rollout."""
     v_lo, v_hi, _, _ = problem.bounds
     v_next = problem.v_free[1:]
     spill = np.maximum(0.0, np.maximum(v_next - v_hi, v_lo - v_next))
-    return np.concatenate([problem.v_free, np.zeros(problem.n), spill])
+    return np.concatenate([np.zeros(problem.n), spill])
 
 
 def solve(problem: MpcProblem) -> MpcSolution:
@@ -307,7 +248,7 @@ def solve(problem: MpcProblem) -> MpcSolution:
         None,
         problem.program.a_in_y,
         problem.b_in_y,
-        _feasible_start(problem)[n + 1 :],
+        _feasible_start(problem),
     )
     te, slack = result.x[:n], result.x[n:]
     return MpcSolution(
@@ -319,23 +260,4 @@ def solve(problem: MpcProblem) -> MpcSolution:
         working_set=tuple(result.working),
         iterations=result.iterations,
     )
-
-
-def kkt_residual(problem: MpcProblem, solution) -> float:
-    """Stationarity norm of a candidate full-space point ``z`` for this program.
-
-    Multipliers are fitted by least squares over the constraints active at the
-    point (inequality multipliers clipped at zero), so a true optimum scores
-    ~0 and any perturbation scores strictly worse.
-    """
-    z = solution.as_vector() if isinstance(solution, MpcSolution) else np.asarray(solution, float)
-    if len(z) != problem.n_vars:
-        raise ValueError(f"expected {problem.n_vars} variables, got {len(z)}")
-    grad = problem.h_mat @ z + problem.c_vec
-    slack = problem.a_in @ z - problem.b_in
-    active = slack > -KKT_ACTIVE_TOL * (1.0 + np.abs(problem.b_in))
-    a_t = np.vstack([problem.a_eq, problem.a_in[active]]).T
-    mult, *_ = np.linalg.lstsq(a_t, -grad, rcond=None)
-    mult[problem.n + 1 :] = np.maximum(mult[problem.n + 1 :], 0.0)
-    return float(np.linalg.norm(grad + a_t @ mult))
 

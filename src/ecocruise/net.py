@@ -176,12 +176,6 @@ def _grads(weights, acts, y, l2):
     return grads_w, grads_b
 
 
-def _loss_and_grads(weights, biases, x, y, l2):
-    """MSE + L2 loss with analytic backprop gradients."""
-    acts = _forward(weights, biases, x)
-    return (_mse_l2(acts[-1][:, 0], y, weights, l2), *_grads(weights, acts, y, l2))
-
-
 @serial
 def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory]:
     """Fit the network; deterministic for a fixed seed.
@@ -327,6 +321,9 @@ def save_model(model: MlpModel, path, fingerprint: str = "") -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a :func:`save_model` file, checking every block's shape against
+    ``dims``: a malformed or mis-sized block is a ``ValueError`` that names
+    it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
     cursor = 0
@@ -338,33 +335,37 @@ def load_model(path) -> MlpModel:
         cursor += 1
         return lines[cursor - 1]
 
+    def row(what: str, width: int) -> np.ndarray:
+        line = take()
+        try:
+            values = np.array([float(v) for v in line.split()])
+        except ValueError:
+            raise ValueError(f"{path}: {what} is not a row of numbers") from None
+        if len(values) != width:
+            raise ValueError(f"{path}: {what} holds {len(values)} values, expected {width}")
+        return values
+
     head = take().split()
-    if head[:1] != ["dims"]:
+    if head[:1] != ["dims"] or len(head) < 3 or not all(d.isdigit() for d in head[1:]):
         raise ValueError(f"{path}: not a model file")
     dims = tuple(int(d) for d in head[1:])
     scalers = {}
-    for _ in range(2):
-        tag, name, fitted_on = take().split()
-        if tag != "scaler":
-            raise ValueError(f"{path}: malformed scaler block")
-        mins = np.array([float(v) for v in take().split()])
-        ranges = np.array([float(v) for v in take().split()])
-        scalers[name] = MinMaxScaler(mins=mins, ranges=ranges, fitted_on=fitted_on)
-    weights = []
-    biases = []
-    for i in range(len(dims) - 1):
-        tag, idx, rows, cols = take().split()
-        if tag != "layer" or int(idx) != i:
+    for name, width in (("input", dims[0]), ("target", dims[-1])):
+        head = take().split()
+        if len(head) != 3 or head[:2] != ["scaler", name]:
+            raise ValueError(f"{path}: malformed scaler block {name}")
+        mins = row(f"scaler {name} mins", width)
+        scalers[name] = MinMaxScaler(mins=mins, ranges=row(f"scaler {name} ranges", width),
+                                     fitted_on=head[2])
+    weights, biases = [], []
+    for i, (rows, cols) in enumerate(zip(dims, dims[1:])):
+        head = take().split()
+        if len(head) != 4 or head[:2] != ["layer", str(i)]:
             raise ValueError(f"{path}: malformed layer block {i}")
-        w = np.array([[float(v) for v in take().split()] for _ in range(int(rows))])
-        b = np.array([float(v) for v in take().split()])
-        weights.append(w)
-        biases.append(b)
-    return MlpModel(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        input_scaler=scalers["input"],
-        target_scaler=scalers["target"],
-    )
-
+        if head[2:] != [str(rows), str(cols)]:
+            raise ValueError(f"{path}: layer {i} is {head[2]}x{head[3]}, "
+                             f"but dims make it {rows}x{cols}")
+        weights.append(np.array([row(f"layer {i} row {r}", cols) for r in range(rows)]))
+        biases.append(row(f"layer {i} bias", cols))
+    return MlpModel(layer_dims=dims, weights=weights, biases=biases,
+                    input_scaler=scalers["input"], target_scaler=scalers["target"])

@@ -167,23 +167,6 @@ def next_velocity(params: VehicleParams, v, te, phi):
     return v + DS * _accel(params.alpha, v, te, phi) / v
 
 
-def space_step(params: VehicleParams, v, te, phi):
-    """Advance velocity by one position step (forward Euler in distance).
-
-    Raises :class:`StepFailure` if the step drives velocity to zero or below,
-    which callers must treat as an infeasible state.
-    """
-    if np.any(np.asarray(v) <= 0.0):
-        raise ValueError("velocity must be positive")
-    v_next = next_velocity(params, v, te, phi)
-    if np.any(np.asarray(v_next) <= 0.0):
-        raise StepFailure(
-            f"velocity collapsed to {np.min(v_next):.3f} m/s "
-            f"(v={np.min(v):.3f}, te={np.min(te):.1f}, phi={np.max(phi):.3f})"
-        )
-    return v_next
-
-
 def vavg_update(k: int, vavg_k: float, v_k: float):
     """Trip-average velocity after segment ``k``.
 
@@ -279,33 +262,6 @@ def linearize(params: VehicleParams, v_ref: float) -> LinearizedModel:
         te_lin=float(te_lin),
         fuel_lin=(float(c0), float(c_v), float(c_t)),
     )
-
-
-def integrate_fine(params: VehicleParams, v0: float, te: float, phi: float,
-                   distance: float) -> float:
-    """High-accuracy reference integration of the velocity flow over a distance.
-
-    RK4 on dv/ds = a(v)/v at millimeter steps: the same continuous flow the
-    coarse one-shot Euler step approximates, resolved finely enough to serve as
-    an independent truth value for truncation-error checks.
-    """
-    v = float(v0)
-    a0, a1, a2, a3, a4 = params.alpha
-
-    def f(vv: float) -> float:
-        if vv <= 0:
-            raise StepFailure("reference integration stalled")
-        return (a0 * te - a1 * phi - a2 - a3 * vv - a4 * vv * vv) / vv
-
-    n_sub = max(1, int(round(distance / 1e-3)))
-    h = distance / n_sub
-    for _ in range(n_sub):
-        k1 = f(v)
-        k2 = f(v + 0.5 * h * k1)
-        k3 = f(v + 0.5 * h * k2)
-        k4 = f(v + h * k3)
-        v = v + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    return v
 
 
 _PARAM_KEYS = {

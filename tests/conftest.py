@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ecocruise.dp import DpConfig
+from ecocruise.net import MinMaxScaler, MlpModel, save_model
 from ecocruise.road import DS, RoadProfile
 from ecocruise.vehicle import VehicleParams, accel, equilibrium_torque, fuel_per_meter
 
@@ -78,6 +79,22 @@ def enumerate_optimum(params: VehicleParams, road: RoadProfile, config: DpConfig
     cost = np.where(alive, cost, np.inf)
     best = int(np.argmin(cost))
     return float(cost[best]), te_grid[seqs[best]]
+
+
+def write_model(path, dims, short_layer=None) -> None:
+    """Save an all-zero predictor of layer widths ``dims``; with
+    ``short_layer``, drop the last value of every weight row of that layer."""
+    save_model(MlpModel(layer_dims=dims,
+                        weights=[np.zeros(shape) for shape in zip(dims, dims[1:])],
+                        biases=[np.zeros(width) for width in dims[1:]],
+                        input_scaler=MinMaxScaler(np.zeros(dims[0]), np.ones(dims[0]), "train"),
+                        target_scaler=MinMaxScaler(np.zeros(1), np.ones(1), "train")), path)
+    if short_layer is not None:
+        lines = path.read_text().splitlines()
+        head = lines.index(f"layer {short_layer} {dims[short_layer]} {dims[short_layer + 1]}")
+        for i in range(head + 1, head + 1 + dims[short_layer]):
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
 
 
 # seeds of tiny instances verified to have enumeration-exact grid solutions

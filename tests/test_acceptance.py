@@ -21,7 +21,8 @@ from ecocruise.harness import Artifacts, ControllerSpec, SweepRow, pareto_sweep,
 from ecocruise.invopt import detect_active, recover_weights
 from ecocruise.net import TrainConfig, evaluate, make_dataset, train
 from ecocruise.road import DS, gen_sinusoidal
-from ecocruise.vehicle import accel, integrate_fine, linearize, space_step
+from ecocruise.vehicle import accel, linearize, next_velocity
+from oracles import build_pair, integrate_fine, loss_and_grads
 
 V_REF = 30.0
 TRAIN_ROAD_SEED = 101
@@ -141,7 +142,7 @@ class TestCriterion3QpCertification:
             gamma = float(10 ** rng.uniform(-4, -1.3))
             grades = rng.uniform(-0.05, 0.05, 60)
             v_init = float(rng.uniform(-2.0, 2.0))
-            problem = mpc.build(gamma, lin, grades, v_init, params, v_ref=V_REF)
+            problem, full = build_pair(gamma, lin, grades, v_init, params, v_ref=V_REF)
             sol = mpc.solve(problem)
             assert sol.kkt_residual <= 1e-6
             worst_res = max(worst_res, sol.kkt_residual)
@@ -150,16 +151,16 @@ class TestCriterion3QpCertification:
             v_lo, v_hi, t_lo, t_hi = problem.bounds
             te = rng.uniform(t_lo, t_hi, size=(1000, n))
             v = np.empty((1000, n + 1))
-            v[:, 0] = problem.v_init
+            v[:, 0] = full.v_init
             for k in range(n):
                 v[:, k + 1] = (lin.a_coef * v[:, k] + lin.b1 * te[:, k]
-                               + lin.b2 * problem.grade_window[k])
+                               + lin.b2 * full.grade_window[k])
             slack = np.maximum.reduce(
                 [np.zeros((1000, n)), v[:, 1:] - v_hi, v_lo - v[:, 1:]]
             ) + rng.uniform(0.0, 0.05, size=(1000, n))
             z = np.hstack([v, te, slack])
-            objs = 0.5 * np.einsum("ij,jk,ik->i", z, problem.h_mat, z) \
-                + z @ problem.c_vec + problem.const
+            objs = 0.5 * np.einsum("ij,jk,ik->i", z, full.h_mat, z) \
+                + z @ full.c_vec + full.const
             assert np.min(objs) >= sol.objective - 1e-10
         _report("3 QP certification", True, f"worst residual {worst_res:.2e}")
 
@@ -232,13 +233,13 @@ class TestCriterion7PredictorQuality:
         assert m.mae_scaled <= 5e-2
 
     def test_backprop_gradients_check_out(self):
-        from ecocruise.net import LAYER_DIMS, _init_params, _loss_and_grads
+        from ecocruise.net import LAYER_DIMS, _init_params
 
         rng = np.random.default_rng(0)
         weights, biases = _init_params(LAYER_DIMS, np.random.default_rng(2))
         x = rng.uniform(0.0, 1.0, size=(5, 101))
         y = rng.uniform(0.0, 1.0, 5)
-        _, gw, _ = _loss_and_grads(weights, biases, x, y, 1e-5)
+        _, gw, _ = loss_and_grads(weights, biases, x, y, 1e-5)
         gmax = max(np.abs(g).max() for g in gw)
         probe = np.random.default_rng(3)
         eps = 1e-4
@@ -248,9 +249,9 @@ class TestCriterion7PredictorQuality:
                 i = int(probe.integers(0, weights[layer].shape[0]))
                 j = int(probe.integers(0, weights[layer].shape[1]))
                 weights[layer][i, j] += eps
-                up, _, _ = _loss_and_grads(weights, biases, x, y, 1e-5)
+                up, _, _ = loss_and_grads(weights, biases, x, y, 1e-5)
                 weights[layer][i, j] -= 2 * eps
-                down, _, _ = _loss_and_grads(weights, biases, x, y, 1e-5)
+                down, _, _ = loss_and_grads(weights, biases, x, y, 1e-5)
                 weights[layer][i, j] += eps
                 fd = (up - down) / (2 * eps)
                 if abs(fd) > 1e-3 * gmax:
@@ -279,7 +280,7 @@ class TestCriterion9DynamicsConsistency:
             te = rng.uniform(0.0, 220.0)
             phi = rng.uniform(-0.05, 0.05)
             exact = integrate_fine(params, v, te, phi, DS)
-            coarse = space_step(params, v, te, phi)
+            coarse = next_velocity(params, v, te, phi)
 
             def half_step(u):
                 # next_velocity's operation order at half the road step

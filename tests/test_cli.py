@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_model
 from ecocruise import cli, road as road_mod
 from ecocruise.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from ecocruise.harness import read_sweep_csv
 from ecocruise.invopt import read_gamma_csv
+from ecocruise.net import LAYER_DIMS
 from ecocruise.road import read_road_csv
 
 
@@ -344,6 +346,20 @@ class TestStageErrors:
         assert main(["simulate", "--road", str(road_file), "--controller", "at",
                      "--model", str(model)]) == EXIT_VALIDATION
         assert "model file ends early" in capsys.readouterr().err
+
+    def test_sweep_with_a_short_layer_is_validation_error(self, tmp_path, road_file, capsys):
+        dp, gammas, model = tmp_path / "dp.csv", tmp_path / "gammas.csv", tmp_path / "model.txt"
+        assert main(["solve-dp", "--road", str(road_file), "--out", str(dp)]) == EXIT_OK
+        assert main(["invert", "--road", str(road_file), "--dp", str(dp),
+                     "--out", str(gammas)]) == EXIT_OK
+        write_model(model, LAYER_DIMS, short_layer=2)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["sweep", "--road", str(road_file), "--model", str(model),
+                     "--gammas-csv", str(gammas), "--dp", str(dp),
+                     "--out", str(tmp_path / "sweep.csv")]) == EXIT_VALIDATION
+        assert "layer 2" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_predictor_of_another_input_width_is_validation_error(self, tmp_path, road_file,
                                                                   capsys):

@@ -19,6 +19,7 @@ from ecocruise.invopt import (
 from ecocruise.qp import solve_qp
 from ecocruise.road import RoadProfile
 from ecocruise.vehicle import VehicleParams, linearize
+from oracles import build_pair
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +28,12 @@ def lin(params):
 
 
 def solved_window(params, lin, gamma, seed=0, v_init=0.2, n=60):
+    """The full-space program of a random window, its solved plan and its grades."""
     rng = np.random.default_rng(seed)
     grades = rng.uniform(-0.05, 0.05, n)
-    problem = mpc.build(gamma, lin, grades, v_init, params, v_ref=30.0)
+    problem, full = build_pair(gamma, lin, grades, v_init, params, v_ref=30.0)
     solution = mpc.solve(problem)
-    return problem, solution, grades
+    return full, solution, grades
 
 
 def recover_one(v, te, lin, params, v_ref=30.0):
@@ -111,12 +113,12 @@ class TestDetectActive:
 class TestBuildKkt:
     def test_forward_solve_multipliers_satisfy_system(self, params, lin):
         gamma = 0.004
-        problem, _, _ = solved_window(params, lin, gamma, seed=5, v_init=0.3)
+        full, _, _ = solved_window(params, lin, gamma, seed=5, v_init=0.3)
         res = solve_qp(
-            problem.h_mat, problem.c_vec, problem.a_eq, problem.b_eq,
-            problem.a_in, problem.b_in, mpc._feasible_start(problem),
+            full.h_mat, full.c_vec, full.a_eq, full.b_eq,
+            full.a_in, full.b_in, full.feasible_start(),
         )
-        v, te, _ = problem.split(res.x)
+        v, te, _ = full.split(res.x)
         q, b, _, n_active = stationarity_system(v, te, lin, params)
         assert n_active == 0
         y = np.concatenate([[gamma], res.eq_mult])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ecocruise import mpc
 from ecocruise.qp import solve_qp
 from ecocruise.vehicle import VehicleParams, linearize
+from oracles import as_vector, build_pair, kkt_residual
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +23,17 @@ def lin(params):
 
 
 def make_problem(params, lin, gamma=0.003, n=60, seed=0, v_init=0.0):
+    """The condensed problem of a random window and its full-space program."""
     rng = np.random.default_rng(seed)
     grades = rng.uniform(-0.05, 0.05, n)
-    return mpc.build(gamma, lin, grades, v_init, params, v_ref=30.0)
+    return build_pair(gamma, lin, grades, v_init, params, v_ref=30.0)
 
 
 class TestBuild:
     def test_zero_point_cost_is_fuel_constant(self, params, lin):
-        problem = mpc.build(0.003, lin, np.zeros(60), 0.0, params, v_ref=30.0)
+        _, full = build_pair(0.003, lin, np.zeros(60), 0.0, params, v_ref=30.0)
         c0 = lin.fuel_lin[0]
-        assert problem.objective_at(np.zeros(problem.n_vars)) == pytest.approx(
+        assert full.objective_at(np.zeros(full.n_vars)) == pytest.approx(
             0.003 * 60 * c0 * c0, rel=1e-12
         )
 
@@ -39,10 +41,10 @@ class TestBuild:
         # a unit bump in one velocity sample moves the squared-mean term by
         # exactly (1/(N+1))^2 when the target sits at zero deviation
         n = 10
-        problem = mpc.build(0.0, lin, np.zeros(n), 0.0, params, v_ref=30.0)
-        z = np.zeros(problem.n_vars)
+        _, full = build_pair(0.0, lin, np.zeros(n), 0.0, params, v_ref=30.0)
+        z = np.zeros(full.n_vars)
         z[3] = 1.0
-        assert problem.objective_at(z) == pytest.approx(1.0 / (n + 1) ** 2, rel=1e-12)
+        assert full.objective_at(z) == pytest.approx(1.0 / (n + 1) ** 2, rel=1e-12)
 
     def test_negative_weight_rejected(self, params, lin):
         with pytest.raises(ValueError):
@@ -50,8 +52,8 @@ class TestBuild:
 
     def test_hessian_positive_semidefinite(self, params, lin):
         for gamma in (0.0, 1e-4, 0.003, 0.05, 1.0):
-            problem = mpc.build(gamma, lin, np.zeros(8), 0.3, params)
-            eigvals = np.linalg.eigvalsh(problem.h_mat)
+            _, full = build_pair(gamma, lin, np.zeros(8), 0.3, params)
+            eigvals = np.linalg.eigvalsh(full.h_mat)
             assert eigvals.min() >= -1e-12
 
 
@@ -59,26 +61,26 @@ class TestSolve:
     def test_two_step_horizon_matches_closed_form(self, params, lin):
         # no active bounds: equality-constrained least squares via KKT
         grades = np.array([0.01, -0.02])
-        problem = mpc.build(0.002, lin, grades, 0.2, params, v_ref=30.0)
+        problem, full = build_pair(0.002, lin, grades, 0.2, params, v_ref=30.0)
         sol = mpc.solve(problem)
-        n_z = problem.n_vars
+        n_z = full.n_vars
         kkt = np.block(
             [
-                [problem.h_mat, problem.a_eq.T],
-                [problem.a_eq, np.zeros((problem.a_eq.shape[0],) * 2)],
+                [full.h_mat, full.a_eq.T],
+                [full.a_eq, np.zeros((full.a_eq.shape[0],) * 2)],
             ]
         )
-        ref = np.linalg.solve(kkt, np.concatenate([-problem.c_vec, problem.b_eq]))[:n_z]
-        assert np.allclose(sol.as_vector(), ref, atol=1e-8)
+        ref = np.linalg.solve(kkt, np.concatenate([-full.c_vec, full.b_eq]))[:n_z]
+        assert np.allclose(as_vector(sol), ref, atol=1e-8)
 
     def test_dynamics_satisfied_tightly(self, params, lin):
-        problem = make_problem(params, lin, seed=1)
+        problem, full = make_problem(params, lin, seed=1)
         sol = mpc.solve(problem)
-        resid = problem.a_eq @ sol.as_vector() - problem.b_eq
+        resid = full.a_eq @ as_vector(sol) - full.b_eq
         assert np.max(np.abs(resid)) < 1e-9
 
     def test_torque_bounds_hard_and_slacks_nonnegative(self, params, lin):
-        problem = make_problem(params, lin, gamma=0.05, seed=2, v_init=-2.0)
+        problem, _ = make_problem(params, lin, gamma=0.05, seed=2, v_init=-2.0)
         sol = mpc.solve(problem)
         v_lo, v_hi, t_lo, t_hi = problem.bounds
         assert np.all(sol.te >= t_lo - 1e-10)
@@ -87,26 +89,26 @@ class TestSolve:
 
     def test_certified_kkt_residual(self, params, lin):
         for seed in range(5):
-            problem = make_problem(params, lin, gamma=10 ** -np.random.default_rng(seed).uniform(2, 4), seed=seed)
+            problem, full = make_problem(params, lin, gamma=10 ** -np.random.default_rng(seed).uniform(2, 4), seed=seed)
             sol = mpc.solve(problem)
             assert sol.kkt_residual <= 1e-6
-            assert mpc.kkt_residual(problem, sol) <= 1e-6
+            assert kkt_residual(full, sol) <= 1e-6
 
     def test_beats_random_feasible_points(self, params, lin):
         rng = np.random.default_rng(7)
-        problem = make_problem(params, lin, gamma=0.003, seed=3)
+        problem, full = make_problem(params, lin, gamma=0.003, seed=3)
         sol = mpc.solve(problem)
         n = problem.n
         v_lo, v_hi, t_lo, t_hi = problem.bounds
         for _ in range(300):
             te = rng.uniform(t_lo, t_hi, n)
-            z = np.zeros(problem.n_vars)
-            z[0] = problem.v_init
+            z = np.zeros(full.n_vars)
+            z[0] = full.v_init
             for k in range(n):
-                z[k + 1] = lin.a_coef * z[k] + lin.b1 * te[k] + lin.b2 * problem.grade_window[k]
+                z[k + 1] = lin.a_coef * z[k] + lin.b1 * te[k] + lin.b2 * full.grade_window[k]
                 z[n + 1 + k] = te[k]
                 z[2 * n + 1 + k] = max(0.0, z[k + 1] - v_hi, v_lo - z[k + 1])
-            assert problem.objective_at(z) >= sol.objective - 1e-10
+            assert full.objective_at(z) >= sol.objective - 1e-10
 
     def test_pure_tracker_recovers_zero_mean(self, params, lin):
         problem = mpc.build(0.0, lin, np.zeros(30), 1.0, params, v_ref=30.0)
@@ -154,7 +156,7 @@ class TestSolve:
             grades = rng.uniform(-0.02, 0.02, 40)
             base = mpc.solve(mpc.build(0.002, lin, grades, 0.1, params, v_ref=30.0))
             moved = mpc.solve(mpc.build(0.002, lin, grades + shift, 0.1, params, v_ref=30.0))
-            responses.append(moved.as_vector() - base.as_vector())
+            responses.append(as_vector(moved) - as_vector(base))
         assert np.allclose(responses[0], responses[1], atol=1e-7)
 
 
@@ -177,37 +179,37 @@ class TestCondensedMatchesFullSpace:
         params = VehicleParams(te_max=te_max)
         lin = linearize(params, 30.0)
         grades = np.random.default_rng(grade_seed).uniform(-steepness, steepness, n) + climb
-        problem = mpc.build(gamma, lin, grades, v_init, params, v_ref=30.0)
+        problem, full = build_pair(gamma, lin, grades, v_init, params, v_ref=30.0)
         sol = mpc.solve(problem)
-        ref = solve_qp(problem.h_mat, problem.c_vec, problem.a_eq, problem.b_eq,
-                       problem.a_in, problem.b_in, mpc._feasible_start(problem))
-        v, te, slack = problem.split(ref.x)
-        full = np.concatenate([v, te, np.maximum(slack, 0.0)])
-        assert np.max(np.abs(sol.as_vector() - full)) <= 1e-8
+        ref = solve_qp(full.h_mat, full.c_vec, full.a_eq, full.b_eq,
+                       full.a_in, full.b_in, full.feasible_start())
+        v, te, slack = full.split(ref.x)
+        plan = np.concatenate([v, te, np.maximum(slack, 0.0)])
+        assert np.max(np.abs(as_vector(sol) - plan)) <= 1e-8
         # on degenerate windows the two paths may end with different weakly
         # active rows: met with equality and carrying no multiplier
         for row in set(sol.working_set) ^ set(ref.working):
             assert ref.in_mult[row] <= 1e-9
-            assert abs(problem.a_in[row] @ ref.x - problem.b_in[row]) <= 1e-9
+            assert abs(full.a_in[row] @ ref.x - full.b_in[row]) <= 1e-9
         assert sol.kkt_residual <= 1e-6
-        assert mpc.kkt_residual(problem, sol) <= 1e-6
+        assert kkt_residual(full, sol) <= 1e-6
 
 
 class TestKktResidual:
     def test_perturbation_strictly_increases_residual(self, params, lin):
-        problem = make_problem(params, lin, seed=6)
+        problem, full = make_problem(params, lin, seed=6)
         sol = mpc.solve(problem)
-        base = mpc.kkt_residual(problem, sol)
-        z = sol.as_vector().copy()
+        base = kkt_residual(full, sol)
+        z = as_vector(sol).copy()
         z[5] += 1e-3
-        assert mpc.kkt_residual(problem, z) > base + 1e-9
+        assert kkt_residual(full, z) > base + 1e-9
 
     def test_zero_problem_zero_point(self, params, lin):
-        problem = mpc.build(0.0, lin, np.zeros(5), 0.0, params, v_ref=30.0)
-        assert mpc.kkt_residual(problem, np.zeros(problem.n_vars)) == pytest.approx(0.0, abs=1e-12)
+        _, full = build_pair(0.0, lin, np.zeros(5), 0.0, params, v_ref=30.0)
+        assert kkt_residual(full, np.zeros(full.n_vars)) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, params, lin):
-        problem = mpc.build(0.0, lin, np.zeros(5), 0.0, params)
+        _, full = build_pair(0.0, lin, np.zeros(5), 0.0, params)
         with pytest.raises(ValueError):
-            mpc.kkt_residual(problem, np.zeros(3))
+            kkt_residual(full, np.zeros(3))
 

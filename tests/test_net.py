@@ -17,7 +17,6 @@ from ecocruise.net import (
     TrainConfig,
     TrainingError,
     _init_params,
-    _loss_and_grads,
     evaluate,
     load_model,
     make_dataset,
@@ -25,7 +24,9 @@ from ecocruise.net import (
     save_model,
     train,
 )
+from conftest import write_model
 from ecocruise.road import gen_sinusoidal, preview
+from oracles import loss_and_grads
 
 
 def toy_dataset(n=50, seed=0) -> Dataset:
@@ -130,7 +131,7 @@ class TestTrain:
         weights, biases = _init_params(LAYER_DIMS, np.random.default_rng(2))
         x = rng.uniform(0.0, 1.0, size=(5, 101))
         y = rng.uniform(0.0, 1.0, 5)
-        _, gw, gb = _loss_and_grads(weights, biases, x, y, 1e-5)
+        _, gw, gb = loss_and_grads(weights, biases, x, y, 1e-5)
         gmax = max(np.abs(g).max() for g in gw)
         probe = np.random.default_rng(3)
         eps = 1e-4
@@ -139,9 +140,9 @@ class TestTrain:
                 i = int(probe.integers(0, weights[layer].shape[0]))
                 j = int(probe.integers(0, weights[layer].shape[1]))
                 weights[layer][i, j] += eps
-                up, _, _ = _loss_and_grads(weights, biases, x, y, 1e-5)
+                up, _, _ = loss_and_grads(weights, biases, x, y, 1e-5)
                 weights[layer][i, j] -= 2 * eps
-                down, _, _ = _loss_and_grads(weights, biases, x, y, 1e-5)
+                down, _, _ = loss_and_grads(weights, biases, x, y, 1e-5)
                 weights[layer][i, j] += eps
                 fd = (up - down) / (2 * eps)
                 if abs(fd) > 1e-3 * gmax:  # avoid relative noise on ~zero entries
@@ -211,7 +212,7 @@ class TestTrain:
         fit_idx = perm[n_test + n_val :]
         x_fit = model.input_scaler.transform(ds.features[fit_idx])
         y_fit = model.target_scaler.transform(ds.targets[fit_idx, None])[:, 0]
-        loss, _, _ = _loss_and_grads(model.weights, model.biases, x_fit, y_fit, cfg.l2)
+        loss, _, _ = loss_and_grads(model.weights, model.biases, x_fit, y_fit, cfg.l2)
         assert hist.train_loss[-1] == loss
 
     def test_too_small_dataset_rejected(self):
@@ -319,6 +320,33 @@ class TestSerialization:
         path = tmp_path / "model.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match="model file ends early"):
+            load_model(path)
+
+    def test_layer_with_short_rows_is_rejected(self, tmp_path):
+        # every row of layer 2 lost a value: read as is, it would load as an
+        # (80, 15) weight under dims (..., 16, 1)
+        path = tmp_path / "model.txt"
+        write_model(path, LAYER_DIMS, short_layer=2)
+        with pytest.raises(ValueError, match="layer 2 row 0 holds 15 values, expected 16"):
+            load_model(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("scaler input train", "scaler input", "malformed scaler block input"),
+        ("scaler target train", "scaler input train", "malformed scaler block target"),
+        ("0 0 0\n1 1 1\n", "0 0\n1 1 1\n", "scaler input mins holds 2 values, expected 3"),
+        ("layer 1 4 2", "layer 1 4", "malformed layer block 1"),
+        ("layer 1 4 2", "layer 1 4 3", "layer 1 is 4x3, but dims make it 4x2"),
+        ("layer 2 2 1\n0\n", "layer 2 2 1\nx\n", "layer 2 row 0 is not a row of numbers"),
+        ("dims 3 4 2 1", "dims 3 4 two 1", "not a model file"),
+    ], ids=["scaler_head", "scaler_order", "scaler_width", "layer_head", "layer_shape",
+            "layer_text", "dims"])
+    def test_malformed_block_is_named(self, tmp_path, old, new, message):
+        path = tmp_path / "model.txt"
+        write_model(path, (3, 4, 2, 1))
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match=message):
             load_model(path)
 
     def test_values_written_as_shortest_round_trip_text(self, tmp_path):

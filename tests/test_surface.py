@@ -5,14 +5,17 @@ cost and solver setting is a module constant.  These checks keep retired
 keyword knobs from coming back and keep definitions that nothing uses from
 accumulating.  Only the package, the demos and the benchmark count as
 callers: code that only a test reaches, and a default that only a test
-overrides, are surface kept alive for their own tests.
+overrides, are surface kept alive for their own tests.  The references the
+tests compare against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -25,13 +28,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ecocruise"
 CALLERS = ("src", "demos", "perfbench")
 
-# definitions only tests call: the references the tests compare against
-ORACLES = {
-    ("mpc.py", "MpcProblem.objective_at"),  # full-space objective of the condensed solve
-    ("net.py", "_loss_and_grads"),  # the gradients the finite-difference checks test
-    ("vehicle.py", "integrate_fine"),  # RK4 truth value for the plant step's truncation error
-}
-
 
 @pytest.mark.parametrize("fn, params", [
     (mpc.build, ["gamma", "lin", "grade_window", "v_init", "params", "v_ref"]),
@@ -40,7 +36,6 @@ ORACLES = {
     (invopt.recover_weights, ["v", "te", "lin", "params", "v_ref"]),
     (invopt.gamma_series, ["dp_solution", "road", "lin", "params", "n", "v_ref"]),
     (DpConfig.default, ["params", "v_ref", "v_i", "v_span", "dv", "dvavg", "dte", "vavg_band"]),
-    (mpc.kkt_residual, ["problem", "solution"]),
     (vehicle.vavg_update, ["k", "vavg_k", "v_k"]),
 ])
 def test_parameter_lists(fn, params):
@@ -64,6 +59,17 @@ def test_record_fields(record, fields):
     assert [f.name for f in dataclasses.fields(record)] == fields
 
 
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps package functions by module and name;
+    dropping one breaks ``perfbench/run.py --trace 1``."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in tracing.Tracer()._targets()
+               if not hasattr(module, attr)]
+    assert not missing, f"names the tracer wraps that do not resolve: {missing}"
+
+
 def _trees(tops) -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text(encoding="utf-8"))
             for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
@@ -81,37 +87,117 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(tree: ast.Module):
-    """(name, line) of every identifier a file uses: names, attributes and
-    strings that spell an identifier (``getattr``-style lookups)."""
+def _bindings(fn) -> set[str]:
+    """Names a function or lambda binds in its own scope: its parameters,
+    the targets in its body and its nested definitions."""
+    args = fn.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a}
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.ExceptHandler)):
+            names.add(node.name)
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - {None}
+
+
+def _references(path: Path, tree: ast.Module, modules: set[str]):
+    """(key, line) of every use a file makes: ``("def", (module, name))``
+    for a module-level name read bare, in its own file or under the name a
+    file imports it as, or read as an attribute of its module;
+    ``("attr", name)`` for any attribute read; and ``("str", name)`` for a
+    string that spells an identifier (``getattr``-style lookups).  A bare
+    name that an enclosing function binds is a local and uses nothing."""
+    bound = {}  # name a file imports from the package -> (module, name or None)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ecocruise"):
+            source = (node.module or "") if node.level else node.module.partition(".")[2]
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    (alias.name, None) if not source and alias.name in modules
+                    else (source or "__init__", alias.name))
+    found = []
+
+    def visit(node, local: set[str]) -> None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            found.append((("def", bound.get(node.id, (path.stem, node.id))), node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((("attr", node.attr), node.lineno))
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            if base not in local and bound.get(base, ("", ""))[1] is None:
+                found.append((("def", (bound[base][0], node.attr)), node.lineno))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            yield node.value, node.lineno
+            found.append((("str", node.value), node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            local = local | _bindings(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, set())
+    return found
+
+
+def _unused(trees: dict[Path, ast.Module], package: list[Path]) -> list[str]:
+    """Every definition in the ``package`` files that nothing in ``trees``
+    uses.  A module-level function or class is used through its module
+    (see :func:`_references`), a method as an attribute of anything, and
+    either by a string that spells it.  A use inside the definition itself
+    (recursion) does not count."""
+    refs: dict[tuple, list[tuple[Path, int]]] = defaultdict(list)
+    for path, tree in trees.items():
+        for key, line in _references(path, tree, {p.stem for p in package}):
+            refs[key].append((path, line))
+    unused = []
+    for path in package:
+        for qualname, node in _definitions(trees[path]):
+            name = qualname.rsplit(".", 1)[-1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            keys = [("attr", name) if "." in qualname else ("def", (path.stem, name)),
+                    ("str", name)]
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or line not in own for key in keys for p, line in refs[key]):
+                unused.append(f"{path.name}: {qualname}")
+    return unused
 
 
 def test_every_definition_is_referenced():
-    trees = _trees(CALLERS)
-    uses: dict[str, list[tuple[Path, int]]] = {}
-    for path, tree in trees.items():
-        for name, line in _references(tree):
-            uses.setdefault(name, []).append((path, line))
-
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for qualname, node in _definitions(trees[path]):
-            name = qualname.rsplit(".", 1)[-1]
-            if name.startswith("__") and name.endswith("__") or (path.name, qualname) in ORACLES:
-                continue
-            # a use inside the definition itself (recursion) does not count
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(p != path or line not in own for p, line in uses.get(name, [])):
-                unused.append(f"{path.name}: {qualname}")
+    unused = _unused(_trees(CALLERS), sorted(PACKAGE.glob("*.py")))
     assert not unused, "definitions that nothing outside the tests uses:\n" + "\n".join(unused)
+
+
+def test_a_namesake_is_not_a_use():
+    """A dataclass field or an attribute of another object does not use a
+    module function, and a local name does not use a method."""
+    source = """
+from dataclasses import dataclass
+
+@dataclass
+class Record:
+    working_set: tuple
+
+def working_set(problem):
+    return ()
+
+class Solver:
+    def bounds(self):
+        return 0.0
+
+def run(record, bounds=None):
+    sizes = record.working_set
+    return Solver(), sizes, bounds
+
+run(Record(()))
+"""
+    path = Path("pkg/mod.py")
+    assert _unused({path: ast.parse(source)}, [path]) == [
+        "mod.py: working_set", "mod.py: Solver.bounds"]
 
 
 def _callee(call: ast.Call) -> str | None:

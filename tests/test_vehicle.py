@@ -9,7 +9,6 @@ from ecocruise.road import DS, gen_sinusoidal
 from ecocruise.vehicle import (
     DEFAULT_LAMBDA,
     LinearizedModel,
-    StepFailure,
     VehicleParams,
     accel,
     equilibrium_torque,
@@ -18,8 +17,8 @@ from ecocruise.vehicle import (
     fuel_rate_time,
     linearize,
     load_vehicle_config,
+    next_velocity,
     rollout,
-    space_step,
     vavg_update,
 )
 
@@ -101,10 +100,10 @@ class TestFuelMaps:
 class TestSpaceStep:
     def test_equilibrium_holds_speed(self, params):
         te = equilibrium_torque(params, 30.0)
-        assert space_step(params, 30.0, te, 0.0) == pytest.approx(30.0, abs=1e-12)
+        assert next_velocity(params, 30.0, te, 0.0) == pytest.approx(30.0, abs=1e-12)
 
     def test_downhill_max_torque_accelerates(self, params):
-        v_next = space_step(params, 30.0, params.te_max, -0.05)
+        v_next = next_velocity(params, 30.0, params.te_max, -0.05)
         hand = 30.0 + DS * accel(params, 30.0, params.te_max, -0.05) / 30.0
         assert v_next > 30.0
         assert v_next == pytest.approx(hand, rel=1e-15)
@@ -115,14 +114,9 @@ class TestSpaceStep:
             v = rng.uniform(16.0, 39.0)
             te = rng.uniform(params.te_min, params.te_max)
             phi = rng.uniform(-0.05, 0.05)
-            dv = space_step(params, v, te, phi) - v
+            dv = next_velocity(params, v, te, phi) - v
             a = accel(params, v, te, phi)
             assert np.sign(dv) == np.sign(a) or a == 0.0
-
-    def test_collapse_raises(self, params):
-        tiny = VehicleParams(v_min=0.5, v_max=40.0)
-        with pytest.raises(StepFailure):
-            space_step(tiny, 0.6, tiny.te_min, 0.05)
 
 
 class TestLinearize:
@@ -135,16 +129,16 @@ class TestLinearize:
             lin = linearize(params, v_ref)
             eps = 1e-5
             fd_a = (
-                space_step(params, v_ref + eps, lin.te_lin, 0.0)
-                - space_step(params, v_ref - eps, lin.te_lin, 0.0)
+                next_velocity(params, v_ref + eps, lin.te_lin, 0.0)
+                - next_velocity(params, v_ref - eps, lin.te_lin, 0.0)
             ) / (2 * eps)
             fd_b1 = (
-                space_step(params, v_ref, lin.te_lin + eps, 0.0)
-                - space_step(params, v_ref, lin.te_lin - eps, 0.0)
+                next_velocity(params, v_ref, lin.te_lin + eps, 0.0)
+                - next_velocity(params, v_ref, lin.te_lin - eps, 0.0)
             ) / (2 * eps)
             fd_b2 = (
-                space_step(params, v_ref, lin.te_lin, eps)
-                - space_step(params, v_ref, lin.te_lin, -eps)
+                next_velocity(params, v_ref, lin.te_lin, eps)
+                - next_velocity(params, v_ref, lin.te_lin, -eps)
             ) / (2 * eps)
             assert lin.a_coef == pytest.approx(fd_a, rel=1e-6)
             assert lin.b1 == pytest.approx(fd_b1, rel=1e-6)
@@ -154,7 +148,7 @@ class TestLinearize:
         lin = linearize(params, 30.0)
         # zero deviations on flat road map to zero deviation
         assert lin.a_coef * 0.0 + lin.b1 * 0.0 + lin.b2 * 0.0 == 0.0
-        assert space_step(params, lin.v_lin, lin.te_lin, 0.0) == pytest.approx(
+        assert next_velocity(params, lin.v_lin, lin.te_lin, 0.0) == pytest.approx(
             lin.v_lin, abs=1e-12
         )
 
@@ -186,7 +180,7 @@ class TestLinearize:
         for dv in np.linspace(-2.0, 2.0, 9):
             for dte in np.linspace(-40.0, 40.0, 9):
                 for phi in np.linspace(-0.05, 0.05, 5):
-                    exact = space_step(params, 30.0 + dv, lin.te_lin + dte, phi)
+                    exact = next_velocity(params, 30.0 + dv, lin.te_lin + dte, phi)
                     pred = 30.0 + lin.a_coef * dv + lin.b1 * dte + lin.b2 * phi
                     worst = max(worst, abs(exact - pred))
         assert worst < 0.05
@@ -249,7 +243,7 @@ class TestRollout:
             v, te = traj.v[k], traj.te[k]
             assert traj.fuel_per_m[k] == fuel_per_meter(params, v, te)
             assert traj.vavg[k + 1] == vavg_update(k, traj.vavg[k], v)
-            assert traj.v[k + 1] == space_step(params, v, te, road.grade[k])
+            assert traj.v[k + 1] == next_velocity(params, v, te, road.grade[k])
 
     def test_start_velocity_checked_before_the_first_step(self, params):
         calls = []
