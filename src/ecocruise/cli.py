@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -87,17 +88,12 @@ def _fingerprint(stage: str, config: dict, input_paths: list[Path] | None = None
 
 
 def _cache_hit(path: Path, fingerprint: str) -> bool:
-    if not path.exists():
-        return False
+    """Whether one of the first 8 lines of ``path`` names ``fingerprint``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for _ in range(8):
-                line = fh.readline()
-                if f"fingerprint: {fingerprint}" in line:
-                    return True
+            return any(f"fingerprint: {fingerprint}" in fh.readline() for _ in range(8))
     except OSError:
         return False
-    return False
 
 
 @contextlib.contextmanager
@@ -133,19 +129,28 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return cfg
 
 
+def _finite(text) -> float:
+    """A float option's value: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _resolve(stage: str, args: argparse.Namespace, file_cfg: dict[str, str]) -> dict:
     """The stage's options: flag, else config file, else default; an unset
-    ``v_i`` starts the drive at ``v_ref``."""
+    ``v_i`` starts the drive at ``v_ref``.  A non-finite float is a usage
+    error in a flag and a validation error in the config file."""
     cfg = {}
     for dest in _COMMANDS[stage].options:
-        _, cast, default = OPTIONS[dest]
-        value = getattr(args, dest)
+        flag, cast, default = OPTIONS[dest]
+        value, source, error = getattr(args, dest), f"argument {flag}", UsageError
         if value is None and dest in file_cfg:
-            try:
-                value = cast(file_cfg[dest])
-            except ValueError as exc:
-                raise ValueError(f"config key {dest}: {exc}") from exc
-        cfg[dest] = default if value is None else value
+            value, source, error = file_cfg[dest], f"config key {dest}", ValueError
+        try:
+            cfg[dest] = default if value is None else (_finite if cast is float else cast)(value)
+        except ValueError as exc:
+            raise error(f"{source}: {exc}") from exc
     if "v_i" in cfg and cfg["v_i"] is None:
         cfg["v_i"] = cfg["v_ref"]
     return cfg
@@ -194,19 +199,17 @@ def _vehicle(args) -> VehicleParams:
 
 
 def _parse_ladder(text: str) -> list[float]:
-    if ":" in text:
-        try:
-            lo_s, hi_s, n_s = text.split(":")
-            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        except ValueError as exc:
-            raise ValueError(f"bad ladder spec {text!r}; want lo:hi:count") from exc
-        if n < 1 or hi < lo:
-            raise ValueError(f"bad ladder spec {text!r}")
-        return [float(g) for g in np.linspace(lo, hi, n)]
     try:
-        return sorted(float(t) for t in text.split(",") if t.strip())
+        if ":" not in text:
+            return sorted(_finite(t) for t in text.split(",") if t.strip())
+        lo_s, hi_s, n_s = text.split(":")
+        lo, hi, n = _finite(lo_s), _finite(hi_s), int(n_s)
     except ValueError as exc:
-        raise ValueError(f"bad ladder spec {text!r}") from exc
+        raise ValueError(f"bad ladder spec {text!r}; want lo:hi:count or a comma list: "
+                         f"{exc}") from exc
+    if n < 1 or hi < lo:
+        raise ValueError(f"bad ladder spec {text!r}")
+    return [float(g) for g in np.linspace(lo, hi, n)]
 
 
 def _read_solution(path: Path) -> DpSolution:
@@ -411,6 +414,7 @@ _PIPELINE = (("gen-road", "road.csv", ("road",)), ("solve-dp", "dp.csv", ("dp",)
 
 
 def cmd_pipeline(args, file_cfg) -> int:
+    _resolve("pipeline", args, file_cfg)  # a bad option fails before any stage writes
     out_dir = _out_dir(args.out_dir or "runs")
     for stage, name, feeds in _PIPELINE:
         if stage == "gen-road" and args.road:

@@ -76,6 +76,9 @@ class DpConfig:
         vavg_band: float = DEFAULT_VAVG_BAND,
     ) -> "DpConfig":
         """Grids centered on the cruise set point, clipped to the vehicle limits."""
+        for name, step in (("dv", dv), ("dvavg", dvavg), ("dte", dte)):
+            if not step > 0:
+                raise ValueError(f"grid step {name} must be positive, got {step}")
         lo = max(params.v_min, v_ref - v_span)
         hi = min(params.v_max, v_ref + v_span)
         vavg_lo = (1.0 - vavg_band) * v_ref

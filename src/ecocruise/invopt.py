@@ -129,7 +129,7 @@ def recover_weights(v, te, lin: LinearizedModel, params: VehicleParams,
     the window sits on a bound.  Its fit is not unique, so it is the
     minimum-norm least-squares fit, with those singular values counted as
     zero and the sign-constrained entries clipped at 0.  A window whose
-    sign-constrained fit does not converge is flagged "failed", with weight
+    sign-constrained fit raises ``QpError`` is flagged "failed", with weight
     0 and an infinite residual.  ``residuals`` are the weighted
     stationarity residuals.
     """
@@ -164,8 +164,8 @@ def recover_weights(v, te, lin: LinearizedModel, params: VehicleParams,
         degenerate[i] = rank < len(y)
         if not degenerate[i]:
             try:
-                working = solve_qp(2.0 * fit.T @ fit, -2.0 * fit.T @ pb[i], None, None,
-                                   -np.eye(len(y)), np.zeros(len(y)), np.zeros(len(y))).working
+                working = solve_qp(2.0 * fit.T @ fit, -2.0 * fit.T @ pb[i], -np.eye(len(y)),
+                                   np.zeros(len(y)), np.zeros(len(y))).working
             except QpError:
                 failed[i] = True
                 gamma[i], residuals[i] = 0.0, np.inf

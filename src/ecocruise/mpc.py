@@ -37,8 +37,7 @@ rollout dv = Phi * v0 + Gamma @ dte + Psi @ phi, so the condensed blocks are
 the images of the full-space ones through that map, built once with them.  A
 step scales the fuel block by ``gamma`` and forms the linear term and the
 right-hand side from ``v0`` and the grade window.  :mod:`ecocruise.invopt`
-inverts the full-space arrays.  Both programs share their optimum and
-objective value.
+inverts the full-space arrays.  Both programs share their optimum.
 """
 
 from __future__ import annotations
@@ -154,11 +153,10 @@ class MpcProblem:
     n: int
     bounds: tuple[float, float, float, float]  # v_min_dev, v_max_dev, te_min_dev, te_max_dev
     v_free: np.ndarray           # N+1 velocities of the zero-torque-deviation rollout
-    # condensed program over y = [dte | s]: 0.5 y'(h_y)y + (c_y)'y + const_y,
-    # subject to program.a_in_y @ y <= b_in_y
+    # condensed program over y = [dte | s]: 0.5 y'(h_y)y + (c_y)'y plus a
+    # constant, subject to program.a_in_y @ y <= b_in_y
     h_y: np.ndarray
     c_y: np.ndarray
-    const_y: float
     b_in_y: np.ndarray
     program: HorizonProgram
 
@@ -176,10 +174,8 @@ class MpcSolution:
     v: np.ndarray                # N+1 velocity deviations
     te: np.ndarray               # N torque deviations
     slack: np.ndarray            # N velocity-violation slacks
-    objective: float
     kkt_residual: float
     working_set: tuple[int, ...]  # active inequality rows at the optimum
-    iterations: int
 
 
 def build(
@@ -222,7 +218,6 @@ def build(
         v_free=v_free,
         h_y=gamma * program.h_fuel_y + program.h_rest_y,
         c_y=2.0 * gamma * (program.fuel_y.T @ rho) - 2.0 * gap * program.track_y,
-        const_y=float(gamma * rho @ rho + gap * gap),
         b_in_y=np.concatenate([np.full(n, t_hi), np.full(n, -t_lo),
                                v_hi - v_next, v_next - v_lo, np.zeros(n)]),
         program=program,
@@ -241,23 +236,13 @@ def _feasible_start(problem: MpcProblem) -> np.ndarray:
 def solve(problem: MpcProblem) -> MpcSolution:
     """Solve the condensed horizon QP to optimality and certify the result."""
     n = problem.n
-    result = solve_qp(
-        problem.h_y,
-        problem.c_y,
-        None,
-        None,
-        problem.program.a_in_y,
-        problem.b_in_y,
-        _feasible_start(problem),
-    )
+    result = solve_qp(problem.h_y, problem.c_y, problem.program.a_in_y, problem.b_in_y,
+                      _feasible_start(problem))
     te, slack = result.x[:n], result.x[n:]
     return MpcSolution(
         v=problem.v_free + problem.program.gam @ te,
         te=te,
         slack=np.maximum(slack, 0.0),
-        objective=result.objective + problem.const_y,
         kkt_residual=result.stationarity,
         working_set=tuple(result.working),
-        iterations=result.iterations,
     )
-

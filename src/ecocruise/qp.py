@@ -1,21 +1,20 @@
-"""Dense convex quadratic programming by a primal active-set method.
+"""Dense strictly convex quadratic programming by a primal active-set method.
 
 Solves
 
     min  0.5 x'Hx + c'x
-    s.t. A_eq x  = b_eq
-         A_in x <= b_in
+    s.t. A_in x <= b_in
 
-for positive semidefinite H, starting from a caller-supplied feasible point.
+for positive definite H, starting from a caller-supplied feasible point.
 Each iteration solves the equality-constrained subproblem for the current
 working set through the bordered KKT system, steps to the nearest blocking
 inequality, and drops working constraints with negative multipliers.  The
 working set starts empty; the solve is deterministic and certifies its
 result with the stationarity residual of the original data.
 
-Columns are equilibrated internally (torques, velocities and slack variables
-live on very different scales here); multipliers are invariant under column
-scaling so certification happens in original units.
+Columns are equilibrated internally (torques, slacks, weights and
+multipliers live on very different scales here); multipliers are invariant
+under column scaling so certification happens in original units.
 
 The solve runs its BLAS and LAPACK kernels on the calling thread (see
 :func:`ecocruise.blas.serial`).
@@ -32,6 +31,7 @@ from .blas import serial
 FEAS_TOL = 1e-7    # relative violation a start point may carry
 STEP_TOL = 1e-11   # relative step length that counts as the subproblem optimum
 MULT_TOL = 1e-10   # most negative working multiplier accepted at the optimum
+KKT_TOL = 1e-7     # scaled residual beyond which a KKT solve is not trusted
 
 
 class QpError(RuntimeError):
@@ -41,75 +41,44 @@ class QpError(RuntimeError):
 @dataclass
 class QpResult:
     x: np.ndarray
-    eq_mult: np.ndarray
     in_mult: np.ndarray          # one entry per inequality row, 0 off the working set
     working: list[int]
     iterations: int
-    objective: float
-    stationarity: float          # ||Hx + c + A_eq'(eq_mult) + A_in'(in_mult)||_2
+    stationarity: float          # ||Hx + c + A_in'(in_mult)||_2
 
 
 def _kkt_solve(h_mat, g_mat, grad):
     """Solve the bordered system [[H, G'], [G, 0]] [p; mu] = [-grad; 0].
 
-    One factorization when the first solve is accurate to rounding level;
-    otherwise two rounds of iterative refinement.  A least-squares fallback
-    keeps singular but consistent systems (semidefinite reduced Hessians)
-    deterministic.
+    With H positive definite and the working rows independent the system is
+    nonsingular; a singular or inaccurate solve raises ``QpError``.
     """
-    n = h_mat.shape[0]
-    m = g_mat.shape[0]
+    n, m = h_mat.shape[0], g_mat.shape[0]
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = h_mat
     if m:
         kkt[:n, n:] = g_mat.T
         kkt[n:, :n] = g_mat
     rhs = np.concatenate([-grad, np.zeros(m)])
-    scale = 1.0 + np.max(np.abs(rhs))
-
-    def residual(sol):
-        if not np.all(np.isfinite(sol)):
-            return np.inf
-        return np.max(np.abs(kkt @ sol - rhs)) / scale
-
     try:
         sol = np.linalg.solve(kkt, rhs)
-        # 1e-13 sits a few hundred ulps above what a well-conditioned solve
-        # leaves; beyond it refinement pays (on ill-conditioned full-space
-        # horizon systems it still moves the solution by up to 1e-8)
-        if residual(sol) > 1e-13:
-            for _ in range(2):
-                sol += np.linalg.solve(kkt, rhs - kkt @ sol)
     except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or residual(sol) > 1e-7:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        if residual(sol) > 1e-6:
-            raise QpError("KKT subsystem inconsistent (problem may be unbounded)")
+        sol = np.full(n + m, np.nan)
+    if not np.max(np.abs(kkt @ sol - rhs)) <= KKT_TOL * (1.0 + np.max(np.abs(rhs))):
+        raise QpError("KKT subsystem singular or solved inaccurately "
+                      "(is the Hessian positive definite?)")
     return sol[:n], sol[n:]
 
 
 @serial
-def solve_qp(
-    h_mat,
-    c_vec,
-    a_eq,
-    b_eq,
-    a_in,
-    b_in,
-    x0,
-) -> QpResult:
+def solve_qp(h_mat, c_vec, a_in, b_in, x0) -> QpResult:
     h_mat = np.asarray(h_mat, dtype=float)
     c_vec = np.asarray(c_vec, dtype=float)
     n = len(c_vec)
-    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if a_eq is not None else np.zeros((0, n))
-    b_eq = np.asarray(b_eq, dtype=float).ravel() if b_eq is not None else np.zeros(0)
     a_in = np.asarray(a_in, dtype=float).reshape(-1, n) if a_in is not None else np.zeros((0, n))
     b_in = np.asarray(b_in, dtype=float).ravel() if b_in is not None else np.zeros(0)
     x = np.asarray(x0, dtype=float).copy()
 
-    if a_eq.shape[0] and np.max(np.abs(a_eq @ x - b_eq)) > FEAS_TOL * (1.0 + np.max(np.abs(b_eq))):
-        raise QpError("starting point violates equality constraints")
     if a_in.shape[0] and np.max(a_in @ x - b_in) > FEAS_TOL * (1.0 + np.max(np.abs(b_in))):
         raise QpError("starting point violates inequality constraints")
 
@@ -121,7 +90,6 @@ def solve_qp(
     col_scale = np.clip(col_scale, 1e-2, 1e2)
     hs = h_mat * col_scale[None, :] * col_scale[:, None]
     cs = c_vec * col_scale
-    aeq_s = a_eq * col_scale[None, :]
     ain_s = a_in * col_scale[None, :]
     xs = x / col_scale
 
@@ -130,17 +98,12 @@ def solve_qp(
     max_iter = 20 * (n + n_in) + 50
 
     for iteration in range(1, max_iter + 1):
-        g_rows = np.vstack([aeq_s, ain_s[working]]) if (a_eq.shape[0] or working) else np.zeros((0, n))
         grad = hs @ xs + cs
-        p, mults = _kkt_solve(hs, g_rows, grad)
+        p, w_mult = _kkt_solve(hs, ain_s[working], grad)
 
-        at_subproblem_optimum = np.max(np.abs(p), initial=0.0) <= STEP_TOL * (
-            1.0 + np.max(np.abs(xs), initial=0.0)
-        )
-        if not at_subproblem_optimum:
+        if np.max(np.abs(p), initial=0.0) > STEP_TOL * (1.0 + np.max(np.abs(xs), initial=0.0)):
             # ratio test against inequalities outside the working set
-            alpha = 1.0
-            blocking = -1
+            alpha, blocking = 1.0, -1
             if n_in:
                 denom = ain_s @ p
                 slack = b_in - ain_s @ xs
@@ -161,25 +124,16 @@ def solve_qp(
             # multipliers from this same solve are valid: check them now
             # rather than waiting for the next solve to return p ~ 0
 
-        eq_mult = mults[: a_eq.shape[0]]
-        w_mult = mults[a_eq.shape[0] :]
         if len(working) == 0 or np.min(w_mult, initial=0.0) >= -MULT_TOL:
             in_mult = np.zeros(n_in)
             in_mult[working] = np.maximum(w_mult, 0.0)
             x_out = xs * col_scale
-            stat = h_mat @ x_out + c_vec
-            if a_eq.shape[0]:
-                stat = stat + a_eq.T @ eq_mult
-            if n_in:
-                stat = stat + a_in.T @ in_mult
             return QpResult(
                 x=x_out,
-                eq_mult=eq_mult,
                 in_mult=in_mult,
                 working=sorted(working),
                 iterations=iteration,
-                objective=float(0.5 * x_out @ h_mat @ x_out + c_vec @ x_out),
-                stationarity=float(np.linalg.norm(stat)),
+                stationarity=float(np.linalg.norm(h_mat @ x_out + c_vec + a_in.T @ in_mult)),
             )
         # drop the most negative working constraint and re-solve
         drop = int(np.argmin(w_mult))

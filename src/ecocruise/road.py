@@ -120,12 +120,16 @@ def ingest_elevation_csv(path) -> RoadProfile:
 
 
 def _samples(path, columns, rows, x_name: str):
-    """The ``x_name`` and ``elevation_m`` columns of a table, at least two rows."""
+    """The ``x_name`` and ``elevation_m`` columns of a table, at least two rows, all finite."""
     names = [c.strip().lower() for c in columns]
     if x_name not in names or "elevation_m" not in names:
         raise ValueError(f"{path}: header must contain {x_name} and elevation_m, got {columns!r}")
     x, elevation = formats.float_columns(
         path, rows, [names.index(x_name), names.index("elevation_m")])
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(elevation)))
+    if len(bad):
+        lineno, cells = rows[bad[0]]
+        raise ValueError(f"{path}: {formats.where(bad[0], lineno)}: non-finite number in {cells!r}")
     if len(x) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(x)}")
     return x, elevation

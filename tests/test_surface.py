@@ -18,6 +18,7 @@ import inspect
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecocruise import invopt, mpc, qp, road, vehicle
@@ -31,7 +32,7 @@ CALLERS = ("src", "demos", "perfbench")
 
 @pytest.mark.parametrize("fn, params", [
     (mpc.build, ["gamma", "lin", "grade_window", "v_init", "params", "v_ref"]),
-    (qp.solve_qp, ["h_mat", "c_vec", "a_eq", "b_eq", "a_in", "b_in", "x0"]),
+    (qp.solve_qp, ["h_mat", "c_vec", "a_in", "b_in", "x0"]),
     (road.gen_sinusoidal, ["seed", "length_m"]),
     (invopt.recover_weights, ["v", "te", "lin", "params", "v_ref"]),
     (invopt.gamma_series, ["dp_solution", "road", "lin", "params", "n", "v_ref"]),
@@ -59,15 +60,34 @@ def test_record_fields(record, fields):
     assert [f.name for f in dataclasses.fields(record)] == fields
 
 
-def test_every_traced_name_resolves():
-    """The benchmark's tracer wraps package functions by module and name;
-    dropping one breaks ``perfbench/run.py --trace 1``."""
+def _tracer():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in tracing.Tracer()._targets()
+    return tracing.Tracer()
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps package functions by module and name;
+    dropping one breaks ``perfbench/run.py --trace 1``."""
+    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in _tracer()._targets()
                if not hasattr(module, attr)]
     assert not missing, f"names the tracer wraps that do not resolve: {missing}"
+
+
+def test_tracer_reads_the_solver_result():
+    """The tracer's hooks read fields of the results they wrap; renaming one
+    breaks ``perfbench/run.py --trace 1``, so it fails here first."""
+    params = vehicle.VehicleParams()
+    lin = vehicle.linearize(params, 30.0)
+    tracer = _tracer()
+    with tracer.installed():
+        mpc.solve(mpc.build(0.003, lin, np.zeros(10), 0.5, params))
+    counts, maxima = tracer.counts, tracer.maxima
+    assert counts["mpc.calls"] == counts["qp.calls"] == 1
+    assert counts["qp.iterations_total"] == maxima["qp.iterations_max"] == 1
+    assert counts["qp.working_set_sum"] == 0
+    assert 0.0 <= maxima["qp.kkt_residual_max"] < 1e-9
 
 
 def _trees(tops) -> dict[Path, ast.Module]:
@@ -143,12 +163,19 @@ def _references(path: Path, tree: ast.Module, modules: set[str]):
     return found
 
 
+# attribute names of the builtin values and arrays the package handles: a
+# read of one cannot be told from a use of a method of the same name
+SHADOWED = frozenset().union(*map(dir, (str, bytes, list, dict, set, tuple, int, float,
+                                        np.ndarray, Path)))
+
+
 def _unused(trees: dict[Path, ast.Module], package: list[Path]) -> list[str]:
     """Every definition in the ``package`` files that nothing in ``trees``
     uses.  A module-level function or class is used through its module
     (see :func:`_references`), a method as an attribute of anything, and
     either by a string that spells it.  A use inside the definition itself
-    (recursion) does not count."""
+    (recursion) does not count.  A method named like an attribute in
+    ``SHADOWED`` is always reported: its uses cannot be counted."""
     refs: dict[tuple, list[tuple[Path, int]]] = defaultdict(list)
     for path, tree in trees.items():
         for key, line in _references(path, tree, {p.stem for p in package}):
@@ -158,6 +185,9 @@ def _unused(trees: dict[Path, ast.Module], package: list[Path]) -> list[str]:
         for qualname, node in _definitions(trees[path]):
             name = qualname.rsplit(".", 1)[-1]
             if name.startswith("__") and name.endswith("__"):
+                continue
+            if "." in qualname and name in SHADOWED:
+                unused.append(f"{path.name}: {qualname} (a builtin attribute name)")
                 continue
             keys = [("attr", name) if "." in qualname else ("def", (path.stem, name)),
                     ("str", name)]
@@ -198,6 +228,24 @@ run(Record(()))
     path = Path("pkg/mod.py")
     assert _unused({path: ast.parse(source)}, [path]) == [
         "mod.py: working_set", "mod.py: Solver.bounds"]
+
+
+def test_a_builtin_attribute_name_fails_closed():
+    """A method named like a ``str`` or array attribute is reported even when
+    something reads that name: the read cannot be attributed to it."""
+    source = """
+class Plan:
+    def split(self):
+        return ()
+
+    def stages(self):
+        return ()
+
+print("a b".split(), Plan().stages())
+"""
+    path = Path("pkg/mod.py")
+    assert _unused({path: ast.parse(source)}, [path]) == [
+        "mod.py: Plan.split (a builtin attribute name)"]
 
 
 def _callee(call: ast.Call) -> str | None:
