@@ -42,5 +42,5 @@ uphill = road.grade > 0.015
 print(f"\nmean optimal speed on descents: {traj.v[:-1][downhill].mean():.2f} m/s")
 print(f"mean optimal speed on climbs:   {traj.v[:-1][uphill].mean():.2f} m/s")
 
-write_dp_csv(solution, "dp_trajectory.csv", header_lines=["demo 02 export"])
+write_dp_csv(traj, "dp_trajectory.csv", header_lines=["demo 02 export"])
 print("\nwrote dp_trajectory.csv")

@@ -240,7 +240,7 @@ def cmd_solve_dp(args, file_cfg) -> int:
     def make(tmp, fp, meta):
         profile = road_mod.read_road_csv(road_path)
         solution = dp_mod.solve(params, profile, DpConfig.default(params, **cfg))
-        dp_mod.write_dp_csv(solution, tmp, header_lines=meta)
+        dp_mod.write_dp_csv(solution.trajectory, tmp, header_lines=meta)
         return f"total fuel {solution.total_fuel:.9g} kg"
 
     return _produce("solve-dp", [args.out], cfg, [road_path], params, make)

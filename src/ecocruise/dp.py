@@ -9,8 +9,8 @@ optimizer to bank speed before climbs instead of simply driving slowly.
 The backward sweep stores one cost-to-go table per step (bilinear
 interpolation between grid nodes, additive big-penalty encoding outside the
 feasible set); the forward rollout then re-picks torques from the continuous
-state so the returned trajectory satisfies the true nonlinear dynamics
-exactly, not just on the grid.
+state through the same stage kernel, so the returned trajectory satisfies
+the true nonlinear dynamics exactly, not just on the grid.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ class DpConfig:
     v_grid: np.ndarray
     vavg_grid: np.ndarray
     te_grid: np.ndarray
-    vavg_min: float
-    vavg_max: float
     v_ref: float
     v_i: float
 
@@ -59,8 +57,8 @@ class DpConfig:
             if np.any(np.diff(g) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, g)
-        if not (self.vavg_min <= self.v_ref <= self.vavg_max):
-            raise ValueError("v_ref must lie inside the average-velocity corridor")
+        if not (self.vavg_grid[0] <= self.v_ref <= self.vavg_grid[-1]):
+            raise ValueError("v_ref must lie inside the average-velocity corridor, vavg_grid")
         if not (self.v_grid[0] <= self.v_i <= self.v_grid[-1]):
             raise ValueError("initial velocity outside the velocity grid")
 
@@ -81,14 +79,10 @@ class DpConfig:
                 raise ValueError(f"grid step {name} must be positive, got {step}")
         lo = max(params.v_min, v_ref - v_span)
         hi = min(params.v_max, v_ref + v_span)
-        vavg_lo = (1.0 - vavg_band) * v_ref
-        vavg_hi = (1.0 + vavg_band) * v_ref
         return DpConfig(
             v_grid=_uniform_grid(lo, hi, dv),
-            vavg_grid=_uniform_grid(vavg_lo, vavg_hi, dvavg),
+            vavg_grid=_uniform_grid((1.0 - vavg_band) * v_ref, (1.0 + vavg_band) * v_ref, dvavg),
             te_grid=_uniform_grid(params.te_min, params.te_max, dte),
-            vavg_min=vavg_lo,
-            vavg_max=vavg_hi,
             v_ref=v_ref,
             v_i=v_ref if v_i is None else v_i,
         )
@@ -110,86 +104,93 @@ def _interp_weights(grid: np.ndarray, values: np.ndarray):
     return idx, frac
 
 
+def _stage(params: VehicleParams, road: RoadProfile, config: DpConfig, k: int,
+           value: np.ndarray, v: np.ndarray, vavg: np.ndarray, bufs):
+    """The one stage rule of the backward pass and the forward pick: from
+    velocities ``v`` and trip averages ``vavg`` at step ``k``, each torque's
+    stage fuel plus the interpolated cost-to-go ``value`` of step ``k + 1``.
+
+    Yields, per block of ``vavg`` rows (``bufs`` from :func:`_buffers`), the
+    block's first row, its (rows, nu, len(v)) totals and the mask of trip
+    averages inside the span of ``vavg_grid``.  The velocity penalty rides
+    on the small stage-fuel table: as the value table and the stage fuel are
+    nonnegative (a fuel map positive on the grid), a penalized total is at
+    least ``INFEASIBLE_COST`` either way.
+    """
+    v_grid, a_grid, te_grid = config.v_grid, config.vavg_grid, config.te_grid
+    na = len(a_grid)
+    te = te_grid[:, None]                                          # (nu, 1)
+    next_v = next_velocity(params, v, te, road.grade[k])           # (nu, len(v))
+    ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
+    iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
+    wv = 1 - tv
+    fuel_v = fuel_per_meter(params, v, te) * DS + np.where(ok_v, 0.0, INFEASIBLE_COST)
+    row_v = iv * na
+
+    next_a = vavg_update(k, vavg[:, None], v)                      # (len(vavg), len(v))
+    ok_a = (next_a >= a_grid[0] - 1e-12) & (next_a <= a_grid[-1] + 1e-12)
+    ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
+    wa = 1 - ta
+
+    flat = value.ravel()
+    rows = len(bufs[0])
+    for lo in range(0, len(vavg), rows):
+        hi = min(lo + rows, len(vavg))
+        total, part, upper, corner = (b[: hi - lo] for b in bufs)
+        ta_b = ta[lo:hi, None, :]
+        wa_b = wa[lo:hi, None, :]
+        # (1-tv)((1-ta)j00 + ta j01) + tv((1-ta)j10 + ta j11) + fuel, in the
+        # operation order of the unblocked reference pass in tests/test_dp.py,
+        # so the tables and picks match it bit for bit.  The flat index of
+        # corner (iv, ia) gathers the other three corners from the raveled
+        # table shifted by 1, na and na + 1; it is in range by construction,
+        # and mode="clip" skips the buffered bounds check of the default mode
+        np.add(row_v, ia[lo:hi, None, :], out=corner)
+        np.take(flat, corner, out=total, mode="clip")
+        total *= wa_b
+        np.take(flat[1:], corner, out=part, mode="clip")
+        part *= ta_b
+        total += part
+        total *= wv
+        np.take(flat[na:], corner, out=upper, mode="clip")
+        upper *= wa_b
+        np.take(flat[na + 1:], corner, out=part, mode="clip")
+        part *= ta_b
+        upper += part
+        upper *= tv
+        total += upper
+        total += fuel_v
+        yield lo, total, ok_a[lo:hi]
+
+
+def _buffers(shape: tuple[int, int, int]) -> list[np.ndarray]:
+    """Scratch for :func:`_stage`: three float blocks and one index block."""
+    return [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=np.intp)]
+
+
 def _cost_to_go_tables(params: VehicleParams, road: RoadProfile, config: DpConfig) -> np.ndarray:
     """Backward value iteration: the (n_steps + 1, nv, na) cost-to-go tables.
 
     The stage scratch lives only here, so it is released before the forward
     rollout allocates the trajectory.
     """
-    p_steps = road.n_steps
-    v_grid = config.v_grid
-    a_grid = config.vavg_grid
-    te_grid = config.te_grid
+    v_grid, a_grid = config.v_grid, config.vavg_grid
     big = INFEASIBLE_COST
-
-    nv, na, nu = len(v_grid), len(a_grid), len(te_grid)
-    vv = v_grid[:, None]                      # (nv, 1)
-    te = te_grid[None, :]                     # (1, nu)
-    step_fuel = fuel_per_meter(params, vv, te) * DS  # (nv, nu), kg per segment
-
     # tables[k] is the cost-to-go at step k; terminal value: finish with the
     # trip average at or above the set point
-    tables = np.empty((p_steps + 1, nv, na))
-    tables[p_steps] = np.where(a_grid[None, :] >= config.v_ref - 1e-12, 0.0, big)
-
-    # each stage works on blocks of trip-average rows laid out (rows, nu, nv),
-    # torque before velocity so the minimum over torque is elementwise; four
-    # block buffers of a quarter of the stage each hold less than the three
-    # whole-stage arrays an unblocked stage needs
-    rows = -(-na // 4)
-    bufs = [np.empty((rows, nu, nv)) for _ in range(3)]
-    corner_buf = np.empty((rows, nu, nv), dtype=np.intp)
-
-    for k in range(p_steps - 1, -1, -1):
-        value = tables[k + 1].ravel()                              # (nv * na,)
-        next_v = next_velocity(params, vv, te, road.grade[k]).T   # (nu, nv)
-        ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
-        iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
-        wv = 1 - tv
-        # the penalties stay out of the (rows, nu, nv) blocks: the velocity one
-        # rides on the small stage-fuel table, and an infeasible trip average
-        # replaces the stage minimum.  Both equal adding ``big`` to every cell
-        # because the value table and the stage fuel are nonnegative (a fuel
-        # map positive on the grid): a penalized sum reaches ``big`` either way
-        # and the clamp below maps it to ``big``
-        fuel_v = step_fuel.T + np.where(ok_v, 0.0, big)            # (nu, nv)
-        row_v = iv * na
-
-        next_a = vavg_update(k, a_grid[:, None], v_grid[None, :])  # (na, nv)
-        ok_a = (next_a >= config.vavg_min - 1e-12) & (next_a <= config.vavg_max + 1e-12)
-        ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
-        wa = 1 - ta
-
-        for lo in range(0, na, rows):
-            hi = min(lo + rows, na)
-            total, part, upper = (b[: hi - lo] for b in bufs)
-            corner = corner_buf[: hi - lo]
-            ta_b = ta[lo:hi, None, :]
-            wa_b = wa[lo:hi, None, :]
-            # bilinear interpolation (1-tv)((1-ta)j00 + ta j01) + tv((1-ta)j10 + ta j11)
-            # plus stage fuel, in the operation order of the unblocked reference
-            # pass in tests/test_dp.py, so the tables match it bit for bit.  The
-            # flat index of corner (iv, ia) gathers the other three corners
-            # from the raveled table shifted by 1, na and na + 1; it is in
-            # range by construction, and mode="clip" skips the buffered bounds
-            # check of the default mode
-            np.add(row_v, ia[lo:hi, None, :], out=corner)
-            np.take(value, corner, out=total, mode="clip")
-            total *= wa_b
-            np.take(value[1:], corner, out=part, mode="clip")
-            part *= ta_b
-            total += part
-            total *= wv
-            np.take(value[na:], corner, out=upper, mode="clip")
-            upper *= wa_b
-            np.take(value[na + 1:], corner, out=part, mode="clip")
-            part *= ta_b
-            upper += part
-            upper *= tv
-            total += upper
-            total += fuel_v
-            best = np.where(ok_a[lo:hi], total.min(axis=1), big)       # (rows, nv)
-            np.minimum(best.T, big, out=tables[k][:, lo:hi])
+    tables = np.empty((road.n_steps + 1, len(v_grid), len(a_grid)))
+    tables[-1] = np.where(a_grid[None, :] >= config.v_ref - 1e-12, 0.0, big)
+    # blocks of trip-average rows laid out (rows, nu, nv), torque before
+    # velocity so the minimum over torque is elementwise; four block buffers
+    # of a quarter of the stage each hold less than the three whole-stage
+    # arrays an unblocked stage needs
+    bufs = _buffers((-(-len(a_grid) // 4), len(config.te_grid), len(v_grid)))
+    for k in range(road.n_steps - 1, -1, -1):
+        for lo, total, ok_a in _stage(params, road, config, k, tables[k + 1], v_grid, a_grid, bufs):
+            # an infeasible trip average replaces the stage minimum, and the
+            # clamp maps every penalized minimum to ``big``
+            best = np.where(ok_a, total.min(axis=1), big)          # (rows, nv)
+            np.minimum(best.T, big, out=tables[k][:, lo:lo + len(best)])
     return tables
 
 
@@ -197,35 +198,20 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
     """Backward value iteration plus exact-dynamics forward rollout."""
     if road.n_steps < 2:
         raise ValueError("road must contain at least two segments")
-    v_grid = config.v_grid
-    a_grid = config.vavg_grid
-    te_grid = config.te_grid
-    big = INFEASIBLE_COST
     tables = _cost_to_go_tables(params, road, config)
+    bufs = _buffers((1, len(config.te_grid), 1))
 
     def pick(k: int, v: float, vavg: float) -> float:
         """Re-pick the torque from the continuous state against the tables."""
-        cand_v = next_velocity(params, v, te_grid, road.grade[k])
-        cand_ok = (cand_v >= v_grid[0]) & (cand_v <= v_grid[-1])
-        next_a = vavg_update(k, vavg, v)
-        a_ok = config.vavg_min - 1e-12 <= next_a <= config.vavg_max + 1e-12
-
-        table = tables[k + 1]
-        iv, tv = _interp_weights(v_grid, np.clip(cand_v, v_grid[0], v_grid[-1]))
-        ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
-        j_next = (1 - tv) * ((1 - ta) * table[iv, ia] + ta * table[iv, ia + 1]) + tv * (
-            (1 - ta) * table[iv + 1, ia] + ta * table[iv + 1, ia + 1]
-        )
-        cost = fuel_per_meter(params, v, te_grid) * DS + j_next
-        cost = cost + np.where(cand_ok, 0.0, big)
-        if not a_ok:
-            cost = cost + big
+        (_, total, ok_a), = _stage(params, road, config, k, tables[k + 1],
+                                   np.array([v]), np.array([vavg]), bufs)
+        cost = total[0, :, 0]
         best = int(np.argmin(cost))
-        if cost[best] >= big:
+        if not ok_a[0, 0] or cost[best] >= INFEASIBLE_COST:
             raise InfeasibleError(
                 f"no feasible torque at step {k} (position {k * DS:.0f} m, v={v:.2f} m/s)"
             )
-        return float(te_grid[best])
+        return float(config.te_grid[best])
 
     # forward rollout from the exact initial state
     return DpSolution(trajectory=rollout(params, road, config.v_i, pick))
@@ -239,13 +225,10 @@ def replay(params: VehicleParams, road: RoadProfile, torque_sequence, v_i: float
     return rollout(params, road, v_i, lambda k, v, vavg: float(te_seq[k]))
 
 
-def write_dp_csv(solution, path, header_lines: list[str] | None = None) -> None:
+def write_dp_csv(traj: Trajectory, path, header_lines: list[str] | None = None) -> None:
     """Export ``index,position_m,v_mps,vavg_mps,te_nm,fuel_kg_per_m``; the final
-    node carries no input so those cells are empty.
-
-    Accepts a solved optimum or any bare trajectory (closed-loop runs share
-    the format)."""
-    traj = solution.trajectory if isinstance(solution, DpSolution) else solution
+    node carries no input so those cells are empty.  Closed-loop drives
+    share the format."""
     formats.write_table(
         path,
         ["index", "position_m", "v_mps", "vavg_mps", "te_nm", "fuel_kg_per_m"],

@@ -60,8 +60,8 @@ class ControllerSpec:
     def __post_init__(self) -> None:
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.kind == "FIXED_LMPC" and self.gamma < 0:
-            raise ValueError("fixed fuel weight must be nonnegative")
+        if self.kind == "FIXED_LMPC" and not 0 <= self.gamma < np.inf:
+            raise ValueError(f"fixed fuel weight must be finite and nonnegative, got {self.gamma}")
 
 
 @dataclass(frozen=True)

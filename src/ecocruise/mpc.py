@@ -191,8 +191,8 @@ def build(
     ``grade_window`` fixes the horizon length.  ``v_ref`` defaults to the
     linearization speed, which makes the tracking target zero deviation.
     """
-    if gamma < 0:
-        raise ValueError("fuel weight must be nonnegative to keep the program convex")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"fuel weight must be finite and nonnegative, got {gamma}")
     grades = np.asarray(grade_window, dtype=float)
     n = len(grades)
     if n < 1:

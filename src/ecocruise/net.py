@@ -343,6 +343,8 @@ def load_model(path) -> MlpModel:
             raise ValueError(f"{path}: {what} is not a row of numbers") from None
         if len(values) != width:
             raise ValueError(f"{path}: {what} holds {len(values)} values, expected {width}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: {what} holds a non-finite value")
         return values
 
     head = take().split()

@@ -40,8 +40,6 @@ def make_tiny_instance(seed: int, params: VehicleParams) -> TinyInstance:
         v_grid=np.linspace(v_i - 2.0, v_i + 2.0, 7),
         vavg_grid=np.linspace(v_i - 3.0, v_i + 3.0, 7),
         te_grid=np.linspace(te_eq - 120.0, te_eq + 80.0, n_te),
-        vavg_min=v_i - 3.0,
-        vavg_max=v_i + 3.0,
         v_ref=v_i - 2.5,
         v_i=v_i,
     )
@@ -69,7 +67,7 @@ def enumerate_optimum(params: VehicleParams, road: RoadProfile, config: DpConfig
         v_next = v + ds * accel(params, v, te, road.grade[k]) / v
         alive &= (v_next >= config.v_grid[0]) & (v_next <= config.v_grid[-1])
         vavg_next = (k * ds + ds) / (k * ds / vavg + ds / v)
-        alive &= (vavg_next >= config.vavg_min - 1e-12) & (vavg_next <= config.vavg_max + 1e-12)
+        alive &= (vavg_next >= config.vavg_grid[0] - 1e-12) & (vavg_next <= config.vavg_grid[-1] + 1e-12)
         # park dead sequences at a safe positive state; the mask excludes them
         v = np.where(alive, v_next, 1.0)
         vavg = np.where(alive, vavg_next, 1.0)

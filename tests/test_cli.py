@@ -347,19 +347,34 @@ class TestStageErrors:
                      "--model", str(model)]) == EXIT_VALIDATION
         assert "model file ends early" in capsys.readouterr().err
 
-    def test_sweep_with_a_short_layer_is_validation_error(self, tmp_path, road_file, capsys):
-        dp, gammas, model = tmp_path / "dp.csv", tmp_path / "gammas.csv", tmp_path / "model.txt"
+    @staticmethod
+    def _sweep_rejects(tmp_path, road_file, capsys, model) -> str:
+        """Stderr of a sweep with predictor ``model`` that exits 2 and writes nothing."""
+        dp, gammas = tmp_path / "dp.csv", tmp_path / "gammas.csv"
         assert main(["solve-dp", "--road", str(road_file), "--out", str(dp)]) == EXIT_OK
         assert main(["invert", "--road", str(road_file), "--dp", str(dp),
                      "--out", str(gammas)]) == EXIT_OK
-        write_model(model, LAYER_DIMS, short_layer=2)
         before = sorted(tmp_path.iterdir())
         capsys.readouterr()
         assert main(["sweep", "--road", str(road_file), "--model", str(model),
                      "--gammas-csv", str(gammas), "--dp", str(dp),
                      "--out", str(tmp_path / "sweep.csv")]) == EXIT_VALIDATION
-        assert "layer 2" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+        return capsys.readouterr().err
+
+    def test_sweep_with_a_short_layer_is_validation_error(self, tmp_path, road_file, capsys):
+        model = tmp_path / "model.txt"
+        write_model(model, LAYER_DIMS, short_layer=2)
+        assert "layer 2" in self._sweep_rejects(tmp_path, road_file, capsys, model)
+
+    def test_sweep_with_a_nan_weight_is_validation_error(self, tmp_path, road_file, capsys):
+        # read as is, AT_MPC would clip the NaN prediction to a zero weight
+        model = tmp_path / "model.txt"
+        write_model(model, LAYER_DIMS)
+        head = f"layer 1 {LAYER_DIMS[1]} {LAYER_DIMS[2]}\n"
+        model.write_text(model.read_text().replace(head + "0 ", head + "nan "))
+        assert "layer 1 row 0 holds a non-finite value" in self._sweep_rejects(
+            tmp_path, road_file, capsys, model)
 
     def test_predictor_of_another_input_width_is_validation_error(self, tmp_path, road_file,
                                                                   capsys):
@@ -535,6 +550,16 @@ class TestBadNumbers:
                      "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert "--v-i" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_non_finite_weight_in_a_series(self, tmp_path, road_file, capsys):
+        gammas = tmp_path / "gammas.csv"
+        gammas.write_text("index,position_m,gamma,residual,flags\n" + "".join(
+            f"{i},{30 * i},{'nan' if i == 5 else 0.002},0,\n" for i in range(100)))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--road", str(road_file), "--controller", "pt",
+                     "--gammas", str(gammas), "--out", str(out)]) == EXIT_VALIDATION
+        assert "row 7 (line 7): non-finite gamma" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_road_elevation(self, tmp_path, road_file, capsys):
         lines = road_file.read_text().splitlines()

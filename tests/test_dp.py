@@ -92,8 +92,6 @@ class TestSolveTinyExact:
                 v_grid=cfg.v_grid,
                 vavg_grid=cfg.vavg_grid,
                 te_grid=np.concatenate([[te[0] - step], te, [te[-1] + step]]),
-                vavg_min=cfg.vavg_min,
-                vavg_max=cfg.vavg_max,
                 v_ref=cfg.v_ref,
                 v_i=cfg.v_i,
             )
@@ -126,32 +124,20 @@ class TestSolveBehavior:
         assert np.all(traj.v <= cfg.v_grid[-1] + 1e-9)
         assert np.all(traj.te >= cfg.te_grid[0] - 1e-9)
         assert np.all(traj.te <= cfg.te_grid[-1] + 1e-9)
-        assert np.all(traj.vavg >= cfg.vavg_min - 1e-9)
-        assert np.all(traj.vavg <= cfg.vavg_max + 1e-9)
+        assert np.all(traj.vavg >= cfg.vavg_grid[0] - 1e-9)
+        assert np.all(traj.vavg <= cfg.vavg_grid[-1] + 1e-9)
 
     def test_infeasible_configuration_names_step(self, params):
-        # set point above anything the corridor allows from the start
         road = gen_sinusoidal(seed=1, length_m=3000.0)
         cfg = DpConfig(
             v_grid=np.linspace(28.0, 32.0, 9),
             vavg_grid=np.linspace(29.0, 31.0, 9),
-            te_grid=np.linspace(params.te_min, params.te_max, 10),
-            vavg_min=29.0,
-            vavg_max=31.0,
-            v_ref=30.0,
-            v_i=29.0,  # starting average below the corridor recovery range
-        )
-        cfg2 = DpConfig(
-            v_grid=cfg.v_grid,
-            vavg_grid=cfg.vavg_grid,
             te_grid=np.linspace(0.0, 10.0, 3),  # torque too weak to climb
-            vavg_min=cfg.vavg_min,
-            vavg_max=cfg.vavg_max,
             v_ref=30.0,
             v_i=30.0,
         )
         with pytest.raises(InfeasibleError, match="step"):
-            solve(params, road, cfg2)
+            solve(params, road, cfg)
 
     def test_config_validation(self, params):
         with pytest.raises(ValueError):
@@ -159,8 +145,6 @@ class TestSolveBehavior:
                 v_grid=np.array([30.0, 29.0]),
                 vavg_grid=np.array([29.0, 31.0]),
                 te_grid=np.array([0.0, 100.0]),
-                vavg_min=29.0,
-                vavg_max=31.0,
                 v_ref=30.0,
                 v_i=30.0,
             )
@@ -169,8 +153,6 @@ class TestSolveBehavior:
                 v_grid=np.array([28.0, 32.0]),
                 vavg_grid=np.array([29.0, 31.0]),
                 te_grid=np.array([0.0, 100.0]),
-                vavg_min=29.0,
-                vavg_max=31.0,
                 v_ref=32.0,
                 v_i=30.0,
             )
@@ -220,18 +202,11 @@ class TestCsv:
         inst = make_tiny_instance(3000, params)
         solution = solve(params, inst.road, inst.config)
         path = tmp_path / "dp.csv"
-        write_dp_csv(solution, path, header_lines=["unit test"])
+        write_dp_csv(solution.trajectory, path, header_lines=["unit test"])
         back = read_dp_csv(path)
         assert np.allclose(back.v, solution.trajectory.v, atol=1e-7)
         assert np.allclose(back.te, solution.trajectory.te, atol=1e-7)
         assert len(back.te) == len(back.v) - 1
-
-    def test_bare_trajectory_export(self, params, tmp_path):
-        inst = make_tiny_instance(3000, params)
-        traj = solve(params, inst.road, inst.config).trajectory
-        path = tmp_path / "traj.csv"
-        write_dp_csv(traj, path)
-        assert np.allclose(read_dp_csv(path).v, traj.v, atol=1e-7)
 
 
 def reference_solve(params, road, config):
@@ -256,7 +231,7 @@ def reference_solve(params, road, config):
         ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
         iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
         next_a = vavg_update(k, a_grid[:, None], v_grid[None, :])
-        ok_a = (next_a >= config.vavg_min - 1e-12) & (next_a <= config.vavg_max + 1e-12)
+        ok_a = (next_a >= config.vavg_grid[0] - 1e-12) & (next_a <= config.vavg_grid[-1] + 1e-12)
         ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
         bad_v += int(np.sum(~ok_v))
         bad_a += int(np.sum(~ok_a))
@@ -273,7 +248,7 @@ def reference_solve(params, road, config):
         cand_v = next_velocity(params, v, te_grid, road.grade[k])
         cand_ok = (cand_v >= v_grid[0]) & (cand_v <= v_grid[-1])
         next_a = vavg_update(k, vavg, v)
-        a_ok = config.vavg_min - 1e-12 <= next_a <= config.vavg_max + 1e-12
+        a_ok = config.vavg_grid[0] - 1e-12 <= next_a <= config.vavg_grid[-1] + 1e-12
         table = tables[k + 1]
         iv, tv = _interp_weights(v_grid, np.clip(cand_v, v_grid[0], v_grid[-1]))
         ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
@@ -322,8 +297,6 @@ def penalized_instances(draw):
         v_grid=np.linspace(v_i - v_half, v_i + v_half, draw(st.integers(2, 12))),
         vavg_grid=np.linspace(vavg_min, vavg_max, draw(st.integers(2, 21))),
         te_grid=np.linspace(-30.0, 240.0, draw(st.integers(2, 9))),
-        vavg_min=vavg_min,
-        vavg_max=vavg_max,
         v_ref=v_ref,
         v_i=v_i,
     )

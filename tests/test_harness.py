@@ -235,6 +235,12 @@ class TestParetoSweep:
         with pytest.raises(ValueError):
             pareto_sweep(flat_road, params, [0.003, 0.001], Artifacts(), v_ref=30.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_rung_is_bad_input(self, params, flat_road, gamma):
+        # bad input propagates; it is not recorded as a solver failure
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            pareto_sweep(flat_road, params, [gamma], Artifacts(), v_ref=30.0)
+
     def test_csv_roundtrip(self, tmp_path):
         rows = [
             SweepRow("FIXED_LMPC", 0.003, 30.5, 22.1, 1.31, 0.004),

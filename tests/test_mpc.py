@@ -46,8 +46,9 @@ class TestBuild:
         assert full.objective_at(z) == pytest.approx(1.0 / (n + 1) ** 2, rel=1e-12)
 
     def test_negative_weight_rejected(self, params, lin):
-        with pytest.raises(ValueError):
-            mpc.build(-1e-6, lin, np.zeros(10), 0.0, params)
+        for gamma in (-1e-6, np.nan, np.inf):  # a NaN passes a bare ``< 0`` test
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                mpc.build(gamma, lin, np.zeros(10), 0.0, params)
 
     def test_hessian_positive_semidefinite(self, params, lin):
         for gamma in (0.0, 1e-4, 0.003, 0.05, 1.0):

@@ -337,9 +337,10 @@ class TestSerialization:
         ("layer 1 4 2", "layer 1 4", "malformed layer block 1"),
         ("layer 1 4 2", "layer 1 4 3", "layer 1 is 4x3, but dims make it 4x2"),
         ("layer 2 2 1\n0\n", "layer 2 2 1\nx\n", "layer 2 row 0 is not a row of numbers"),
+        ("layer 2 2 1\n0\n", "layer 2 2 1\nnan\n", "layer 2 row 0 holds a non-finite value"),
         ("dims 3 4 2 1", "dims 3 4 two 1", "not a model file"),
     ], ids=["scaler_head", "scaler_order", "scaler_width", "layer_head", "layer_shape",
-            "layer_text", "dims"])
+            "layer_text", "layer_nan", "dims"])
     def test_malformed_block_is_named(self, tmp_path, old, new, message):
         path = tmp_path / "model.txt"
         write_model(path, (3, 4, 2, 1))
