@@ -11,6 +11,13 @@ interpolation between grid nodes, additive big-penalty encoding outside the
 feasible set); the forward rollout then re-picks torques from the continuous
 state through the same stage kernel, so the returned trajectory satisfies
 the true nonlinear dynamics exactly, not just on the grid.
+
+The stage kernel is vectorized over the whole grid in the manner of
+Sundström, Ambühl & Guzzella (2010), ordered by node span: the next trip
+average does not depend on the torque, and over all torques the next
+velocity of a grid column reaches only a few velocity nodes.  So a stage
+interpolates the cost-to-go in the trip average once per reachable node,
+then in velocity once per torque.
 """
 
 from __future__ import annotations
@@ -54,8 +61,13 @@ class DpConfig:
             g = np.asarray(getattr(self, name), dtype=float)
             if g.ndim != 1 or len(g) < 2:
                 raise ValueError(f"{name} must hold at least two points")
-            if np.any(np.diff(g) <= 0):
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"{name} must be finite")
+            if not np.all(np.diff(g) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
+            # the stage divides by velocities and trip averages
+            if name != "te_grid" and not g[0] > 0:
+                raise ValueError(f"{name} must be positive")
             object.__setattr__(self, name, g)
         if not (self.vavg_grid[0] <= self.v_ref <= self.vavg_grid[-1]):
             raise ValueError("v_ref must lie inside the average-velocity corridor, vavg_grid")
@@ -105,74 +117,88 @@ def _interp_weights(grid: np.ndarray, values: np.ndarray):
 
 
 def _stage(params: VehicleParams, road: RoadProfile, config: DpConfig, k: int,
-           value: np.ndarray, v: np.ndarray, vavg: np.ndarray, bufs):
+           value: np.ndarray, v: np.ndarray, vavg: np.ndarray):
     """The one stage rule of the backward pass and the forward pick: from
     velocities ``v`` and trip averages ``vavg`` at step ``k``, each torque's
     stage fuel plus the interpolated cost-to-go ``value`` of step ``k + 1``.
 
-    Yields, per block of ``vavg`` rows (``bufs`` from :func:`_buffers`), the
-    block's first row, its (rows, nu, len(v)) totals and the mask of trip
-    averages inside the span of ``vavg_grid``.  The velocity penalty rides
-    on the small stage-fuel table: as the value table and the stage fuel are
-    nonnegative (a fuel map positive on the grid), a penalized total is at
-    least ``INFEASIBLE_COST`` either way.
+    Yields, per block of ``vavg`` entries, the block's first index, its
+    (nu, len(v), n) totals and the (len(v), n) mask of trip averages inside
+    the span of ``vavg_grid``.  The velocity penalty rides on the small
+    stage-fuel table: as the value table and the stage fuel are nonnegative
+    (a fuel map positive on the grid), a penalized total is at least
+    ``INFEASIBLE_COST`` either way.
+
+    The next trip average depends on ``(v, vavg)`` only, not on the torque,
+    and over all torques the next velocity of a column ``v`` spans a few
+    velocity nodes.  So a block first interpolates the trip average once per
+    node of that span, ``j_a[node] = (1-ta) value[node, ia] + ta value[node,
+    ia+1]`` over (span, len(v), n), and then, per torque, only the velocity:
+    ``(1-tv) j_a[iv] + tv j_a[iv+1] + fuel``, gathering whole runs of ``n``
+    trip averages.  These are the operations of the unblocked reference pass
+    in tests/test_dp.py in the same order, so the tables and picks match it
+    bit for bit.
     """
     v_grid, a_grid, te_grid = config.v_grid, config.vavg_grid, config.te_grid
-    na = len(a_grid)
+    nv, na, nu = len(v_grid), len(a_grid), len(te_grid)
+    cols = len(v)
     te = te_grid[:, None]                                          # (nu, 1)
-    next_v = next_velocity(params, v, te, road.grade[k])           # (nu, len(v))
+    next_v = next_velocity(params, v, te, road.grade[k])           # (nu, cols)
     ok_v = (next_v >= v_grid[0]) & (next_v <= v_grid[-1])
     iv, tv = _interp_weights(v_grid, np.clip(next_v, v_grid[0], v_grid[-1]))
-    wv = 1 - tv
     fuel_v = fuel_per_meter(params, v, te) * DS + np.where(ok_v, 0.0, INFEASIBLE_COST)
-    row_v = iv * na
+    # the velocity nodes a column can reach: span nodes from its first one,
+    # which is moved down where the span would run past the grid's top
+    low = iv.min(axis=0)                                           # (cols,)
+    span = int((iv.max(axis=0) - low).max()) + 2
+    first = np.minimum(low, nv - span)
+    # row of column c's node iv in a block's (span * cols, n) node table;
+    # node iv + 1 sits cols rows further on
+    at_v = (iv - first) * cols + np.arange(cols)                   # (nu, cols)
+    wv, tv, fuel_v = (a[:, :, None] for a in (1 - tv, tv, fuel_v))
 
-    next_a = vavg_update(k, vavg[:, None], v)                      # (len(vavg), len(v))
+    next_a = vavg_update(k, vavg, v[:, None])                      # (cols, len(vavg))
     ok_a = (next_a >= a_grid[0] - 1e-12) & (next_a <= a_grid[-1] + 1e-12)
     ia, ta = _interp_weights(a_grid, np.clip(next_a, a_grid[0], a_grid[-1]))
     wa = 1 - ta
+    corner = (first * na)[:, None] + ia    # flat index of value[first, ia]
+    nodes = np.arange(span)[:, None, None] * na                    # (span, 1, 1)
 
+    # blocks of at most `block` trip averages whose scratch, three
+    # (span, cols, block) and two (nu, cols, block) arrays, stays within
+    # four (ceil(len(vavg) / 4), nu, cols) blocks; a block holds at least one
+    block = max(1, min(len(vavg), 4 * -(-len(vavg) // 4) * nu // (3 * span + 2 * nu)))
+    scratch = [np.empty(span * cols * block, dtype=np.intp)] + [
+        np.empty(size * cols * block) for size in (span, span, nu, nu)]
     flat = value.ravel()
-    rows = len(bufs[0])
-    for lo in range(0, len(vavg), rows):
-        hi = min(lo + rows, len(vavg))
-        total, part, upper, corner = (b[: hi - lo] for b in bufs)
-        ta_b = ta[lo:hi, None, :]
-        wa_b = wa[lo:hi, None, :]
-        # (1-tv)((1-ta)j00 + ta j01) + tv((1-ta)j10 + ta j11) + fuel, in the
-        # operation order of the unblocked reference pass in tests/test_dp.py,
-        # so the tables and picks match it bit for bit.  The flat index of
-        # corner (iv, ia) gathers the other three corners from the raveled
-        # table shifted by 1, na and na + 1; it is in range by construction,
-        # and mode="clip" skips the buffered bounds check of the default mode
-        np.add(row_v, ia[lo:hi, None, :], out=corner)
-        np.take(flat, corner, out=total, mode="clip")
-        total *= wa_b
-        np.take(flat[1:], corner, out=part, mode="clip")
-        part *= ta_b
-        total += part
+    for lo in range(0, len(vavg), block):
+        n = min(block, len(vavg) - lo)
+        at_a, j_a, part_a, total, part = (
+            b[: size * cols * n].reshape(size, cols, n)
+            for b, size in zip(scratch, (span, span, span, nu, nu)))
+        # mode="clip" skips the buffered bounds check of the default mode;
+        # every index is in range by construction
+        np.add(corner[:, lo:lo + n], nodes, out=at_a)
+        np.take(flat, at_a, out=j_a, mode="clip")
+        j_a *= wa[:, lo:lo + n]
+        np.take(flat[1:], at_a, out=part_a, mode="clip")
+        part_a *= ta[:, lo:lo + n]
+        j_a += part_a
+        j_rows = j_a.reshape(span * cols, n)
+        np.take(j_rows, at_v, axis=0, out=total, mode="clip")
         total *= wv
-        np.take(flat[na:], corner, out=upper, mode="clip")
-        upper *= wa_b
-        np.take(flat[na + 1:], corner, out=part, mode="clip")
-        part *= ta_b
-        upper += part
-        upper *= tv
-        total += upper
+        np.take(j_rows[cols:], at_v, axis=0, out=part, mode="clip")
+        part *= tv
+        total += part
         total += fuel_v
-        yield lo, total, ok_a[lo:hi]
-
-
-def _buffers(shape: tuple[int, int, int]) -> list[np.ndarray]:
-    """Scratch for :func:`_stage`: three float blocks and one index block."""
-    return [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=np.intp)]
+        yield lo, total, ok_a[:, lo:lo + n]
 
 
 def _cost_to_go_tables(params: VehicleParams, road: RoadProfile, config: DpConfig) -> np.ndarray:
     """Backward value iteration: the (n_steps + 1, nv, na) cost-to-go tables.
 
-    The stage scratch lives only here, so it is released before the forward
-    rollout allocates the trajectory.
+    Each stage allocates its own scratch, so none of it outlives the
+    backward pass into the forward rollout.
     """
     v_grid, a_grid = config.v_grid, config.vavg_grid
     big = INFEASIBLE_COST
@@ -180,17 +206,15 @@ def _cost_to_go_tables(params: VehicleParams, road: RoadProfile, config: DpConfi
     # trip average at or above the set point
     tables = np.empty((road.n_steps + 1, len(v_grid), len(a_grid)))
     tables[-1] = np.where(a_grid[None, :] >= config.v_ref - 1e-12, 0.0, big)
-    # blocks of trip-average rows laid out (rows, nu, nv), torque before
-    # velocity so the minimum over torque is elementwise; four block buffers
-    # of a quarter of the stage each hold less than the three whole-stage
-    # arrays an unblocked stage needs
-    bufs = _buffers((-(-len(a_grid) // 4), len(config.te_grid), len(v_grid)))
+    # the stage totals come in blocks of trip averages laid out (nu, nv, n),
+    # torque first so the minimum over torque is elementwise and lands in
+    # the table's own (nv, n) layout
     for k in range(road.n_steps - 1, -1, -1):
-        for lo, total, ok_a in _stage(params, road, config, k, tables[k + 1], v_grid, a_grid, bufs):
+        for lo, total, ok_a in _stage(params, road, config, k, tables[k + 1], v_grid, a_grid):
             # an infeasible trip average replaces the stage minimum, and the
             # clamp maps every penalized minimum to ``big``
-            best = np.where(ok_a, total.min(axis=1), big)          # (rows, nv)
-            np.minimum(best.T, big, out=tables[k][:, lo:lo + len(best)])
+            best = np.where(ok_a, total.min(axis=0), big)          # (nv, n)
+            np.minimum(best, big, out=tables[k][:, lo:lo + best.shape[1]])
     return tables
 
 
@@ -199,13 +223,12 @@ def solve(params: VehicleParams, road: RoadProfile, config: DpConfig) -> DpSolut
     if road.n_steps < 2:
         raise ValueError("road must contain at least two segments")
     tables = _cost_to_go_tables(params, road, config)
-    bufs = _buffers((1, len(config.te_grid), 1))
 
     def pick(k: int, v: float, vavg: float) -> float:
         """Re-pick the torque from the continuous state against the tables."""
         (_, total, ok_a), = _stage(params, road, config, k, tables[k + 1],
-                                   np.array([v]), np.array([vavg]), bufs)
-        cost = total[0, :, 0]
+                                   np.array([v]), np.array([vavg]))
+        cost = total[:, 0, 0]
         best = int(np.argmin(cost))
         if not ok_a[0, 0] or cost[best] >= INFEASIBLE_COST:
             raise InfeasibleError(

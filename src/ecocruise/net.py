@@ -149,7 +149,11 @@ def _forward(weights, biases, x):
     """Every layer's rectified activation, the input first and the output last."""
     acts = [x]
     for w, b in zip(weights, biases):
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        # in place on the fresh product: the same operations, no temporaries
+        h = acts[-1] @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+        acts.append(h)
     return acts
 
 
@@ -167,10 +171,13 @@ def _grads(weights, acts, y, l2):
     grads_w = []
     grads_b = []
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w.append(acts[layer].T @ delta + 2.0 * l2 * weights[layer])
+        g = acts[layer].T @ delta
+        g += 2.0 * l2 * weights[layer]
+        grads_w.append(g)
         grads_b.append(delta.sum(axis=0))
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+            delta = delta @ weights[layer].T
+            delta *= acts[layer] > 0.0
     grads_w.reverse()
     grads_b.reverse()
     return grads_w, grads_b
@@ -219,8 +226,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
             acts = _forward(weights, biases, x_fit[batch])
             gw, gb = _grads(weights, acts, y_fit[batch], config.l2)
             for i in range(len(weights)):
-                weights[i] -= config.learning_rate * gw[i]
-                biases[i] -= config.learning_rate * gb[i]
+                gw[i] *= config.learning_rate
+                weights[i] -= gw[i]
+                gb[i] *= config.learning_rate
+                biases[i] -= gb[i]
 
         # non-finite weights never turn finite again, so the epoch loss
         # shows any batch that diverged

@@ -320,3 +320,66 @@ class TestBlockedStageMatchesReference:
         for field in ("v", "vavg", "te", "fuel_per_m"):
             assert getattr(solution.trajectory, field).tobytes() == getattr(traj, field).tobytes()
         assert solution.total_fuel == traj.total_fuel_kg
+
+
+def _steep_road() -> RoadProfile:
+    grades = np.random.default_rng(6).uniform(-0.06, 0.06, 100)
+    return RoadProfile.from_elevation(np.concatenate([[0.0], np.cumsum(grades) * DS]))
+
+
+class TestNodeSpanStageAtFullGrid:
+    """The stage interpolates the trip average once per reachable velocity
+    node; at the default grid (65 x 43 x 28) it still matches the unblocked
+    reference pass byte for byte, tables, picks and error text alike."""
+
+    @pytest.mark.parametrize("make_road", [
+        lambda: gen_sinusoidal(seed=7, length_m=3000.0),
+        _steep_road,
+    ], ids=["seeded_3km", "steep_6pct"])
+    def test_bitwise_equal_to_unblocked_pass(self, params, make_road):
+        road = make_road()
+        config = DpConfig.default(params, 30.0)
+        assert (len(config.v_grid), len(config.vavg_grid), len(config.te_grid)) == (65, 43, 28)
+        # next velocities leave the grid at both ends, so the clip and the
+        # velocity penalty are exercised at the floor and at the ceiling
+        next_v = next_velocity(params, config.v_grid, config.te_grid[:, None],
+                               road.grade[:, None, None])
+        assert np.any(next_v < config.v_grid[0]) and np.any(next_v > config.v_grid[-1])
+        tables, traj, message, _, _ = reference_solve(params, road, config)
+        assert _cost_to_go_tables(params, road, config).tobytes() == tables.tobytes()
+        if message is not None:
+            with pytest.raises(InfeasibleError) as err:
+                solve(params, road, config)
+            assert str(err.value) == message
+            return
+        solution = solve(params, road, config)
+        for field in ("v", "vavg", "te", "fuel_per_m"):
+            assert getattr(solution.trajectory, field).tobytes() == getattr(traj, field).tobytes()
+
+
+class TestConfigRejectsBadGrids:
+    """A grid node that is not finite, out of order or, for the velocity and
+    trip-average grids, not positive is bad input at construction, not a
+    solver failure or a division warning inside ``solve``."""
+
+    @pytest.mark.parametrize("v_grid, message", [
+        ([28.0, np.nan, 32.0], "v_grid must be finite"),
+        ([-1.0, 0.0, 32.0], "v_grid must be positive"),
+        ([28.0, np.inf], "v_grid must be finite"),
+    ], ids=["nan", "negative", "inf"])
+    def test_velocity_grid(self, v_grid, message):
+        with pytest.raises(ValueError, match=message):
+            DpConfig(v_grid=np.array(v_grid), vavg_grid=np.array([29.0, 31.0]),
+                     te_grid=np.array([0.0, 100.0, 200.0]), v_ref=30.0, v_i=30.0)
+
+    def test_trip_average_grid(self):
+        with pytest.raises(ValueError, match="vavg_grid must be positive"):
+            DpConfig(v_grid=np.array([28.0, 32.0]), vavg_grid=np.array([0.0, 31.0]),
+                     te_grid=np.array([0.0, 100.0]), v_ref=30.0, v_i=30.0)
+
+    def test_torque_grid_may_be_negative_but_not_nan(self):
+        DpConfig(v_grid=np.array([28.0, 32.0]), vavg_grid=np.array([29.0, 31.0]),
+                 te_grid=np.array([-30.0, 0.0, 100.0]), v_ref=30.0, v_i=30.0)
+        with pytest.raises(ValueError, match="te_grid must be finite"):
+            DpConfig(v_grid=np.array([28.0, 32.0]), vavg_grid=np.array([29.0, 31.0]),
+                     te_grid=np.array([0.0, np.nan, 100.0]), v_ref=30.0, v_i=30.0)

@@ -380,3 +380,54 @@ class TestSerialization:
             for field in ("mins", "ranges"):
                 got = getattr(getattr(loaded, name), field)
                 assert got.tobytes() == getattr(getattr(model, name), field).tobytes()
+
+
+class TestInPlacePasses:
+    """The forward and backward passes work in place on their own fresh
+    products: they change no array they are given, and compute what the
+    out-of-place expressions do, bit for bit."""
+
+    @staticmethod
+    def network(seed):
+        rng = np.random.default_rng(seed)
+        weights, biases = _init_params(LAYER_DIMS, rng)
+        # a live, mixed-sign output layer, so every mask has both values
+        weights[-1] = rng.normal(0.0, 0.3, size=weights[-1].shape)
+        # inputs of both signs, so a rectifier applied to them in place shows
+        x = rng.normal(0.0, 1.0, size=(16, LAYER_DIMS[0]))
+        y = rng.uniform(0.0, 1.0, 16)
+        return weights, biases, x, y
+
+    def test_forward_leaves_its_input_and_parameters_alone(self):
+        weights, biases, x, _ = self.network(4)
+        before = [a.tobytes() for a in (x, *weights, *biases)]
+        acts = net._forward(weights, biases, x)
+        assert [a.tobytes() for a in (x, *weights, *biases)] == before
+        expected = x
+        for w, b, got in zip(weights, biases, acts[1:]):
+            expected = np.maximum(expected @ w + b, 0.0)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_grads_leave_activations_and_weights_alone(self):
+        weights, biases, x, y = self.network(5)
+        acts = net._forward(weights, biases, x)
+        assert 0.0 < np.mean(acts[-1] > 0.0) < 1.0
+        before = [a.tobytes() for a in (*acts, *weights)]
+        gw, gb = net._grads(weights, acts, y, 1e-5)
+        assert [a.tobytes() for a in (*acts, *weights)] == before
+        delta = (2.0 * (acts[-1][:, 0] - y) / len(y))[:, None] * (acts[-1] > 0.0)
+        for layer in range(len(weights) - 1, -1, -1):
+            expected = acts[layer].T @ delta + 2.0 * 1e-5 * weights[layer]
+            assert gw[layer].tobytes() == expected.tobytes()
+            assert gb[layer].tobytes() == delta.sum(axis=0).tobytes()
+            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+
+    def test_same_seed_trains_the_same_bytes(self):
+        ds = toy_dataset(n=80, seed=3)
+        cfg = TrainConfig(learning_rate=0.02, epochs=15, patience=10**9, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (a, ha), (b, hb) = train(ds, cfg), train(ds, cfg)
+        for arr_a, arr_b in zip((*a.weights, *a.biases), (*b.weights, *b.biases)):
+            assert arr_a.tobytes() == arr_b.tobytes()
+        assert ha.train_loss == hb.train_loss and ha.val_loss == hb.val_loss
