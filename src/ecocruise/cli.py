@@ -268,13 +268,13 @@ def cmd_train(args, file_cfg) -> int:
     road_path = _require_file(args.road, "road file")
     gam_path = _require_file(args.gammas, "weight-series file")
     cfg = _resolve("train", args, file_cfg)
+    train_cfg = net.TrainConfig(learning_rate=cfg["lr"], epochs=cfg["epochs"],
+                                batch_size=cfg["batch_size"], l2=cfg["l2"], seed=cfg["nn_seed"])
 
     def make(tmp, fp, meta):
         profile = road_mod.read_road_csv(road_path)
         dataset = net.make_dataset(profile, invopt.read_gamma_csv(gam_path), cfg["v_ref"])
-        model, history = net.train(dataset, net.TrainConfig(
-            learning_rate=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-            l2=cfg["l2"], seed=cfg["nn_seed"]))
+        model, history = net.train(dataset, train_cfg)
         test = net.evaluate(model, dataset.features[history.test_indices],
                             dataset.targets[history.test_indices])
         net.save_model(model, tmp, fingerprint=fp)

@@ -196,6 +196,8 @@ def gamma_series(
     Windows that run past the end of the road are continued as steady flat
     cruising at the final speed, matching the zero-grade padding previews use.
     """
+    if n < 1:
+        raise ValueError(f"horizon must contain at least one step, got {n}")
     traj = dp_solution.trajectory
     p_steps = road.n_steps
     if len(traj.v) != p_steps + 1 or traj.n_steps != p_steps:

@@ -77,21 +77,28 @@ class TrainConfig:
     restore_best: bool = True  # return the best-validation snapshot
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not self.l2 >= 0:
+            raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+
 
 @dataclass
 class TrainHistory:
     train_loss: list[float]
-    val_loss: list[float]
     best_epoch: int
     test_indices: np.ndarray
-    val_indices: np.ndarray
 
 
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n, 101)
     targets: np.ndarray   # (n,)
-    positions: np.ndarray
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -110,22 +117,16 @@ def make_dataset(road: RoadProfile, series, v_ref: float) -> Dataset:
         )
     rows = []
     targets = []
-    positions = []
     for k in range(road.n_steps):
         if series.flags[k]:
             continue
         window = preview(road, k, PREVIEW_LEN)
         rows.append(np.concatenate([window, [v_ref]]))
         targets.append(series.gamma[k])
-        positions.append(k)
     features = np.asarray(rows, dtype=float)
     if len(features) and float(np.max(np.var(features, axis=0))) == 0.0:
         warnings.warn("dataset features have zero variance; nothing to learn from")
-    return Dataset(
-        features=features,
-        targets=np.asarray(targets, dtype=float),
-        positions=np.asarray(positions, dtype=int),
-    )
+    return Dataset(features=features, targets=np.asarray(targets, dtype=float))
 
 
 def _init_params(dims: tuple[int, ...], rng: np.random.Generator):
@@ -216,7 +217,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
     best_epoch = 0
     since_best = 0
     train_losses: list[float] = []
-    val_losses: list[float] = []
 
     n_fit = len(fit_idx)
     for epoch in range(config.epochs):
@@ -240,7 +240,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
         train_losses.append(epoch_loss)
         val_out = _forward(weights, biases, x_val)[-1][:, 0]
         val_loss = float(np.mean((val_out - y_val) ** 2))
-        val_losses.append(val_loss)
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best = ([w.copy() for w in weights], [b.copy() for b in biases])
@@ -259,14 +258,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
         input_scaler=input_scaler,
         target_scaler=target_scaler,
     )
-    history = TrainHistory(
-        train_loss=train_losses,
-        val_loss=val_losses,
-        best_epoch=best_epoch,
-        test_indices=test_idx,
-        val_indices=val_idx,
-    )
-    return model, history
+    return model, TrainHistory(train_loss=train_losses, best_epoch=best_epoch,
+                               test_indices=test_idx)
 
 
 def predict(model: MlpModel, grade_preview, v_ref: float) -> float:

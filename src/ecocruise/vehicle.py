@@ -8,13 +8,17 @@ signal indexed by distance instead of a function of the trip time.
 
 Unit conventions
 ----------------
-* ``fuel_rate_time``  returns kg/h (the raw fuel-map polynomial).
-* ``fuel_rate_space`` returns the position-domain rate in (kg/h)/(m/s),
-  i.e. fuel flow divided by speed.  This is the quantity the predictive
-  controller weighs against velocity tracking, so the cost weight stays in
-  its conventional range.
-* ``fuel_per_meter``  converts the above to kg/m (divide by 3600) and is
-  what every fuel accounting path integrates.
+* ``fuel_rate_time`` returns the engine map's fuel flow in kg/h.  The
+  predictive controller weighs this flow, linearized in
+  ``LinearizedModel.fuel_lin``, against velocity tracking.
+* ``fuel_per_meter`` returns the fuel burned per meter traveled in kg/m: the
+  flow divided by speed and by 3600 s/h.  Every fuel accounting path
+  integrates it.
+
+The formulas check nothing.  Positivity is checked where values enter the
+program: ``VehicleParams`` keeps ``v_min`` positive, ``dp.DpConfig`` keeps
+its velocity and trip-average grids positive, and :func:`rollout` checks its
+start velocity and stops when a step collapses the velocity.
 """
 
 from __future__ import annotations
@@ -124,13 +128,7 @@ class Trajectory:
 
 def accel(params: VehicleParams, v, te, phi):
     """Acceleration (m/s^2): tractive torque minus grade, rolling and drag loads."""
-    if np.any(np.asarray(v) <= 0.0):
-        raise ValueError("velocity must be positive")
-    return _accel(params.alpha, v, te, phi)
-
-
-def _accel(alpha, v, te, phi):
-    a0, a1, a2, a3, a4 = alpha
+    a0, a1, a2, a3, a4 = params.alpha
     return a0 * te - a1 * phi - a2 - a3 * v - a4 * v * v
 
 
@@ -140,31 +138,21 @@ def fuel_rate_time(params: VehicleParams, v, te):
     return l0 + l1 * v + l2 * te + l3 * te * te + l4 * te * v + l5 * v * v
 
 
-def fuel_rate_space(params: VehicleParams, v, te):
-    """Position-domain fuel rate, (kg/h)/(m/s): the fuel map divided by speed."""
-    if np.any(np.asarray(v) <= 0.0):
-        raise ValueError("velocity must be positive")
-    return _fuel_rate_space(params.lam, v, te)
-
-
-def _fuel_rate_space(lam, v, te):
-    l0, l1, l2, l3, l4, l5 = lam
-    return l0 / v + l1 + l2 * te / v + l3 * te * te / v + l4 * te + l5 * v
-
-
 def fuel_per_meter(params: VehicleParams, v, te):
-    """Fuel burned per meter traveled (kg/m)."""
-    return fuel_rate_space(params, v, te) / SECONDS_PER_HOUR
+    """Fuel burned per meter traveled (kg/m): the fuel map divided by speed,
+    expanded term by term, over the seconds of an hour."""
+    l0, l1, l2, l3, l4, l5 = params.lam
+    return (l0 / v + l1 + l2 * te / v + l3 * te * te / v + l4 * te + l5 * v) / SECONDS_PER_HOUR
 
 
 def next_velocity(params: VehicleParams, v, te, phi):
-    """Velocity after one position step (forward Euler in distance), unchecked.
+    """Velocity after one position step (forward Euler in distance).
 
     The one plant step: the DP sweeps, replays and closed-loop runs all
     advance the plant through it, elementwise over arrays or on scalars, so
     their trajectories agree to the bit.
     """
-    return v + DS * _accel(params.alpha, v, te, phi) / v
+    return v + DS * accel(params, v, te, phi) / v
 
 
 def vavg_update(k: int, vavg_k: float, v_k: float):
@@ -175,14 +163,6 @@ def vavg_update(k: int, vavg_k: float, v_k: float):
     more segment traversed at ``v_k``.  ``k = 0`` is the start of the trip,
     where the result is simply ``v_k``.
     """
-    if np.any(np.asarray(vavg_k) <= 0) or np.any(np.asarray(v_k) <= 0):
-        raise ValueError("velocities must be positive")
-    if k < 0:
-        raise ValueError("step index must be nonnegative")
-    return _vavg_update(k, vavg_k, v_k)
-
-
-def _vavg_update(k, vavg_k, v_k):
     s_k = k * DS
     return (s_k + DS) / (s_k / vavg_k + DS / v_k)
 
@@ -195,8 +175,7 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     :class:`StepFailure` naming the step and position where velocity
     collapses.  Errors raised by ``torque`` pass through unchanged.  Only
     the start velocity is checked; the collapse guard keeps every later
-    velocity positive, so the steps call the unchecked fuel and trip-average
-    cores.
+    velocity positive.
     """
     if v_i <= 0:
         raise ValueError("velocity must be positive")
@@ -207,11 +186,11 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     fuels: list[float] = []
     for k in range(road.n_steps):
         te = torque(k, v, vavg)
-        fuels.append(float(_fuel_rate_space(params.lam, v, te) / SECONDS_PER_HOUR))
+        fuels.append(float(fuel_per_meter(params, v, te)))
         v_next = float(next_velocity(params, v, te, road.grade[k]))
         if v_next <= 0:
             raise StepFailure(f"velocity collapsed at step {k} (position {k * DS:.0f} m)")
-        vavg = float(_vavg_update(k, vavg, v))
+        vavg = float(vavg_update(k, vavg, v))
         v = v_next
         vs.append(v)
         vavgs.append(vavg)

@@ -35,8 +35,7 @@ class TestSerial:
         # large enough that a threaded product rounds differently
         feats = rng.uniform(-0.05, 0.05, size=(1000, 101))
         feats[:, 100] = 30.0
-        data = net.Dataset(features=feats, targets=rng.uniform(0.0005, 0.01, 1000),
-                           positions=np.arange(1000))
+        data = net.Dataset(features=feats, targets=rng.uniform(0.0005, 0.01, 1000))
         config = net.TrainConfig(epochs=3, seed=1)
         get, set_ = THREADS
         before = get()

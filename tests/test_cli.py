@@ -510,6 +510,38 @@ class TestIoErrors:
         assert capsys.readouterr().err.startswith("I/O error: pipeline stage solve-dp failed: ")
 
 
+class TestOutOfRangeOptions:
+    """A horizon or training option that cannot work is a validation error
+    that names the option, and no file is written."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, road_file):
+        dp_out = tmp_path / "dp.csv"
+        assert main(["solve-dp", "--road", str(road_file), "--out", str(dp_out)]) == EXIT_OK
+        gammas = tmp_path / "gammas.csv"
+        gammas.write_text("index,position_m,gamma,residual,flags\n" + "".join(
+            f"{i},{30 * i},{0.001 + 1e-5 * i},0,\n" for i in range(100)))
+        return ["--road", str(road_file), "--dp", str(dp_out), "--gammas", str(gammas)]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["invert", "--horizon", "0"], "horizon"),
+        (["invert", "--horizon", "-3"], "horizon"),
+        (["train", "--batch-size", "0"], "batch_size"),
+        (["train", "--batch-size", "-4"], "batch_size"),
+        (["train", "--epochs", "-2"], "epochs"),
+        (["train", "--lr", "-1"], "learning_rate"),
+    ], ids=["horizon_zero", "horizon_negative", "batch_zero", "batch_negative",
+            "epochs_negative", "lr_negative"])
+    def test_is_a_validation_error(self, tmp_path, inputs, capsys, argv, named):
+        command, *option = argv
+        given = inputs[:4] if command == "invert" else inputs[:2] + inputs[4:]
+        out = tmp_path / "out.txt"
+        assert main([command, *given, *option, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and named in err
+        assert not out.exists()
+
+
 class TestBadNumbers:
     """A non-finite number, or a grid step that is not positive, is bad input:
     named in the message, classified by where it came from, and no file is

@@ -34,7 +34,16 @@ def toy_dataset(n=50, seed=0) -> Dataset:
     feats = rng.uniform(-0.05, 0.05, size=(n, 101))
     feats[:, 100] = 30.0
     targs = rng.uniform(0.0005, 0.01, n)
-    return Dataset(features=feats, targets=targs, positions=np.arange(n))
+    return Dataset(features=feats, targets=targs)
+
+
+def fit_rows(cfg: TrainConfig, n: int) -> np.ndarray:
+    """The rows ``train`` fits on: its seed's permutation past the test and
+    validation slices."""
+    perm = np.random.default_rng(cfg.seed).permutation(n)
+    n_test = max(1, int(round(cfg.test_fraction * n)))
+    n_val = max(1, int(round(cfg.val_fraction * (n - n_test))))
+    return perm[n_test + n_val :]
 
 
 class TestScaler:
@@ -80,14 +89,18 @@ class TestMakeDataset:
         flags = [""] * p
         flags[3] = "degenerate"
         flags[10] = "clamped"
-        ds = make_dataset(dataset_road, self.make_series(dataset_road, flags), 30.0)
+        series = self.make_series(dataset_road, flags)
+        ds = make_dataset(dataset_road, series, 30.0)
         assert len(ds) == p - 2
-        assert 3 not in ds.positions and 10 not in ds.positions
+        kept = [k for k in range(p) if k not in (3, 10)]
+        assert np.array_equal(ds.features[:, :100],
+                              [preview(dataset_road, k, 100) for k in kept])
+        assert np.array_equal(ds.targets, series.gamma[kept])
 
     def test_features_reproduce_preview(self, dataset_road):
+        # no row is flagged, so row k is road position k
         ds = make_dataset(dataset_road, self.make_series(dataset_road), 30.0)
-        k = int(ds.positions[17])
-        assert np.array_equal(ds.features[17, :100], preview(dataset_road, k, 100))
+        assert np.array_equal(ds.features[17, :100], preview(dataset_road, 17, 100))
         assert ds.features[17, 100] == 30.0
 
     def test_flat_road_warns_zero_variance(self, params):
@@ -169,9 +182,7 @@ class TestTrain:
 
     def test_non_finite_loss_raises_with_epoch(self):
         ds = toy_dataset()
-        broken = Dataset(
-            features=ds.features, targets=ds.targets.copy(), positions=ds.positions
-        )
+        broken = Dataset(features=ds.features, targets=ds.targets.copy())
         broken.targets[0] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -206,10 +217,8 @@ class TestTrain:
             model, hist = train(ds, cfg)
         perm = np.random.default_rng(cfg.seed).permutation(len(ds))
         n_test = max(1, int(round(cfg.test_fraction * len(ds))))
-        n_val = max(1, int(round(cfg.val_fraction * (len(ds) - n_test))))
         assert np.array_equal(perm[:n_test], hist.test_indices)
-        assert np.array_equal(perm[n_test : n_test + n_val], hist.val_indices)
-        fit_idx = perm[n_test + n_val :]
+        fit_idx = fit_rows(cfg, len(ds))
         x_fit = model.input_scaler.transform(ds.features[fit_idx])
         y_fit = model.target_scaler.transform(ds.targets[fit_idx, None])[:, 0]
         loss, _, _ = loss_and_grads(model.weights, model.biases, x_fit, y_fit, cfg.l2)
@@ -218,6 +227,18 @@ class TestTrain:
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(toy_dataset(n=5), TrainConfig())
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -2), ("batch_size", 0), ("batch_size", -4),
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+        ("l2", -1e-5), ("l2", float("nan")),
+    ])
+    def test_config_rejects_values_that_train_nothing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_config_accepts_the_edges(self):
+        TrainConfig(epochs=1, batch_size=1, learning_rate=1e-12, l2=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -245,13 +266,10 @@ class TestPredict:
         ds = toy_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model, hist = train(ds, TrainConfig(learning_rate=0.05, batch_size=16,
-                                                epochs=2000, patience=10**9, l2=0.0,
-                                                restore_best=False, seed=1))
-        fit_idx = np.setdiff1d(
-            np.arange(len(ds)), np.concatenate([hist.test_indices, hist.val_indices])
-        )
-        k = int(fit_idx[0])
+            cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=2000,
+                              patience=10**9, l2=0.0, restore_best=False, seed=1)
+            model, _ = train(ds, cfg)
+        k = int(fit_rows(cfg, len(ds))[0])
         got = predict(model, ds.features[k, :100], ds.features[k, 100])
         scaled_err = abs(got - ds.targets[k]) / model.target_scaler.ranges[0]
         assert scaled_err < 1e-3
@@ -430,4 +448,4 @@ class TestInPlacePasses:
             (a, ha), (b, hb) = train(ds, cfg), train(ds, cfg)
         for arr_a, arr_b in zip((*a.weights, *a.biases), (*b.weights, *b.biases)):
             assert arr_a.tobytes() == arr_b.tobytes()
-        assert ha.train_loss == hb.train_loss and ha.val_loss == hb.val_loss
+        assert ha.train_loss == hb.train_loss and ha.best_epoch == hb.best_epoch

@@ -169,6 +169,15 @@ SHADOWED = frozenset().union(*map(dir, (str, bytes, list, dict, set, tuple, int,
                                         np.ndarray, Path)))
 
 
+def _reference_map(trees: dict[Path, ast.Module], package: list[Path]) -> dict[tuple, list]:
+    """Every key of :func:`_references` to the ``(path, line)`` of its uses."""
+    refs: dict[tuple, list[tuple[Path, int]]] = defaultdict(list)
+    for path, tree in trees.items():
+        for key, line in _references(path, tree, {p.stem for p in package}):
+            refs[key].append((path, line))
+    return refs
+
+
 def _unused(trees: dict[Path, ast.Module], package: list[Path]) -> list[str]:
     """Every definition in the ``package`` files that nothing in ``trees``
     uses.  A module-level function or class is used through its module
@@ -176,10 +185,7 @@ def _unused(trees: dict[Path, ast.Module], package: list[Path]) -> list[str]:
     either by a string that spells it.  A use inside the definition itself
     (recursion) does not count.  A method named like an attribute in
     ``SHADOWED`` is always reported: its uses cannot be counted."""
-    refs: dict[tuple, list[tuple[Path, int]]] = defaultdict(list)
-    for path, tree in trees.items():
-        for key, line in _references(path, tree, {p.stem for p in package}):
-            refs[key].append((path, line))
+    refs = _reference_map(trees, package)
     unused = []
     for path in package:
         for qualname, node in _definitions(trees[path]):
@@ -246,6 +252,61 @@ print("a b".split(), Plan().stages())
     path = Path("pkg/mod.py")
     assert _unused({path: ast.parse(source)}, [path]) == [
         "mod.py: Plan.split (a builtin attribute name)"]
+
+
+# solver certificates: the optimality tests read them to check each solve,
+# so they are kept as safety code although no caller outside the tests does
+CERTIFICATES = ("QpResult.in_mult", "MpcSolution.slack", "MpcSolution.kkt_residual",
+                "MpcSolution.working_set")
+
+
+def _fields(tree: ast.Module):
+    """(qualified name, name) of every field of every dataclass."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _decorated(node, "dataclass"):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _unread(trees: dict[Path, ast.Module], package: list[Path],
+            exempt: tuple[str, ...] = ()) -> list[str]:
+    """Every dataclass field in the ``package`` files that nothing in
+    ``trees`` reads, as an attribute of anything or by a string that spells
+    it.  A field named like an attribute in ``SHADOWED`` counts as read: its
+    reads cannot be told from the builtin's.  ``exempt`` names fields kept
+    anyway."""
+    refs = _reference_map(trees, package)
+    return [f"{path.name}: {qualname}" for path in package
+            for qualname, name in _fields(trees[path])
+            if qualname not in exempt and name not in SHADOWED
+            and not refs[("attr", name)] and not refs[("str", name)]]
+
+
+def test_every_field_is_read():
+    unread = _unread(_trees(CALLERS), sorted(PACKAGE.glob("*.py")), CERTIFICATES)
+    assert not unread, "record fields that nothing outside the tests reads:\n" + "\n".join(unread)
+
+
+def test_a_field_only_a_test_reads_is_reported():
+    """Only the trees walked count as readers, so a field that only a test
+    reads is reported; one read as an attribute, spelled as a string or
+    named like a builtin attribute is not."""
+    source = """
+from dataclasses import dataclass
+
+@dataclass
+class Record:
+    kept: float
+    looked_up: float
+    count: int
+    tested: float
+
+def use(record):
+    return record.kept, getattr(record, "looked_up")
+"""
+    path = Path("pkg/mod.py")
+    assert _unread({path: ast.parse(source)}, [path]) == ["mod.py: Record.tested"]
 
 
 def _callee(call: ast.Call) -> str | None:
