@@ -35,15 +35,14 @@ rows = pareto_sweep(
     v_ref,
 )
 
-print(f"\n{'controller':<12} {'weight':>8} {'avg v':>8} {'economy':>9} {'fuel kg':>9} {'step ms':>8}")
+print(f"\n{'controller':<12} {'weight':>8} {'avg v':>8} {'economy':>9} {'fuel kg':>9}")
 for r in rows:
     w = f"{r.gamma:.4f}" if r.gamma is not None else "-"
     if r.error:
         print(f"{r.controller:<12} failed: {r.error}")
         continue
     print(f"{r.controller:<12} {w:>8} {r.avg_velocity_mps:>8.3f} "
-          f"{r.fuel_economy_km_per_kg:>9.3f} {r.total_fuel_kg:>9.4f} "
-          f"{r.median_step_s * 1e3:>8.1f}")
+          f"{r.fuel_economy_km_per_kg:>9.3f} {r.total_fuel_kg:>9.4f}")
 
 pi = next(r for r in rows if r.controller == "PI")
 for name in ("DP_REPLAY", "AT_MPC", "PT_MPC"):

@@ -18,7 +18,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -112,7 +112,8 @@ def _atomic(out: Path):
 
 def _meta(stage: str, fingerprint: str, config: dict) -> list[str]:
     kv = " ".join(f"{k}={config[k]}" for k in sorted(config))
-    return [f"ecocruise {stage} v{__version__}", f"fingerprint: {fingerprint}", f"config: {kv}"]
+    return [f"ecocruise {stage} v{__version__}", f"fingerprint: {fingerprint}",
+            f"config: {kv}".rstrip()]
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -199,17 +200,26 @@ def _vehicle(args) -> VehicleParams:
 
 
 def _parse_ladder(text: str) -> list[float]:
+    """The fixed weights of ``lo:hi:count`` or a comma list: at least one,
+    ascending and nonnegative."""
     try:
         if ":" not in text:
-            return sorted(_finite(t) for t in text.split(",") if t.strip())
-        lo_s, hi_s, n_s = text.split(":")
-        lo, hi, n = _finite(lo_s), _finite(hi_s), int(n_s)
+            ladder = sorted(_finite(t) for t in text.split(",") if t.strip())
+        else:
+            lo_s, hi_s, n_s = text.split(":")
+            lo, hi, n = _finite(lo_s), _finite(hi_s), int(n_s)
+            ladder = [float(g) for g in np.linspace(lo, hi, n)] if n >= 1 and hi >= lo else []
     except ValueError as exc:
         raise ValueError(f"bad ladder spec {text!r}; want lo:hi:count or a comma list: "
                          f"{exc}") from exc
-    if n < 1 or hi < lo:
+    if not ladder or ladder[0] < 0:
         raise ValueError(f"bad ladder spec {text!r}")
-    return [float(g) for g in np.linspace(lo, hi, n)]
+    return ladder
+
+
+def _train_config(cfg: dict) -> net.TrainConfig:
+    return net.TrainConfig(learning_rate=cfg["lr"], epochs=cfg["epochs"],
+                           batch_size=cfg["batch_size"], l2=cfg["l2"], seed=cfg["nn_seed"])
 
 
 def _read_solution(path: Path) -> DpSolution:
@@ -268,8 +278,7 @@ def cmd_train(args, file_cfg) -> int:
     road_path = _require_file(args.road, "road file")
     gam_path = _require_file(args.gammas, "weight-series file")
     cfg = _resolve("train", args, file_cfg)
-    train_cfg = net.TrainConfig(learning_rate=cfg["lr"], epochs=cfg["epochs"],
-                                batch_size=cfg["batch_size"], l2=cfg["l2"], seed=cfg["nn_seed"])
+    train_cfg = _train_config(cfg)
 
     def make(tmp, fp, meta):
         profile = road_mod.read_road_csv(road_path)
@@ -322,7 +331,7 @@ def cmd_simulate(args, file_cfg) -> int:
     print(f"{row.controller}: avg velocity {row.avg_velocity_mps:.9g} m/s, "
           f"fuel economy {row.fuel_economy_km_per_kg:.9g} km/kg, "
           f"total fuel {row.total_fuel_kg:.9g} kg, "
-          f"median step {row.median_step_s:.9g} s")
+          f"median step {result.median_step_s:.9g} s")
     if args.out:
         cfg["controller"] = kind
         fp = _fingerprint("simulate", cfg, [road_path, *files.values()], params)
@@ -397,13 +406,8 @@ def cmd_report(args, file_cfg) -> int:
                              for name, r in points), meta)
         return f"{len(front)} fixed-weight points, {len(points)} controllers"
 
-    # the rows without their measured step times, so that rerunning the same
-    # sweep reproduces the pareto files byte for byte
-    rows_digest = hashlib.sha256(
-        repr([replace(r, median_step_s=0.0) for r in rows]).encode()).hexdigest()[:16]
     return _produce("report", [out_dir / "pareto_fixed_front.csv",
-                               out_dir / "pareto_controllers.csv"],
-                    {"sweep_rows": rows_digest}, [], None, make)
+                               out_dir / "pareto_controllers.csv"], {}, [sweep_path], None, make)
 
 
 # each pipeline stage, the file it writes and the flags later stages read it by
@@ -414,7 +418,13 @@ _PIPELINE = (("gen-road", "road.csv", ("road",)), ("solve-dp", "dp.csv", ("dp",)
 
 
 def cmd_pipeline(args, file_cfg) -> int:
-    _resolve("pipeline", args, file_cfg)  # a bad option fails before any stage writes
+    # a bad option fails before any stage writes
+    cfg = _resolve("pipeline", args, file_cfg)
+    DpConfig.default(_vehicle(args), **{k: cfg[k] for k in _COMMANDS["solve-dp"].options})
+    _train_config(cfg)
+    _parse_ladder(cfg["gamma_ladder"])
+    if cfg["horizon"] < 1:
+        raise ValueError(f"horizon must contain at least one step, got {cfg['horizon']}")
     out_dir = _out_dir(args.out_dir or "runs")
     for stage, name, feeds in _PIPELINE:
         if stage == "gen-road" and args.road:

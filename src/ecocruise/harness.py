@@ -44,6 +44,8 @@ from .vehicle import (
 )
 
 CONTROLLER_KINDS = ("AT_MPC", "PT_MPC", "FIXED_LMPC", "PI", "DP_REPLAY")
+SWEEP_COLUMNS = ("controller", "gamma", "avg_velocity_mps", "fuel_economy_km_per_kg",
+                 "total_fuel_kg", "error")
 # PI gains: torque per m/s of speed error, and per m/s of its per-step sum
 PI_KP = 150.0
 PI_KI = 15.0
@@ -209,14 +211,13 @@ class SweepRow:
     avg_velocity_mps: float
     fuel_economy_km_per_kg: float
     total_fuel_kg: float
-    median_step_s: float
     error: str = ""
 
     @staticmethod
     def of(controller: str, gamma: float | None, result: SimResult) -> "SweepRow":
         """One drive's summary as a sweep-table row."""
         return SweepRow(controller, gamma, result.avg_velocity_mps,
-                        result.fuel_economy_km_per_kg, result.total_fuel_kg, result.median_step_s)
+                        result.fuel_economy_km_per_kg, result.total_fuel_kg)
 
 
 def pareto_sweep(
@@ -251,20 +252,19 @@ def pareto_sweep(
                 continue
             except (StepFailure, QpError) as exc:
                 error = str(exc)
-        rows.append(SweepRow(kind, gamma, np.nan, np.nan, np.nan, np.nan, error=error))
+        rows.append(SweepRow(kind, gamma, np.nan, np.nan, np.nan, error=error))
     return rows
 
 
 def write_sweep_csv(rows: list[SweepRow], path, header_lines: list[str] | None = None) -> None:
     """Export ``controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,
-    total_fuel_kg,median_step_s,error``."""
+    total_fuel_kg,error``: a pure function of the drives, with no timing."""
     formats.write_table(
         path,
-        ["controller", "gamma", "avg_velocity_mps", "fuel_economy_km_per_kg",
-         "total_fuel_kg", "median_step_s", "error"],
+        SWEEP_COLUMNS,
         (
             [r.controller, "" if r.gamma is None else num(r.gamma), num(r.avg_velocity_mps),
-             num(r.fuel_economy_km_per_kg), num(r.total_fuel_kg), num(r.median_step_s), r.error]
+             num(r.fuel_economy_km_per_kg), num(r.total_fuel_kg), r.error]
             for r in rows
         ),
         header_lines,
@@ -272,15 +272,22 @@ def write_sweep_csv(rows: list[SweepRow], path, header_lines: list[str] | None =
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
+    """Read a sweep export, its columns looked up by header name.  A column
+    it does not know is skipped (earlier releases wrote a ``median_step_s``
+    timing), a missing ``error`` column means no row failed, and any other
+    missing column raises ``ValueError`` naming it."""
     columns, rows = formats.read_table(path)
-    if columns[0] != "controller":
-        raise ValueError(f"{path}: not a sweep export")
+    names = [c.strip() for c in columns]
+    for name in SWEEP_COLUMNS[:-1]:
+        if name not in names:
+            raise ValueError(f"{path}: not a sweep export: no {name} column")
+    c, g, v, e, f = map(names.index, SWEEP_COLUMNS[:-1])
+    err = names.index("error") if "error" in names else None
     return formats.parse_rows(path, rows, lambda r: SweepRow(
-        controller=r[0],
-        gamma=float(r[1]) if r[1].strip() else None,
-        avg_velocity_mps=float(r[2]),
-        fuel_economy_km_per_kg=float(r[3]),
-        total_fuel_kg=float(r[4]),
-        median_step_s=float(r[5]),
-        error=r[6] if len(r) > 6 else "",
+        controller=r[c],
+        gamma=float(r[g]) if r[g].strip() else None,
+        avg_velocity_mps=float(r[v]),
+        fuel_economy_km_per_kg=float(r[e]),
+        total_fuel_kg=float(r[f]),
+        error="" if err is None else r[err],
     ))

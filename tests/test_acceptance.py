@@ -234,14 +234,10 @@ class TestCriterion7PredictorQuality:
 
 
 class TestCriterion8Latency:
-    def test_median_controller_step_under_budget(self, trained, eval_sweeps):
+    def test_median_controller_step_under_budget(self, trained):
         med = trained.at_result.median_step_s
         _report("8 step latency", med <= 0.5, f"median AT step {med * 1e3:.1f} ms")
         assert med <= 0.5
-        # and the sweep table records the figure for every controller row
-        for rows in eval_sweeps.values():
-            at_row = next(r for r in rows if r.controller == "AT_MPC")
-            assert np.isfinite(at_row.median_step_s) and at_row.median_step_s > 0
 
 
 class TestCriterion9DynamicsConsistency:

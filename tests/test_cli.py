@@ -138,10 +138,10 @@ class TestPipelineAndReport:
     def test_report_prints_improvement(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(
-            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
-            "FIXED_LMPC,0.003,30.5,22.0,1.31,0.004,\n"
-            "PI,,29.98,21.5,1.33,1e-05,\n"
-            "DP_REPLAY,,30.1,22.4,1.28,1e-05,\n"
+            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,error\n"
+            "FIXED_LMPC,0.003,30.5,22.0,1.31,\n"
+            "PI,,29.98,21.5,1.33,\n"
+            "DP_REPLAY,,30.1,22.4,1.28,\n"
         )
         assert main(["report", "--sweep", str(sweep)]) == EXIT_OK
         printed = capsys.readouterr().out
@@ -151,7 +151,7 @@ class TestPipelineAndReport:
     def test_report_empty_sweep_is_ok(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(
-            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
+            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,error\n"
         )
         assert main(["report", "--sweep", str(sweep)]) == EXIT_OK
         assert "empty sweep" in capsys.readouterr().out
@@ -159,8 +159,8 @@ class TestPipelineAndReport:
     def test_report_malformed_sweep_is_validation_error(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(
-            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s\n"
-            "FIXED_LMPC,0.003,not_a_number,22.0,1.31,0.004\n"
+            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg\n"
+            "FIXED_LMPC,0.003,not_a_number,22.0,1.31\n"
         )
         assert main(["report", "--sweep", str(sweep)]) == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
@@ -393,33 +393,63 @@ class TestStageErrors:
 
 class TestReportCache:
     SWEEP = (
-        "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
-        "FIXED_LMPC,0.003,30.5,22.0,1.31,0.004,\n"
-        "PI,,29.98,21.5,1.33,1e-05,\n"
-        "DP_REPLAY,,30.1,22.4,1.28,1e-05,\n"
+        "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,error\n"
+        "FIXED_LMPC,0.003,30.5,22.0,1.31,\n"
+        "PI,,29.98,21.5,1.33,\n"
+        "DP_REPLAY,,30.1,22.4,1.28,\n"
     )
     NAMES = ("pareto_fixed_front.csv", "pareto_controllers.csv")
 
-    def _report(self, tmp_path, capsys, sweep_text=SWEEP, out="out") -> str:
+    def _report(self, tmp_path, capsys, sweep_text=SWEEP) -> str:
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(sweep_text)
-        assert main(["report", "--sweep", str(sweep), "--out-dir", str(tmp_path / out)]) == EXIT_OK
+        assert main(["report", "--sweep", str(sweep), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
         return capsys.readouterr().out
 
     def _stats(self, tmp_path):
         return {n: (tmp_path / "out" / n).stat() for n in self.NAMES}
 
-    def _bytes(self, tmp_path, out="out"):
-        return {n: (tmp_path / out / n).read_bytes() for n in self.NAMES}
+    def _bytes(self, tmp_path):
+        return {n: (tmp_path / "out" / n).read_bytes() for n in self.NAMES}
 
-    def test_step_times_leave_the_pareto_files_unchanged(self, tmp_path, capsys):
-        # the measured step times differ between any two runs of one sweep
-        retimed = self.SWEEP.replace(",0.004,", ",0.007,").replace(",1e-05,", ",3e-05,")
-        assert retimed != self.SWEEP
-        self._report(tmp_path, capsys)
-        assert "wrote" in self._report(tmp_path, capsys, retimed, out="cold")
-        assert self._bytes(tmp_path, "cold") == self._bytes(tmp_path)
-        assert "cache hit" in self._report(tmp_path, capsys, retimed)
+    # a sweep.csv as earlier releases wrote it, with a median_step_s timing
+    # column, and what report printed and tabulated for it then
+    OLD_SWEEP = (
+        "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
+        "FIXED_LMPC,0.001,30.2,21.7,1.38,0.00047,\n"
+        "FIXED_LMPC,0.003,30.5,22.0,1.31,0.004,\n"
+        'AT_MPC,,nan,nan,nan,nan,"stopped at k=3, v=1.5"\n'
+        "PT_MPC,,29.9,22.2,1.29,0.0005,\n"
+        "PI,,29.98,21.5,1.33,1e-05,\n"
+        "DP_REPLAY,,30.1,22.4,1.28,1e-05,\n"
+    )
+    OLD_PRINTED = (
+        "controller        gamma  avg v (m/s)  economy (km/kg)    fuel (kg)\n"
+        "AT_MPC       failed: stopped at k=3, v=1.5\n"
+        "DP_REPLAY             -         30.1             22.4         1.28\n"
+        "FIXED_LMPC        0.001         30.2             21.7         1.38\n"
+        "FIXED_LMPC        0.003         30.5               22         1.31\n"
+        "PI                    -        29.98             21.5         1.33\n"
+        "PT_MPC                -         29.9             22.2         1.29\n"
+        "DP_REPLAY fuel economy vs PI: +4.18604651%\n"
+        "PT_MPC fuel economy vs PI: +3.25581395%\n"
+    )
+    OLD_TABLES = {
+        "pareto_fixed_front.csv": b"gamma,avg_velocity_mps,fuel_economy_km_per_kg\n"
+                                  b"0.001,30.2,21.7\n0.003,30.5,22\n",
+        "pareto_controllers.csv": b"controller,avg_velocity_mps,fuel_economy_km_per_kg\n"
+                                  b"DP_REPLAY,30.1,22.4\nPI,29.98,21.5\nPT_MPC,29.9,22.2\n",
+    }
+
+    def test_a_sweep_with_the_old_timing_column_reports_as_before(self, tmp_path, capsys):
+        printed = self._report(tmp_path, capsys, self.OLD_SWEEP)
+        assert printed.startswith(self.OLD_PRINTED)
+        assert printed.endswith(" (2 fixed-weight points, 3 controllers)\n")
+        # the tables below the "# " lines, whose fingerprint hashes the sweep's bytes
+        tables = {n: b"".join(line for line in data.splitlines(keepends=True)
+                              if not line.startswith(b"# "))
+                  for n, data in self._bytes(tmp_path).items()}
+        assert tables == self.OLD_TABLES
 
     def test_changed_economy_rewrites_both(self, tmp_path, capsys):
         self._report(tmp_path, capsys)
@@ -540,6 +570,25 @@ class TestOutOfRangeOptions:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and named in err
         assert not out.exists()
+
+
+class TestPipelineChecksFirst:
+    """pipeline rejects an option that any of its stages would reject before
+    the first stage writes: the run directory stays empty."""
+
+    @pytest.mark.parametrize("option", [
+        ["--epochs", "-2"], ["--batch-size", "0"], ["--horizon", "0"], ["--dvavg", "-1"],
+        ["--v-i", "50"], ["--gammas", "0.005:0.001:3"], ["--gammas", ","],
+        ["--gammas", "0.002,-0.001"],
+    ], ids=["epochs_negative", "batch_zero", "horizon_zero", "dvavg_negative",
+            "v_i_off_the_grid", "ladder_descending", "ladder_empty", "ladder_negative"])
+    def test_bad_option_writes_nothing(self, tmp_path, capsys, option):
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        assert main(["pipeline", "--length-km", "3", "--seed", "1", *option,
+                     "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert list(out_dir.iterdir()) == []
 
 
 class TestBadNumbers:

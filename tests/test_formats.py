@@ -85,7 +85,7 @@ def test_gamma_series_round_trip(columns):
 
 sweep_rows = st.builds(
     SweepRow, st.sampled_from(CONTROLLER_KINDS), st.none() | finite,
-    anything, anything, anything, anything, error=text,
+    anything, anything, anything, error=text,
 )
 
 

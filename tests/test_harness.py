@@ -243,9 +243,9 @@ class TestParetoSweep:
 
     def test_csv_roundtrip(self, tmp_path):
         rows = [
-            SweepRow("FIXED_LMPC", 0.003, 30.5, 22.1, 1.31, 0.004),
-            SweepRow("PI", None, 29.98, 21.8, 1.33, 1e-5),
-            SweepRow("AT_MPC", None, np.nan, np.nan, np.nan, np.nan, error="boom"),
+            SweepRow("FIXED_LMPC", 0.003, 30.5, 22.1, 1.31),
+            SweepRow("PI", None, 29.98, 21.8, 1.33),
+            SweepRow("AT_MPC", None, np.nan, np.nan, np.nan, error="boom"),
         ]
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path, header_lines=["meta"])
@@ -254,6 +254,30 @@ class TestParetoSweep:
         assert back[0].gamma == 0.003
         assert back[1].gamma is None
         assert back[2].error == "boom"
+
+    def test_two_sweeps_write_the_same_bytes(self, params, tmp_path):
+        # the table holds no timing, so it is a pure function of the drives
+        road = gen_sinusoidal(seed=1, length_m=3000.0)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            write_sweep_csv(pareto_sweep(road, params, [0.001, 0.003], Artifacts(), v_ref=30.0),
+                            path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_columns_are_found_by_name(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("error,total_fuel_kg,median_step_s,fuel_economy_km_per_kg,"
+                        "avg_velocity_mps,gamma,controller\n"
+                        '"stopped, at k=3",1.31,0.004,22.0,30.5,0.003,FIXED_LMPC\n')
+        assert read_sweep_csv(path) == [
+            SweepRow("FIXED_LMPC", 0.003, 30.5, 22.0, 1.31, error="stopped, at k=3")]
+
+    def test_a_missing_column_is_named(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("controller,gamma,avg_velocity_mps,total_fuel_kg,error\n"
+                        "PI,,29.98,1.33,\n")
+        with pytest.raises(ValueError, match="sweep.csv: .*fuel_economy_km_per_kg"):
+            read_sweep_csv(path)
 
 
 def _constant_model(value: float, inputs: int = 101):
