@@ -1,7 +1,7 @@
 """Training the grade-preview weight predictor.
 
 Builds labels on a 30 km road (global optimum -> per-position weight
-recovery), fits the 250-80-16 rectified network on 80% of the samples, and
+recovery), fits the 250-80-16 network on 80% of the samples, and
 reports held-out accuracy in scaled and original units.  A short road keeps
 the demo quick; the shipping configuration trains on 100 km or more.
 """
@@ -23,7 +23,7 @@ series = gamma_series(solution, road, lin, params, 60, v_ref=v_ref)
 dataset = make_dataset(road, series, v_ref)
 print(f"dataset: {len(dataset)} samples of 100 preview grades + set point")
 
-config = TrainConfig(epochs=600, seed=3)
+config = TrainConfig(seed=3)
 model, history = train(dataset, config)
 print(f"trained {len(history.train_loss)} epochs "
       f"(best validation at {history.best_epoch})")

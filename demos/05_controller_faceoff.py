@@ -21,7 +21,7 @@ print("training the weight predictor on road seed 101...")
 train_road = gen_sinusoidal(seed=101, length_m=30000.0)
 train_dp = dp_solve(params, train_road, DpConfig.default(params, v_ref, dvavg=0.05))
 train_series = gamma_series(train_dp, train_road, lin, params, 60, v_ref=v_ref)
-model, _ = train(make_dataset(train_road, train_series, v_ref), TrainConfig(epochs=600, seed=3))
+model, _ = train(make_dataset(train_road, train_series, v_ref), TrainConfig(seed=3))
 
 print("evaluating on unseen road seed 13...")
 road = gen_sinusoidal(seed=13, length_m=15000.0)

@@ -290,7 +290,9 @@ def cmd_train(args, file_cfg) -> int:
         return (f"held-out scaled mse {test.mse_scaled:.3e}, "
                 f"mae {test.mae_scaled:.3e}; {len(history.train_loss)} epochs")
 
-    return _produce("train", [args.out], cfg, [road_path, gam_path], None, make)
+    # a model trained by an earlier algorithm is never a cache hit
+    return _produce("train", [args.out], {**cfg, "model_version": net.MODEL_VERSION},
+                    [road_path, gam_path], None, make)
 
 
 _KIND_ALIASES = {"at": "AT_MPC", "pt": "PT_MPC", "fixed": "FIXED_LMPC",

@@ -172,8 +172,8 @@ def _policy(spec: ControllerSpec, road: RoadProfile, params: VehicleParams,
         held = _held_weights(artifacts.series)
         weight = lambda k: float(held[k])  # noqa: E731
     else:
-        weight = lambda k: max(  # noqa: E731
-            0.0, predict(artifacts.model, preview(road, k, PREVIEW_LEN), spec.v_ref))
+        weight = lambda k: predict(  # noqa: E731
+            artifacts.model, preview(road, k, PREVIEW_LEN), spec.v_ref)
     lin = artifacts.lin if artifacts.lin is not None else linearize(params, spec.v_ref)
 
     def mpc_torque(k: int, v: float) -> float:

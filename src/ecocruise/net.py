@@ -1,13 +1,18 @@
 """Small feed-forward network mapping a grade preview to a fuel weight.
 
 Input is a 100-sample (3 km at 30 m) grade look-ahead plus the cruise set
-point; hidden widths are 250-80-16 with a single rectified output so the
-predicted weight can never go negative.  Training is plain minibatch SGD on
-mean squared error with an L2 penalty on the weights, all implemented on
-numpy arrays so runs are bit-reproducible from a seed.  Training and the
-forward pass run on one BLAS thread (:func:`ecocruise.blas.serial`): a
-multithreaded matrix product rounds differently with the thread count, so
-the same seed would give different weights on hosts with different cores.
+point; hidden widths are 250-80-16, rectified, and the output unit is
+linear.  The predicted weight is clipped at 0 where it is used
+(:func:`predict_batch`), not inside the network: a rectified output unit
+that goes negative for every input stops learning for good.  Training is
+minibatch SGD with Nesterov momentum (Sutskever, Martens, Dahl & Hinton,
+ICML 2013) on the mean squared error of the clipped weight wherever the clip
+makes it exact, and of the unclipped output elsewhere (:func:`_error`), with
+an L2 penalty on the weights, all implemented on numpy arrays so runs are
+bit-reproducible from a seed.  Training and the forward pass run on
+one BLAS thread (:func:`ecocruise.blas.serial`): a multithreaded matrix
+product rounds differently with the thread count, so the same seed would
+give different weights on hosts with different cores.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ from .road import RoadProfile, preview
 
 PREVIEW_LEN = 100
 LAYER_DIMS = (PREVIEW_LEN + 1, 250, 80, 16, 1)
+MOMENTUM = 0.9  # Nesterov momentum of every training step
+# Heads every model file and keys the train stage's cache: raised whenever a
+# change to training or to the forward pass makes older model files wrong to
+# drive with.  Version 1 had a rectified output unit.
+MODEL_VERSION = 2
 
 
 class TrainingError(RuntimeError):
@@ -59,16 +69,11 @@ class MlpModel:
     input_scaler: MinMaxScaler
     target_scaler: MinMaxScaler
 
-    @serial
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Rectified forward pass on already-scaled inputs (batch, features)."""
-        return _forward(self.weights, self.biases, x)[-1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 2e-2
-    epochs: int = 1500
+    epochs: int = 150
     batch_size: int = 32
     l2: float = 1e-5
     test_fraction: float = 0.2
@@ -86,6 +91,12 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not self.l2 >= 0:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+        for name in ("test_fraction", "val_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie strictly between 0 and 1, "
+                                 f"got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be nonnegative, got {self.patience}")
 
 
 @dataclass
@@ -129,58 +140,76 @@ def make_dataset(road: RoadProfile, series, v_ref: float) -> Dataset:
     return Dataset(features=features, targets=np.asarray(targets, dtype=float))
 
 
-def _init_params(dims: tuple[int, ...], rng: np.random.Generator):
-    weights = []
-    biases = []
-    for i in range(len(dims) - 1):
-        fan_in = dims[i]
-        last = i == len(dims) - 2
-        # the output layer starts at zero weights with a positive bias so the
-        # final rectifier is alive for every input; random output weights can
-        # push the whole batch negative and kill every gradient at birth
-        if last:
-            weights.append(np.zeros((dims[i], dims[i + 1])))
-        else:
-            weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(dims[i], dims[i + 1])))
-        biases.append(np.full(dims[i + 1], 0.5 if last else 0.01))
+def _layers(flat: np.ndarray, dims: tuple[int, ...]):
+    """Each layer's weight and bias as views into one flat vector, layer by
+    layer, so an optimizer step updates every parameter in a few calls."""
+    weights, biases = [], []
+    at = 0
+    for rows, cols in zip(dims, dims[1:]):
+        weights.append(flat[at : at + rows * cols].reshape(rows, cols))
+        biases.append(flat[at + rows * cols : at + (rows + 1) * cols])
+        at += (rows + 1) * cols
     return weights, biases
 
 
+def _init_params(dims: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Every parameter in one flat vector, laid out as :func:`_layers` reads it."""
+    flat = np.empty(sum((rows + 1) * cols for rows, cols in zip(dims, dims[1:])))
+    weights, biases = _layers(flat, dims)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        # the output layer starts at zero weights with its bias mid-way up the
+        # scaled target range: every input starts at the same prediction, and
+        # no random output weight sends a hidden unit an outsized first step
+        last = i == len(weights) - 1
+        w[:] = 0.0 if last else rng.normal(0.0, np.sqrt(2.0 / dims[i]), size=w.shape)
+        b[:] = 0.5 if last else 0.01
+    return flat
+
+
 def _forward(weights, biases, x):
-    """Every layer's rectified activation, the input first and the output last."""
+    """Every layer's activation, the input first and the output last: the
+    hidden layers rectified, the output linear."""
     acts = [x]
     for w, b in zip(weights, biases):
         # in place on the fresh product: the same operations, no temporaries
         h = acts[-1] @ w
         h += b
-        np.maximum(h, 0.0, out=h)
+        if len(acts) < len(weights):
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
 
+def _error(out, y):
+    """Output minus target, but 0 where the clip at use makes the prediction
+    exact: an output at or below the floor (scaled 0, weight 0) for a target
+    on it.  Below a target above the floor the unclipped error keeps the
+    output unit's gradient."""
+    return np.where((out > 0.0) | (y > 0.0), out - y, 0.0)
+
+
 def _mse_l2(out, y, weights, l2) -> float:
-    """Training loss: mean squared error plus the L2 penalty on the weights."""
-    err = out - y
+    """Training loss: mean squared :func:`_error` plus the L2 penalty on the
+    weights."""
+    err = _error(out, y)
     return float(np.mean(err * err)) + l2 * sum(float(np.sum(w * w)) for w in weights)
 
 
-def _grads(weights, acts, y, l2):
+def _grads(weights, acts, y, l2, out=None):
     """Backprop gradients of the MSE + L2 loss from the activations of
-    :func:`_forward`.  A rectifier passes gradient where its output is
-    positive, which is where its input is (a NaN input fails both tests)."""
-    delta = (2.0 * (acts[-1][:, 0] - y) / len(y))[:, None] * (acts[-1] > 0.0)
-    grads_w = []
-    grads_b = []
+    :func:`_forward`, into the (weights, biases) arrays of ``out`` if given.
+    A hidden rectifier passes gradient where its output is positive, which
+    is where its input is (a NaN input fails both tests)."""
+    grads_w, grads_b = out or ([np.empty_like(w) for w in weights],
+                               [np.empty(w.shape[1]) for w in weights])
+    delta = (2.0 * _error(acts[-1][:, 0], y) / len(y))[:, None]
     for layer in range(len(weights) - 1, -1, -1):
-        g = acts[layer].T @ delta
+        g = np.matmul(acts[layer].T, delta, out=grads_w[layer])
         g += 2.0 * l2 * weights[layer]
-        grads_w.append(g)
-        grads_b.append(delta.sum(axis=0))
+        np.sum(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             delta = delta @ weights[layer].T
             delta *= acts[layer] > 0.0
-    grads_w.reverse()
-    grads_b.reverse()
     return grads_w, grads_b
 
 
@@ -203,16 +232,28 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
     n_val = max(1, int(round(config.val_fraction * len(train_idx))))
     val_idx = train_idx[:n_val]
     fit_idx = train_idx[n_val:]
+    if len(fit_idx) == 0:
+        raise ValueError(f"test_fraction {config.test_fraction} and val_fraction "
+                         f"{config.val_fraction} leave none of {n} samples to fit on")
 
     input_scaler = MinMaxScaler.fit(dataset.features[fit_idx], fitted_on="train")
-    target_scaler = MinMaxScaler.fit(dataset.targets[fit_idx, None], fitted_on="train")
+    # the target scale starts at weight 0, so scaled 0 is the floor that
+    # predictions are clipped at
+    target_scaler = MinMaxScaler.fit(np.append(dataset.targets[fit_idx], 0.0)[:, None],
+                                     fitted_on="train")
     x_fit = input_scaler.transform(dataset.features[fit_idx])
     y_fit = target_scaler.transform(dataset.targets[fit_idx, None])[:, 0]
     x_val = input_scaler.transform(dataset.features[val_idx])
     y_val = target_scaler.transform(dataset.targets[val_idx, None])[:, 0]
 
-    weights, biases = _init_params(LAYER_DIMS, rng)
-    best = ([w.copy() for w in weights], [b.copy() for b in biases])
+    # Nesterov momentum in its look-ahead form: params holds theta + MOMENTUM
+    # * velocity, the point each gradient is taken at (and the one returned)
+    params = _init_params(LAYER_DIMS, rng)
+    weights, biases = _layers(params, LAYER_DIMS)
+    grad = np.empty_like(params)
+    grad_layers = _layers(grad, LAYER_DIMS)
+    velocity = np.zeros_like(params)
+    best = params.copy()
     best_val = np.inf
     best_epoch = 0
     since_best = 0
@@ -224,12 +265,13 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
         for start in range(0, n_fit, config.batch_size):
             batch = order[start : start + config.batch_size]
             acts = _forward(weights, biases, x_fit[batch])
-            gw, gb = _grads(weights, acts, y_fit[batch], config.l2)
-            for i in range(len(weights)):
-                gw[i] *= config.learning_rate
-                weights[i] -= gw[i]
-                gb[i] *= config.learning_rate
-                biases[i] -= gb[i]
+            _grads(weights, acts, y_fit[batch], config.l2, out=grad_layers)
+            grad *= config.learning_rate
+            velocity *= MOMENTUM
+            velocity -= grad
+            params -= grad
+            np.multiply(velocity, MOMENTUM, out=grad)
+            params += grad
 
         # non-finite weights never turn finite again, so the epoch loss
         # shows any batch that diverged
@@ -239,10 +281,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
             raise TrainingError(f"loss diverged at epoch {epoch}")
         train_losses.append(epoch_loss)
         val_out = _forward(weights, biases, x_val)[-1][:, 0]
-        val_loss = float(np.mean((val_out - y_val) ** 2))
+        val_loss = float(np.mean(_error(val_out, y_val) ** 2))
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best = ([w.copy() for w in weights], [b.copy() for b in biases])
+            best[:] = params
             best_epoch = epoch
             since_best = 0
         else:
@@ -250,7 +292,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
             if since_best > config.patience:
                 break
 
-    final = best if config.restore_best else (weights, biases)
+    final = _layers(best if config.restore_best else params, LAYER_DIMS)
     model = MlpModel(
         layer_dims=LAYER_DIMS,
         weights=final[0],
@@ -270,10 +312,12 @@ def predict(model: MlpModel, grade_preview, v_ref: float) -> float:
     return float(predict_batch(model, np.concatenate([window, [v_ref]])[None, :])[0])
 
 
+@serial
 def predict_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    x = model.input_scaler.transform(features)
-    out = model.forward(x)[:, 0]
-    return model.target_scaler.inverse(out[:, None])[:, 0]
+    """Fuel weights of a batch of feature rows, clipped at 0: the linear
+    output unit can go below the smallest weight, the weight cannot."""
+    out = _forward(model.weights, model.biases, model.input_scaler.transform(features))[-1]
+    return np.maximum(model.target_scaler.inverse(out)[:, 0], 0.0)
 
 
 @dataclass(frozen=True)
@@ -308,7 +352,7 @@ def _format_row(values) -> str:
 def save_model(model: MlpModel, path, fingerprint: str = "") -> None:
     """Self-describing text serialization: dims, scalers, then every layer."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# ecocruise mlp v1\n")
+        fh.write(f"# ecocruise mlp v{MODEL_VERSION}\n")
         if fingerprint:
             fh.write(f"# fingerprint: {fingerprint}\n")
         fh.write("dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
@@ -324,10 +368,15 @@ def save_model(model: MlpModel, path, fingerprint: str = "") -> None:
 
 def load_model(path) -> MlpModel:
     """Read a :func:`save_model` file, checking every block's shape against
-    ``dims``: a malformed or mis-sized block is a ``ValueError`` that names
-    it."""
+    ``dims``: a malformed or mis-sized block, or a file of another format
+    version, is a ``ValueError`` that names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+        text = [ln.rstrip("\n") for ln in fh]
+    head = text[0] if text else ""
+    if head.startswith("# ecocruise mlp v") and head != f"# ecocruise mlp v{MODEL_VERSION}":
+        raise ValueError(f"{path}: an {head[2:]} model, which this release cannot drive "
+                         f"with (it reads v{MODEL_VERSION}); train it again")
+    lines = [ln for ln in text if not ln.startswith("#")]
     cursor = 0
 
     def take() -> str:

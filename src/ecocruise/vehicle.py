@@ -15,10 +15,11 @@ Unit conventions
   flow divided by speed and by 3600 s/h.  Every fuel accounting path
   integrates it.
 
-The formulas check nothing.  Positivity is checked where values enter the
-program: ``VehicleParams`` keeps ``v_min`` positive, ``dp.DpConfig`` keeps
-its velocity and trip-average grids positive, and :func:`rollout` checks its
-start velocity and stops when a step collapses the velocity.
+The formulas check nothing.  Values are checked where they enter the
+program: ``VehicleParams`` keeps every coefficient and limit finite and
+``v_min`` positive, ``dp.DpConfig`` keeps its velocity and trip-average grids
+positive, and :func:`rollout` checks its start velocity and stops when a step
+collapses the velocity.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ class VehicleParams:
     def __post_init__(self) -> None:
         if len(self.alpha) != 5 or len(self.lam) != 6:
             raise ValueError("expected 5 dynamics and 6 fuel coefficients")
+        named = [*((f"alpha{i}", a) for i, a in enumerate(self.alpha)),
+                 *((f"lambda{i}", c) for i, c in enumerate(self.lam)),
+                 *((k, getattr(self, k)) for k in ("v_min", "v_max", "te_min", "te_max"))]
+        for name, value in named:
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.alpha[0] <= 0:
             raise ValueError("alpha0 must be positive (torque must propel)")
         if self.v_min <= 0:

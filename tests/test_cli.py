@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import write_model
-from ecocruise import cli, road as road_mod
+from ecocruise import cli, net, road as road_mod
 from ecocruise.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from ecocruise.harness import read_sweep_csv
 from ecocruise.invopt import read_gamma_csv
@@ -212,6 +212,28 @@ class TestCacheIntegrity:
         assert main(argv) == EXIT_OK
         assert cli._cache_hit(out, fp)
 
+    def test_a_model_of_an_earlier_trainer_is_never_reused(self, tmp_path, road_file, capsys,
+                                                           monkeypatch):
+        dp, gammas, model = tmp_path / "dp.csv", tmp_path / "gammas.csv", tmp_path / "model.txt"
+        assert main(["solve-dp", "--road", str(road_file), "--out", str(dp)]) == EXIT_OK
+        assert main(["invert", "--road", str(road_file), "--dp", str(dp),
+                     "--out", str(gammas)]) == EXIT_OK
+        train = ["train", "--road", str(road_file), "--gammas", str(gammas), "--epochs", "2",
+                 "--out", str(model)]
+        # the file an earlier release wrote: same inputs, older model version
+        monkeypatch.setattr(net, "MODEL_VERSION", 1)
+        assert main(train) == EXIT_OK
+        monkeypatch.undo()
+        assert model.read_text().startswith("# ecocruise mlp v1\n")
+        capsys.readouterr()
+        sim = ["simulate", "--road", str(road_file), "--controller", "at", "--model", str(model)]
+        assert main(sim) == EXIT_VALIDATION
+        assert f"{model}: an ecocruise mlp v1 model" in capsys.readouterr().err
+        assert main(train) == EXIT_OK
+        assert "cache hit" not in capsys.readouterr().out
+        assert model.read_text().startswith(f"# ecocruise mlp v{net.MODEL_VERSION}\n")
+        assert main(sim) == EXIT_OK
+
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = cli._build_parser()
@@ -342,7 +364,7 @@ class TestStageErrors:
 
     def test_truncated_model_is_validation_error(self, tmp_path, road_file, capsys):
         model = tmp_path / "model.txt"
-        model.write_text("# ecocruise mlp v1\ndims 101 64 64 1\n")
+        model.write_text("# ecocruise mlp v2\ndims 101 64 64 1\n")
         assert main(["simulate", "--road", str(road_file), "--controller", "at",
                      "--model", str(model)]) == EXIT_VALIDATION
         assert "model file ends early" in capsys.readouterr().err
@@ -368,7 +390,7 @@ class TestStageErrors:
         assert "layer 2" in self._sweep_rejects(tmp_path, road_file, capsys, model)
 
     def test_sweep_with_a_nan_weight_is_validation_error(self, tmp_path, road_file, capsys):
-        # read as is, AT_MPC would clip the NaN prediction to a zero weight
+        # read as is, AT_MPC would drive with a NaN fuel weight
         model = tmp_path / "model.txt"
         write_model(model, LAYER_DIMS)
         head = f"layer 1 {LAYER_DIMS[1]} {LAYER_DIMS[2]}\n"
@@ -607,6 +629,22 @@ class TestBadNumbers:
         assert main([*argv, "--road", str(road_file), "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, command", [
+        ("lambda0 = nan", ["simulate", "--controller", "pi"]),
+        ("lambda0 = nan", ["solve-dp"]),
+        ("alpha3 = inf", ["solve-dp"]),
+    ], ids=["simulate_lambda0_nan", "solve_dp_lambda0_nan", "solve_dp_alpha3_inf"])
+    def test_non_finite_vehicle_parameter(self, tmp_path, road_file, capsys, line, command):
+        # these used to drive to a NaN fuel total (exit 0) or to a solver
+        # failure (exit 3) instead of naming the parameter
+        cfg = tmp_path / "vehicle.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["--vehicle-config", str(cfg), *command, "--road", str(road_file),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"{line.split()[0]} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_road_length(self, tmp_path, capsys):

@@ -205,6 +205,16 @@ class TestParams:
         with pytest.raises(ValueError):
             VehicleParams(**kwargs)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [*(f"alpha{i}" for i in range(5)),
+                                      *(f"lambda{i}" for i in range(6)),
+                                      "v_min", "v_max", "te_min", "te_max"])
+    def test_non_finite_param_is_named(self, tmp_path, name, value):
+        cfg = tmp_path / "vehicle.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            load_vehicle_config(cfg)
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "vehicle.cfg"
         cfg.write_text("alpha0 = 0.004\nte_max = 260  # uprated engine\n")
