@@ -9,10 +9,13 @@ minibatch SGD with Nesterov momentum (Sutskever, Martens, Dahl & Hinton,
 ICML 2013) on the mean squared error of the clipped weight wherever the clip
 makes it exact, and of the unclipped output elsewhere (:func:`_error`), with
 an L2 penalty on the weights, all implemented on numpy arrays so runs are
-bit-reproducible from a seed.  Training and the forward pass run on
-one BLAS thread (:func:`ecocruise.blas.serial`): a multithreaded matrix
-product rounds differently with the thread count, so the same seed would
-give different weights on hosts with different cores.
+bit-reproducible from a seed.  An epoch's loss is the mean squared error of
+its minibatches, each before its step; weights a step makes non-finite show
+in the next minibatch's loss or, after the epoch's last step, in the
+validation loss, and raise :class:`TrainingError` in that epoch.  Training
+and the forward pass run on one BLAS thread (:func:`ecocruise.blas.serial`):
+a multithreaded matrix product rounds differently with the thread count, so
+the same seed would give different weights on hosts with different cores.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    train_loss: list[float]
+    train_loss: list[float]  # per epoch: its minibatches' MSE, without the L2 term
     best_epoch: int
     test_indices: np.ndarray
 
@@ -188,21 +191,13 @@ def _error(out, y):
     return np.where((out > 0.0) | (y > 0.0), out - y, 0.0)
 
 
-def _mse_l2(out, y, weights, l2) -> float:
-    """Training loss: mean squared :func:`_error` plus the L2 penalty on the
-    weights."""
-    err = _error(out, y)
-    return float(np.mean(err * err)) + l2 * sum(float(np.sum(w * w)) for w in weights)
-
-
-def _grads(weights, acts, y, l2, out=None):
+def _grads(weights, acts, err, l2, out):
     """Backprop gradients of the MSE + L2 loss from the activations of
-    :func:`_forward`, into the (weights, biases) arrays of ``out`` if given.
-    A hidden rectifier passes gradient where its output is positive, which
-    is where its input is (a NaN input fails both tests)."""
-    grads_w, grads_b = out or ([np.empty_like(w) for w in weights],
-                               [np.empty(w.shape[1]) for w in weights])
-    delta = (2.0 * _error(acts[-1][:, 0], y) / len(y))[:, None]
+    :func:`_forward` and their :func:`_error` ``err``, into the (weights,
+    biases) arrays of ``out``.  A hidden rectifier passes gradient where its
+    output is positive, which is where its input is (a NaN input fails both)."""
+    grads_w, grads_b = out
+    delta = (2.0 * err / len(err))[:, None]
     for layer in range(len(weights) - 1, -1, -1):
         g = np.matmul(acts[layer].T, delta, out=grads_w[layer])
         g += 2.0 * l2 * weights[layer]
@@ -262,10 +257,13 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
     n_fit = len(fit_idx)
     for epoch in range(config.epochs):
         order = rng.permutation(n_fit)
+        sq_err = 0.0
         for start in range(0, n_fit, config.batch_size):
             batch = order[start : start + config.batch_size]
             acts = _forward(weights, biases, x_fit[batch])
-            _grads(weights, acts, y_fit[batch], config.l2, out=grad_layers)
+            err = _error(acts[-1][:, 0], y_fit[batch])
+            sq_err += float(err @ err)
+            _grads(weights, acts, err, config.l2, grad_layers)
             grad *= config.learning_rate
             velocity *= MOMENTUM
             velocity -= grad
@@ -273,15 +271,13 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
             np.multiply(velocity, MOMENTUM, out=grad)
             params += grad
 
-        # non-finite weights never turn finite again, so the epoch loss
-        # shows any batch that diverged
-        epoch_loss = _mse_l2(_forward(weights, biases, x_fit)[-1][:, 0], y_fit, weights,
-                             config.l2)
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"loss diverged at epoch {epoch}")
-        train_losses.append(epoch_loss)
+        # non-finite weights never turn finite again: the epoch's last step
+        # shows here, every other one in the next minibatch's error
         val_out = _forward(weights, biases, x_val)[-1][:, 0]
         val_loss = float(np.mean(_error(val_out, y_val) ** 2))
+        if not (np.isfinite(sq_err) and np.isfinite(val_loss)):
+            raise TrainingError(f"loss diverged at epoch {epoch}")
+        train_losses.append(sq_err / n_fit)
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best[:] = params

@@ -4,8 +4,10 @@
 z = [dv(0..N) | dte(0..N-1) | s(0..N-1)] from the inputs of ``mpc.build``
 and the blocks of ``mpc.horizon_program``, never from the condensed problem
 it certifies.  :func:`loss_and_grads` is the training loss the
-finite-difference checks differentiate, and :func:`integrate_fine` an RK4
-truth value for the plant step's truncation error.
+finite-difference checks differentiate, :func:`replay_train` a step-by-step
+replay of ``net.train`` that its epoch losses are checked against, and
+:func:`integrate_fine` an RK4 truth value for the plant step's truncation
+error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ecocruise import mpc, net
+from ecocruise.blas import serial
 from ecocruise.qp import solve_qp
 from ecocruise.vehicle import StepFailure
 
@@ -123,9 +126,56 @@ def kkt_residual(full: FullSpace, solution) -> float:
 
 
 def loss_and_grads(weights, biases, x, y, l2):
-    """MSE + L2 loss with analytic backprop gradients."""
+    """The training loss, mean squared ``net._error`` plus the L2 penalty on
+    the weights, with its analytic backprop gradients."""
     acts = net._forward(weights, biases, x)
-    return (net._mse_l2(acts[-1][:, 0], y, weights, l2), *net._grads(weights, acts, y, l2))
+    err = net._error(acts[-1][:, 0], y)
+    grads = [np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases]
+    net._grads(weights, acts, err, l2, grads)
+    loss = float(np.mean(err * err)) + l2 * sum(float(np.sum(w * w)) for w in weights)
+    return (loss, *grads)
+
+
+def fit_rows(config: net.TrainConfig, n: int) -> np.ndarray:
+    """The rows ``net.train`` fits on: its seed's permutation past the test
+    and validation slices."""
+    perm = np.random.default_rng(config.seed).permutation(n)
+    n_test = max(1, int(round(config.test_fraction * n)))
+    n_val = max(1, int(round(config.val_fraction * (n - n_test))))
+    return perm[n_test + n_val :]
+
+
+@serial
+def replay_train(dataset: net.Dataset, config: net.TrainConfig):
+    """Every epoch's mean squared minibatch error and the final parameters of
+    ``net.train``, replayed from the seed's split and permutations with the
+    Nesterov step written out of place (no early stop, no snapshot).  Each
+    minibatch's error is taken at the weights before its step."""
+    rows = fit_rows(config, len(dataset))
+    x = net.MinMaxScaler.fit(dataset.features[rows], "train").transform(dataset.features[rows])
+    y_scaler = net.MinMaxScaler.fit(np.append(dataset.targets[rows], 0.0)[:, None], "train")
+    y = y_scaler.transform(dataset.targets[rows, None])[:, 0]
+    rng = np.random.default_rng(config.seed)
+    rng.permutation(len(dataset))  # the split
+    params = net._init_params(net.LAYER_DIMS, rng)
+    velocity = np.zeros_like(params)
+    grad = np.empty_like(params)
+    losses = []
+    for _ in range(config.epochs):
+        sq_err = 0.0
+        order = rng.permutation(len(rows))
+        for start in range(0, len(rows), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            weights, biases = net._layers(params, net.LAYER_DIMS)
+            acts = net._forward(weights, biases, x[batch])
+            err = net._error(acts[-1][:, 0], y[batch])
+            sq_err += float(err @ err)
+            net._grads(weights, acts, err, config.l2, net._layers(grad, net.LAYER_DIMS))
+            step = config.learning_rate * grad
+            velocity = net.MOMENTUM * velocity - step
+            params = params - step + net.MOMENTUM * velocity
+        losses.append(sq_err / len(rows))
+    return losses, params
 
 
 def integrate_fine(params, v0: float, te: float, phi: float, distance: float) -> float:

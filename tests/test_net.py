@@ -28,7 +28,7 @@ from ecocruise.net import (
 from conftest import write_model
 from ecocruise.road import gen_sinusoidal, preview
 from ecocruise.vehicle import linearize
-from oracles import loss_and_grads
+from oracles import fit_rows, loss_and_grads, replay_train
 
 
 def toy_dataset(n=50, seed=0) -> Dataset:
@@ -37,15 +37,6 @@ def toy_dataset(n=50, seed=0) -> Dataset:
     feats[:, 100] = 30.0
     targs = rng.uniform(0.0005, 0.01, n)
     return Dataset(features=feats, targets=targs)
-
-
-def fit_rows(cfg: TrainConfig, n: int) -> np.ndarray:
-    """The rows ``train`` fits on: its seed's permutation past the test and
-    validation slices."""
-    perm = np.random.default_rng(cfg.seed).permutation(n)
-    n_test = max(1, int(round(cfg.test_fraction * n)))
-    n_val = max(1, int(round(cfg.val_fraction * (n - n_test))))
-    return perm[n_test + n_val :]
 
 
 class TestScaler:
@@ -203,6 +194,30 @@ class TestTrain:
             with pytest.raises(TrainingError, match="loss diverged at epoch 0"):
                 train(toy_dataset(n=200, seed=1), TrainConfig(learning_rate=1e8, seed=0))
 
+    def test_overflow_on_the_last_step_raises(self):
+        # one epoch of one full-fit-set minibatch: its loss is taken at the
+        # initial weights, and only the validation pass sees that the step
+        # sent them so far that the loss overflows
+        cfg = TrainConfig(epochs=1, batch_size=64, learning_rate=1e300,
+                          restore_best=False, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TrainingError, match="loss diverged at epoch 0"):
+                train(toy_dataset(n=50, seed=1), cfg)
+
+    def test_one_forward_pass_per_minibatch_and_one_for_validation(self, monkeypatch):
+        calls = []
+        forward = net._forward
+        monkeypatch.setattr(net, "_forward", lambda *a: calls.append(1) or forward(*a))
+        ds = toy_dataset(n=60, seed=2)
+        cfg = TrainConfig(epochs=7, batch_size=16, patience=10**9, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, hist = train(ds, cfg)
+        n_batches = -(-len(fit_rows(cfg, len(ds))) // cfg.batch_size)
+        assert len(hist.train_loss) == cfg.epochs
+        assert len(calls) == cfg.epochs * (n_batches + 1)
+
     def test_scalers_fitted_on_training_portion_only(self):
         ds = toy_dataset(n=60, seed=9)
         with warnings.catch_warnings():
@@ -214,21 +229,22 @@ class TestTrain:
         test_scaler = MinMaxScaler.fit(ds.targets[hist.test_indices, None], fitted_on="test")
         assert not np.allclose(test_scaler.mins, model.target_scaler.mins)
 
-    def test_epoch_loss_is_the_training_loss_of_the_returned_weights(self):
+    def test_epoch_loss_is_the_mean_squared_error_of_its_minibatches(self):
         ds = toy_dataset(n=60, seed=12)
         cfg = TrainConfig(learning_rate=0.03, epochs=25, patience=10**9, l2=1e-4,
                           restore_best=False, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model, hist = train(ds, cfg)
+            losses, params = replay_train(ds, cfg)
         perm = np.random.default_rng(cfg.seed).permutation(len(ds))
         n_test = max(1, int(round(cfg.test_fraction * len(ds))))
         assert np.array_equal(perm[:n_test], hist.test_indices)
-        fit_idx = fit_rows(cfg, len(ds))
-        x_fit = model.input_scaler.transform(ds.features[fit_idx])
-        y_fit = model.target_scaler.transform(ds.targets[fit_idx, None])[:, 0]
-        loss, _, _ = loss_and_grads(model.weights, model.biases, x_fit, y_fit, cfg.l2)
-        assert hist.train_loss[-1] == loss
+        assert hist.train_loss == losses
+        # the replay stepped through the same weights that train returned
+        replayed = net._layers(params, LAYER_DIMS)
+        for got, want in zip((*model.weights, *model.biases), (*replayed[0], *replayed[1])):
+            assert got.tobytes() == want.tobytes()
 
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -511,7 +527,9 @@ class TestInPlacePasses:
         acts = net._forward(weights, biases, x)
         assert 0.0 < np.mean(acts[-1] > 0.0) < 1.0
         before = [a.tobytes() for a in (*acts, *weights)]
-        gw, gb = net._grads(weights, acts, y, 1e-5)
+        err = net._error(acts[-1][:, 0], y)
+        gw, gb = [np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases]
+        net._grads(weights, acts, err, 1e-5, (gw, gb))
         assert [a.tobytes() for a in (*acts, *weights)] == before
         delta = (2.0 * (acts[-1][:, 0] - y) / len(y))[:, None]
         for layer in range(len(weights) - 1, -1, -1):
