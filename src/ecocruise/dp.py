@@ -265,10 +265,12 @@ def write_dp_csv(traj: Trajectory, path, header_lines: list[str] | None = None) 
 
 
 def read_dp_csv(path) -> Trajectory:
-    """Read back a trajectory written by :func:`write_dp_csv`."""
+    """Read back a trajectory written by :func:`write_dp_csv`; a non-finite
+    number is rejected naming its row."""
     columns, rows = formats.read_table(path)
     if columns[:2] != ["index", "position_m"]:
         raise ValueError(f"{path}: not a trajectory export")
     v, vavg = formats.float_columns(path, rows, (2, 3))
     te, fuel = formats.float_columns(path, rows[:-1], (4, 5))
+    formats.check_finite(path, rows, "number", v, vavg, te, fuel)
     return Trajectory(v=v, vavg=vavg, te=te, fuel_per_m=fuel)

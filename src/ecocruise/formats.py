@@ -77,6 +77,16 @@ def float_columns(path, rows, columns) -> np.ndarray:
     return np.array(values, dtype=float).reshape(len(rows), len(columns)).T.copy()
 
 
+def check_finite(path, rows, what, *columns) -> None:
+    """Raise ``ValueError`` naming the first of ``rows`` where one of
+    ``columns`` holds a non-finite number; a column may end before the
+    last rows."""
+    bad = [int(i[0]) for i in (np.flatnonzero(~np.isfinite(c)) for c in columns) if len(i)]
+    if bad:
+        lineno, cells = rows[min(bad)]
+        raise ValueError(f"{path}: {where(min(bad), lineno)}: non-finite {what} in {cells!r}")
+
+
 def read_key_values(path) -> list[tuple[int, str, str]]:
     """``(line number, key, value)`` for each ``key = value`` line."""
     pairs = []

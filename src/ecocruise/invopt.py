@@ -233,8 +233,7 @@ def read_gamma_csv(path) -> GammaSeries:
     if columns[:3] != ["index", "position_m", "gamma"]:
         raise ValueError(f"{path}: not a gamma-series export")
     gamma, residuals = formats.float_columns(path, rows, (2, 3))
-    bad = np.flatnonzero(~np.isfinite(gamma))  # not the residuals: a "failed" window's is inf
-    if len(bad):
-        raise ValueError(f"{path}: {formats.where(bad[0], rows[bad[0]][0])}: non-finite gamma")
+    # not the residuals: a "failed" window's is inf
+    formats.check_finite(path, rows, "gamma", gamma)
     return GammaSeries(gamma=gamma, residuals=residuals,
                        flags=tuple(r[4] if len(r) > 4 else "" for _, r in rows))

@@ -10,11 +10,7 @@ Each iteration solves the equality-constrained subproblem for the current
 working set through the bordered KKT system, steps to the nearest blocking
 inequality, and drops working constraints with negative multipliers.  The
 working set starts empty; the solve is deterministic and certifies its
-result with the stationarity residual of the original data.
-
-Columns are equilibrated internally (torques, slacks, weights and
-multipliers live on very different scales here); multipliers are invariant
-under column scaling so certification happens in original units.
+result with its stationarity residual.
 
 The solve runs its BLAS and LAPACK kernels on the calling thread (see
 :func:`ecocruise.blas.serial`).
@@ -82,31 +78,20 @@ def solve_qp(h_mat, c_vec, a_in, b_in, x0) -> QpResult:
     if a_in.shape[0] and np.max(a_in @ x - b_in) > FEAS_TOL * (1.0 + np.max(np.abs(b_in))):
         raise QpError("starting point violates inequality constraints")
 
-    # column equilibration from the Hessian diagonal; the clip keeps nearly
-    # unweighted directions (tiny fuel weights) from exploding the scaled
-    # iterates, which would make the step tolerance unreachable
-    diag = np.abs(np.diag(h_mat))
-    col_scale = np.where(diag > 1e-300, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
-    col_scale = np.clip(col_scale, 1e-2, 1e2)
-    hs = h_mat * col_scale[None, :] * col_scale[:, None]
-    cs = c_vec * col_scale
-    ain_s = a_in * col_scale[None, :]
-    xs = x / col_scale
-
     n_in = a_in.shape[0]
     working: list[int] = []
     max_iter = 20 * (n + n_in) + 50
 
     for iteration in range(1, max_iter + 1):
-        grad = hs @ xs + cs
-        p, w_mult = _kkt_solve(hs, ain_s[working], grad)
+        grad = h_mat @ x + c_vec
+        p, w_mult = _kkt_solve(h_mat, a_in[working], grad)
 
-        if np.max(np.abs(p), initial=0.0) > STEP_TOL * (1.0 + np.max(np.abs(xs), initial=0.0)):
+        if np.max(np.abs(p), initial=0.0) > STEP_TOL * (1.0 + np.max(np.abs(x), initial=0.0)):
             # ratio test against inequalities outside the working set
             alpha, blocking = 1.0, -1
             if n_in:
-                denom = ain_s @ p
-                slack = b_in - ain_s @ xs
+                denom = a_in @ p
+                slack = b_in - a_in @ x
                 moving = denom > 1e-13
                 moving[working] = False
                 ratios = np.full(n_in, np.inf)
@@ -116,7 +101,7 @@ def solve_qp(h_mat, c_vec, a_in, b_in, x0) -> QpResult:
                 if ratios[first] < alpha - 1e-15:
                     alpha = ratios[first]
                     blocking = first
-            xs = xs + alpha * p
+            x = x + alpha * p
             if blocking >= 0:
                 working.append(blocking)
                 continue
@@ -127,13 +112,12 @@ def solve_qp(h_mat, c_vec, a_in, b_in, x0) -> QpResult:
         if len(working) == 0 or np.min(w_mult, initial=0.0) >= -MULT_TOL:
             in_mult = np.zeros(n_in)
             in_mult[working] = np.maximum(w_mult, 0.0)
-            x_out = xs * col_scale
             return QpResult(
-                x=x_out,
+                x=x,
                 in_mult=in_mult,
                 working=sorted(working),
                 iterations=iteration,
-                stationarity=float(np.linalg.norm(h_mat @ x_out + c_vec + a_in.T @ in_mult)),
+                stationarity=float(np.linalg.norm(h_mat @ x + c_vec + a_in.T @ in_mult)),
             )
         # drop the most negative working constraint and re-solve
         drop = int(np.argmin(w_mult))

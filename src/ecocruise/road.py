@@ -126,10 +126,7 @@ def _samples(path, columns, rows, x_name: str):
         raise ValueError(f"{path}: header must contain {x_name} and elevation_m, got {columns!r}")
     x, elevation = formats.float_columns(
         path, rows, [names.index(x_name), names.index("elevation_m")])
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(elevation)))
-    if len(bad):
-        lineno, cells = rows[bad[0]]
-        raise ValueError(f"{path}: {formats.where(bad[0], lineno)}: non-finite number in {cells!r}")
+    formats.check_finite(path, rows, "number", x, elevation)
     if len(x) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(x)}")
     return x, elevation

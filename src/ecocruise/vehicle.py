@@ -42,6 +42,17 @@ class StepFailure(RuntimeError):
     """A position-domain integration step produced a non-physical state."""
 
 
+_LIMITS = ("v_min", "v_max", "te_min", "te_max")
+
+
+def _by_name(params: VehicleParams) -> dict[str, float]:
+    """Every coefficient and limit under its config key: ``alpha{i}``,
+    ``lambda{i}``, then the limits under their field names."""
+    return {**{f"alpha{i}": a for i, a in enumerate(params.alpha)},
+            **{f"lambda{i}": c for i, c in enumerate(params.lam)},
+            **{k: getattr(params, k) for k in _LIMITS}}
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Coefficient sets plus actuator/velocity limits; the plant steps the
@@ -57,10 +68,7 @@ class VehicleParams:
     def __post_init__(self) -> None:
         if len(self.alpha) != 5 or len(self.lam) != 6:
             raise ValueError("expected 5 dynamics and 6 fuel coefficients")
-        named = [*((f"alpha{i}", a) for i, a in enumerate(self.alpha)),
-                 *((f"lambda{i}", c) for i, c in enumerate(self.lam)),
-                 *((k, getattr(self, k)) for k in ("v_min", "v_max", "te_min", "te_max"))]
-        for name, value in named:
+        for name, value in _by_name(self).items():
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
         if self.alpha[0] <= 0:
@@ -180,11 +188,11 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
     The one loop that steps the plant along a road: it accumulates the
     per-meter fuel and the trip-average velocity and raises
     :class:`StepFailure` naming the step and position where velocity
-    collapses.  Errors raised by ``torque`` pass through unchanged.  Only
-    the start velocity is checked; the collapse guard keeps every later
-    velocity positive.
+    collapses or turns non-finite.  Errors raised by ``torque`` pass through
+    unchanged.  Only the start velocity is checked; the collapse guard keeps
+    every later velocity positive and finite.
     """
-    if v_i <= 0:
+    if not v_i > 0:
         raise ValueError("velocity must be positive")
     v = vavg = float(v_i)
     vs = [v]
@@ -195,8 +203,9 @@ def rollout(params: VehicleParams, road, v_i: float, torque) -> Trajectory:
         te = torque(k, v, vavg)
         fuels.append(float(fuel_per_meter(params, v, te)))
         v_next = float(next_velocity(params, v, te, road.grade[k]))
-        if v_next <= 0:
-            raise StepFailure(f"velocity collapsed at step {k} (position {k * DS:.0f} m)")
+        if not 0.0 < v_next < np.inf:
+            raise StepFailure(f"velocity collapsed to {v_next:g} at step {k} "
+                              f"(position {k * DS:.0f} m)")
         vavg = float(vavg_update(k, vavg, v))
         v = v_next
         vs.append(v)
@@ -250,47 +259,21 @@ def linearize(params: VehicleParams, v_ref: float) -> LinearizedModel:
     )
 
 
-_PARAM_KEYS = {
-    "alpha0": ("alpha", 0),
-    "alpha1": ("alpha", 1),
-    "alpha2": ("alpha", 2),
-    "alpha3": ("alpha", 3),
-    "alpha4": ("alpha", 4),
-    "lambda0": ("lam", 0),
-    "lambda1": ("lam", 1),
-    "lambda2": ("lam", 2),
-    "lambda3": ("lam", 3),
-    "lambda4": ("lam", 4),
-    "lambda5": ("lam", 5),
-    "v_min": ("v_min", None),
-    "v_max": ("v_max", None),
-    "te_min": ("te_min", None),
-    "te_max": ("te_max", None),
-}
-
-
 def load_vehicle_config(path) -> VehicleParams:
     """Read vehicle parameters from a key-value text file.
 
     One ``key = value`` pair per line, ``#`` comments allowed; any key left
     out keeps its default.  Unknown keys are an error.
     """
-    alpha = list(DEFAULT_ALPHA)
-    lam = list(DEFAULT_LAMBDA)
-    scalars: dict[str, float] = {}
+    values = _by_name(VehicleParams())
     for lineno, key, value in read_key_values(path):
         key = key.lower()
-        if key not in _PARAM_KEYS:
+        if key not in values:
             raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
         try:
-            num = float(value)
+            values[key] = float(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad number {value!r}") from exc
-        target, idx = _PARAM_KEYS[key]
-        if target == "alpha":
-            alpha[idx] = num
-        elif target == "lam":
-            lam[idx] = num
-        else:
-            scalars[target] = num
-    return VehicleParams(alpha=tuple(alpha), lam=tuple(lam), **scalars)
+    return VehicleParams(alpha=tuple(v for k, v in values.items() if k.startswith("alpha")),
+                         lam=tuple(v for k, v in values.items() if k.startswith("lambda")),
+                         **{k: values[k] for k in _LIMITS})

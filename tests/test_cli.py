@@ -680,6 +680,22 @@ class TestBadNumbers:
         assert "row 7 (line 7): non-finite gamma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_torque_in_a_trajectory(self, tmp_path, road_file, capsys):
+        # this used to replay to a NaN fuel total and write the row (exit 0)
+        dp = tmp_path / "dp.csv"
+        assert main(["solve-dp", "--road", str(road_file), "--out", str(dp)]) == EXIT_OK
+        lines = dp.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        cells = lines[row].split(",")
+        cells[4] = "nan"
+        lines[row] = ",".join(cells)
+        dp.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--road", str(road_file), "--controller", "dp",
+                     "--dp", str(dp), "--out", str(out)]) == EXIT_VALIDATION
+        assert f"row 7 (line {row + 1}): non-finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_road_elevation(self, tmp_path, road_file, capsys):
         lines = road_file.read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith("5,"))

@@ -64,8 +64,9 @@ def test_road_round_trip(elevation):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 30).flatmap(lambda n: st.tuples(
-    arrays(np.float64, (2, n + 1), elements=finite), arrays(np.float64, (2, n), elements=anything))))
+    arrays(np.float64, (2, n + 1), elements=finite), arrays(np.float64, (2, n), elements=finite))))
 def test_trajectory_round_trip(columns):
+    # the reader rejects a non-finite number (TestTableReader)
     (v, vavg), (te, fuel) = columns
     traj = Trajectory(v=v, vavg=vavg, te=te, fuel_per_m=fuel)
     assert_round_trip(lambda t, p: write_dp_csv(t, p, HEADER), read_dp_csv, traj)
@@ -126,6 +127,20 @@ class TestTableReader:
         assert [n for n, _ in rows] == [4, 6]
         with pytest.raises(ValueError, match=r"row 3 \(line 6\)"):
             formats.float_columns(path, rows, (0, 1))
+
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (3, "inf"), (4, "-inf"), (5, "nan")],
+                             ids=["v", "vavg", "te", "fuel"])
+    def test_trajectory_reader_rejects_a_non_finite_number(self, tmp_path, column, value):
+        path = tmp_path / "dp.csv"
+        write_dp_csv(Trajectory(v=np.full(4, 30.0), vavg=np.full(4, 30.0), te=np.full(3, 90.0),
+                                fuel_per_m=np.full(3, 5e-5)), path, HEADER)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[column] = value
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"row 3 \(line 6\): non-finite number"):
+            read_dp_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

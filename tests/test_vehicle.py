@@ -9,6 +9,7 @@ from ecocruise.road import DS, gen_sinusoidal
 from ecocruise.vehicle import (
     DEFAULT_LAMBDA,
     LinearizedModel,
+    StepFailure,
     VehicleParams,
     accel,
     equilibrium_torque,
@@ -249,6 +250,13 @@ class TestRollout:
     def test_start_velocity_checked_before_the_first_step(self, params):
         calls = []
         road = gen_sinusoidal(seed=3, length_m=3000.0)
-        with pytest.raises(ValueError, match="velocity must be positive"):
-            rollout(params, road, 0.0, lambda k, v, vavg: calls.append(k) or 0.0)
+        for v_i in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="velocity must be positive"):
+                rollout(params, road, v_i, lambda k, v, vavg: calls.append(k) or 0.0)
         assert calls == []
+
+    @pytest.mark.parametrize("te", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_torque_stops_the_drive_where_it_enters(self, params, te):
+        road = gen_sinusoidal(seed=3, length_m=3000.0)
+        with pytest.raises(StepFailure, match=r"step 4 \(position 120 m\)"):
+            rollout(params, road, 30.0, lambda k, v, vavg: te if k == 4 else 90.0)
