@@ -286,7 +286,7 @@ def cmd_train(args, file_cfg) -> int:
         model, history = net.train(dataset, train_cfg)
         test = net.evaluate(model, dataset.features[history.test_indices],
                             dataset.targets[history.test_indices])
-        net.save_model(model, tmp, fingerprint=fp)
+        net.save_model(model, tmp, meta)
         return (f"held-out scaled mse {test.mse_scaled:.3e}, "
                 f"mae {test.mae_scaled:.3e}; {len(history.train_loss)} epochs")
 

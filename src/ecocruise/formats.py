@@ -4,7 +4,7 @@ A table is any number of ``# `` metadata lines, one header row naming the
 columns, then one row per record, every line ending in ``\\n``.  Readers skip
 ``#`` and blank lines, also accept the CRLF row endings that earlier
 releases wrote, and name file line numbers in their errors.  Every road,
-trajectory, weight-series, sweep and report export goes through
+trajectory, weight-series, model, sweep and report export goes through
 :func:`write_table` and :func:`read_table`.
 
 A key-value file holds one ``key = value`` pair per line; ``#`` starts a

@@ -125,8 +125,8 @@ def _artifact_error(spec: ControllerSpec, road: RoadProfile, artifacts: Artifact
     if spec.kind == "AT_MPC":
         if artifacts.model is None:
             return "AT_MPC needs a trained weight predictor"
-        if artifacts.model.layer_dims[0] != PREVIEW_LEN + 1:
-            return (f"weight predictor takes {artifacts.model.layer_dims[0]} inputs; "
+        if artifacts.model.weights[0].shape[0] != PREVIEW_LEN + 1:
+            return (f"weight predictor takes {artifacts.model.weights[0].shape[0]} inputs; "
                     f"AT_MPC feeds it {PREVIEW_LEN + 1} (the grade preview and the set point)")
     return ""
 

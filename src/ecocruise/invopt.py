@@ -118,7 +118,7 @@ def detect_active(v, te, lin: LinearizedModel, params: VehicleParams) -> np.ndar
 
 @serial
 def recover_weights(v, te, lin: LinearizedModel, params: VehicleParams,
-                    v_ref: float | None) -> GammaSeries:
+                    v_ref: float) -> GammaSeries:
     """Fit the fuel weight of every window of a stack (layout as in
     :func:`detect_active`); each window's fit depends on that window alone.
 
@@ -137,7 +137,7 @@ def recover_weights(v, te, lin: LinearizedModel, params: VehicleParams,
     n = active.shape[1] // 4
     program = mpc.horizon_program(lin, n)
     sqrt_r, basis = _fit_basis(lin, n)
-    r_bar = 0.0 if v_ref is None else float(v_ref - lin.v_lin)
+    r_bar = float(v_ref - lin.v_lin)
     # each window a one-row matrix: no product mixes windows, so a window's
     # numbers are the same bits in any stack
     z = _points(v, te)[:, None, :]
@@ -188,7 +188,7 @@ def gamma_series(
     lin: LinearizedModel,
     params: VehicleParams,
     n: int,
-    v_ref: float | None = None,
+    v_ref: float,
 ) -> GammaSeries:
     """Recover one fuel weight per road position from a global-optimum run,
     capped at ``GAMMA_CAP`` (flagged "clamped" where the cap bites).

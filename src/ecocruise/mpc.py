@@ -184,12 +184,11 @@ def build(
     grade_window,
     v_init: float,
     params: VehicleParams,
-    v_ref: float | None = None,
+    v_ref: float,
 ) -> MpcProblem:
     """Assemble the condensed horizon QP for one control step.
 
-    ``grade_window`` fixes the horizon length.  ``v_ref`` defaults to the
-    linearization speed, which makes the tracking target zero deviation.
+    ``grade_window`` fixes the horizon length.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError(f"fuel weight must be finite and nonnegative, got {gamma}")
@@ -198,7 +197,7 @@ def build(
     if n < 1:
         raise ValueError("horizon must contain at least one step")
 
-    v_ref_dev = 0.0 if v_ref is None else float(v_ref - lin.v_lin)
+    v_ref_dev = float(v_ref - lin.v_lin)
     v_lo, v_hi, t_lo, t_hi = bounds = deviation_bounds(lin, params)
     if not (t_lo <= 0.0 <= t_hi):
         raise ValueError("linearization torque outside actuator range")

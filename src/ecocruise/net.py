@@ -16,6 +16,7 @@ validation loss, and raise :class:`TrainingError` in that epoch.  Training
 and the forward pass run on one BLAS thread (:func:`ecocruise.blas.serial`):
 a multithreaded matrix product rounds differently with the thread count, so
 the same seed would give different weights on hosts with different cores.
+A trained model is a :mod:`ecocruise.formats` table (:func:`save_model`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
 from .blas import serial
 from .road import RoadProfile, preview
 
@@ -33,8 +35,9 @@ LAYER_DIMS = (PREVIEW_LEN + 1, 250, 80, 16, 1)
 MOMENTUM = 0.9  # Nesterov momentum of every training step
 # Heads every model file and keys the train stage's cache: raised whenever a
 # change to training or to the forward pass makes older model files wrong to
-# drive with.  Version 1 had a rectified output unit.
-MODEL_VERSION = 2
+# drive with.  Version 1 had a rectified output unit; version 2 was a
+# block format of its own, before model files became tables.
+MODEL_VERSION = 3
 
 
 class TrainingError(RuntimeError):
@@ -47,15 +50,14 @@ class MinMaxScaler:
 
     mins: np.ndarray
     ranges: np.ndarray
-    fitted_on: str  # provenance marker, e.g. "train"
 
     @staticmethod
-    def fit(data: np.ndarray, fitted_on: str) -> "MinMaxScaler":
+    def fit(data: np.ndarray) -> "MinMaxScaler":
         arr = np.atleast_2d(np.asarray(data, dtype=float))
         mins = arr.min(axis=0)
         ranges = arr.max(axis=0) - mins
         ranges = np.where(ranges > 0.0, ranges, 1.0)
-        return MinMaxScaler(mins=mins, ranges=ranges, fitted_on=fitted_on)
+        return MinMaxScaler(mins=mins, ranges=ranges)
 
     def transform(self, data):
         return (np.asarray(data, dtype=float) - self.mins) / self.ranges
@@ -66,7 +68,6 @@ class MinMaxScaler:
 
 @dataclass
 class MlpModel:
-    layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     input_scaler: MinMaxScaler
@@ -231,11 +232,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
         raise ValueError(f"test_fraction {config.test_fraction} and val_fraction "
                          f"{config.val_fraction} leave none of {n} samples to fit on")
 
-    input_scaler = MinMaxScaler.fit(dataset.features[fit_idx], fitted_on="train")
+    input_scaler = MinMaxScaler.fit(dataset.features[fit_idx])
     # the target scale starts at weight 0, so scaled 0 is the floor that
     # predictions are clipped at
-    target_scaler = MinMaxScaler.fit(np.append(dataset.targets[fit_idx], 0.0)[:, None],
-                                     fitted_on="train")
+    target_scaler = MinMaxScaler.fit(np.append(dataset.targets[fit_idx], 0.0)[:, None])
     x_fit = input_scaler.transform(dataset.features[fit_idx])
     y_fit = target_scaler.transform(dataset.targets[fit_idx, None])[:, 0]
     x_val = input_scaler.transform(dataset.features[val_idx])
@@ -290,7 +290,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpModel, TrainHistory
 
     final = _layers(best if config.restore_best else params, LAYER_DIMS)
     model = MlpModel(
-        layer_dims=LAYER_DIMS,
         weights=final[0],
         biases=final[1],
         input_scaler=input_scaler,
@@ -339,82 +338,51 @@ def evaluate(model: MlpModel, features: np.ndarray, targets: np.ndarray) -> Eval
     )
 
 
-def _format_row(values) -> str:
-    """Space-separated ``%.17g`` values (round-trip exact), one line."""
-    row = tuple(np.asarray(values, dtype=float).tolist())
-    return " ".join(["%.17g"] * len(row)) % row + "\n"
-
-
-def save_model(model: MlpModel, path, fingerprint: str = "") -> None:
-    """Self-describing text serialization: dims, scalers, then every layer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# ecocruise mlp v{MODEL_VERSION}\n")
-        if fingerprint:
-            fh.write(f"# fingerprint: {fingerprint}\n")
-        fh.write("dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
-        for name, scaler in (("input", model.input_scaler), ("target", model.target_scaler)):
-            fh.write(f"scaler {name} {scaler.fitted_on}\n")
-            fh.write(_format_row(scaler.mins))
-            fh.write(_format_row(scaler.ranges))
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            fh.write(f"layer {i} {w.shape[0]} {w.shape[1]}\n")
-            fh.writelines(_format_row(row) for row in w)
-            fh.write(_format_row(b))
+def save_model(model: MlpModel, path, header_lines) -> None:
+    """Write ``model`` as a table: ``header_lines``, the header row ``mlp
+    v<MODEL_VERSION>``, then one row per parameter row (the input and target
+    scalers' mins and ranges, then each layer's weight rows and bias row),
+    each one cell of space-separated ``%.17g`` numbers, exact on reading."""
+    rows = [model.input_scaler.mins, model.input_scaler.ranges,
+            model.target_scaler.mins, model.target_scaler.ranges]
+    for w, b in zip(model.weights, model.biases):
+        rows += [*w, b]
+    formats.write_table(path, [f"mlp v{MODEL_VERSION}"],
+                        ([" ".join(["%.17g"] * len(r)) % tuple(r.tolist())] for r in rows),
+                        header_lines)
 
 
 def load_model(path) -> MlpModel:
-    """Read a :func:`save_model` file, checking every block's shape against
-    ``dims``: a malformed or mis-sized block, or a file of another format
-    version, is a ``ValueError`` that names it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = [ln.rstrip("\n") for ln in fh]
-    head = text[0] if text else ""
-    if head.startswith("# ecocruise mlp v") and head != f"# ecocruise mlp v{MODEL_VERSION}":
-        raise ValueError(f"{path}: an {head[2:]} model, which this release cannot drive "
-                         f"with (it reads v{MODEL_VERSION}); train it again")
-    lines = [ln for ln in text if not ln.startswith("#")]
-    cursor = 0
-
-    def take() -> str:
-        nonlocal cursor
-        if cursor == len(lines):
-            raise ValueError(f"{path}: model file ends early")
-        cursor += 1
-        return lines[cursor - 1]
-
-    def row(what: str, width: int) -> np.ndarray:
-        line = take()
+    """Read a :func:`save_model` file of a ``LAYER_DIMS`` network.  A file of
+    another format version, a missing or extra row, or a row of the wrong
+    width or with a bad or non-finite number is a ``ValueError`` that names
+    it."""
+    columns, rows = formats.read_table(path)
+    header = f"mlp v{MODEL_VERSION}"
+    if columns != [header]:
+        raise ValueError(f"{path}: header row {','.join(columns)!r} is not {header!r}: "
+                         "not a model this release can drive with; train it again")
+    # the scaler rows, then each layer's weight rows and bias row
+    widths = [LAYER_DIMS[0]] * 2 + [LAYER_DIMS[-1]] * 2 + [
+        cols for n_in, cols in zip(LAYER_DIMS, LAYER_DIMS[1:]) for _ in range(n_in + 1)]
+    values = []
+    for i, ((lineno, cells), width) in enumerate(zip(rows, widths)):
+        at = f"{path}: {formats.where(i, lineno)}"
         try:
-            values = np.array([float(v) for v in line.split()])
+            (text,) = cells
+            row = np.array(text.split(), dtype=float)
         except ValueError:
-            raise ValueError(f"{path}: {what} is not a row of numbers") from None
-        if len(values) != width:
-            raise ValueError(f"{path}: {what} holds {len(values)} values, expected {width}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{path}: {what} holds a non-finite value")
-        return values
-
-    head = take().split()
-    if head[:1] != ["dims"] or len(head) < 3 or not all(d.isdigit() for d in head[1:]):
-        raise ValueError(f"{path}: not a model file")
-    dims = tuple(int(d) for d in head[1:])
-    scalers = {}
-    for name, width in (("input", dims[0]), ("target", dims[-1])):
-        head = take().split()
-        if len(head) != 3 or head[:2] != ["scaler", name]:
-            raise ValueError(f"{path}: malformed scaler block {name}")
-        mins = row(f"scaler {name} mins", width)
-        scalers[name] = MinMaxScaler(mins=mins, ranges=row(f"scaler {name} ranges", width),
-                                     fitted_on=head[2])
-    weights, biases = [], []
-    for i, (rows, cols) in enumerate(zip(dims, dims[1:])):
-        head = take().split()
-        if len(head) != 4 or head[:2] != ["layer", str(i)]:
-            raise ValueError(f"{path}: malformed layer block {i}")
-        if head[2:] != [str(rows), str(cols)]:
-            raise ValueError(f"{path}: layer {i} is {head[2]}x{head[3]}, "
-                             f"but dims make it {rows}x{cols}")
-        weights.append(np.array([row(f"layer {i} row {r}", cols) for r in range(rows)]))
-        biases.append(row(f"layer {i} bias", cols))
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases,
-                    input_scaler=scalers["input"], target_scaler=scalers["target"])
+            raise ValueError(f"{at}: not a row of numbers") from None
+        if len(row) != width:
+            raise ValueError(f"{at}: holds {len(row)} values, expected {width}")
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{at}: holds a non-finite value")
+        values.append(row)
+    if len(rows) != len(widths):
+        end = formats.where(len(rows) - 1, rows[-1][0]) if rows else "its header row"
+        raise ValueError(f"{path}: model file ends at {end}, "
+                         f"but a model has {len(widths) + 1} rows")
+    weights, biases = _layers(np.concatenate(values[4:]), LAYER_DIMS)
+    return MlpModel(weights=weights, biases=biases,
+                    input_scaler=MinMaxScaler(mins=values[0], ranges=values[1]),
+                    target_scaler=MinMaxScaler(mins=values[2], ranges=values[3]))

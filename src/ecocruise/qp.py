@@ -5,7 +5,8 @@ Solves
     min  0.5 x'Hx + c'x
     s.t. A_in x <= b_in
 
-for positive definite H, starting from a caller-supplied feasible point.
+for positive definite H and at least one inequality row, starting from a
+caller-supplied feasible point.
 Each iteration solves the equality-constrained subproblem for the current
 working set through the bordered KKT system, steps to the nearest blocking
 inequality, and drops working constraints with negative multipliers.  The
@@ -71,11 +72,11 @@ def solve_qp(h_mat, c_vec, a_in, b_in, x0) -> QpResult:
     h_mat = np.asarray(h_mat, dtype=float)
     c_vec = np.asarray(c_vec, dtype=float)
     n = len(c_vec)
-    a_in = np.asarray(a_in, dtype=float).reshape(-1, n) if a_in is not None else np.zeros((0, n))
-    b_in = np.asarray(b_in, dtype=float).ravel() if b_in is not None else np.zeros(0)
+    a_in = np.asarray(a_in, dtype=float).reshape(-1, n)
+    b_in = np.asarray(b_in, dtype=float).ravel()
     x = np.asarray(x0, dtype=float).copy()
 
-    if a_in.shape[0] and np.max(a_in @ x - b_in) > FEAS_TOL * (1.0 + np.max(np.abs(b_in))):
+    if np.max(a_in @ x - b_in) > FEAS_TOL * (1.0 + np.max(np.abs(b_in))):
         raise QpError("starting point violates inequality constraints")
 
     n_in = a_in.shape[0]
@@ -89,18 +90,17 @@ def solve_qp(h_mat, c_vec, a_in, b_in, x0) -> QpResult:
         if np.max(np.abs(p), initial=0.0) > STEP_TOL * (1.0 + np.max(np.abs(x), initial=0.0)):
             # ratio test against inequalities outside the working set
             alpha, blocking = 1.0, -1
-            if n_in:
-                denom = a_in @ p
-                slack = b_in - a_in @ x
-                moving = denom > 1e-13
-                moving[working] = False
-                ratios = np.full(n_in, np.inf)
-                ratios[moving] = np.maximum(slack[moving], 0.0) / denom[moving]
-                # first row within rounding of the smallest ratio
-                first = int(np.argmax(ratios <= ratios.min() + 1e-15))
-                if ratios[first] < alpha - 1e-15:
-                    alpha = ratios[first]
-                    blocking = first
+            denom = a_in @ p
+            slack = b_in - a_in @ x
+            moving = denom > 1e-13
+            moving[working] = False
+            ratios = np.full(n_in, np.inf)
+            ratios[moving] = np.maximum(slack[moving], 0.0) / denom[moving]
+            # first row within rounding of the smallest ratio
+            first = int(np.argmax(ratios <= ratios.min() + 1e-15))
+            if ratios[first] < alpha - 1e-15:
+                alpha = ratios[first]
+                blocking = first
             x = x + alpha * p
             if blocking >= 0:
                 working.append(blocking)

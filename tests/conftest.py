@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ecocruise.dp import DpConfig
-from ecocruise.net import MinMaxScaler, MlpModel, save_model
+from ecocruise.net import LAYER_DIMS, MinMaxScaler, MlpModel, save_model
 from ecocruise.road import DS, RoadProfile
 from ecocruise.vehicle import VehicleParams, accel, equilibrium_torque, fuel_per_meter
 
@@ -79,20 +79,15 @@ def enumerate_optimum(params: VehicleParams, road: RoadProfile, config: DpConfig
     return float(cost[best]), te_grid[seqs[best]]
 
 
-def write_model(path, dims, short_layer=None) -> None:
-    """Save an all-zero predictor of layer widths ``dims``; with
-    ``short_layer``, drop the last value of every weight row of that layer."""
-    save_model(MlpModel(layer_dims=dims,
-                        weights=[np.zeros(shape) for shape in zip(dims, dims[1:])],
+def write_model(path, dims=LAYER_DIMS) -> None:
+    """Save an all-zero predictor of layer widths ``dims`` under one ``#``
+    line, so that row ``r`` of the file (its header row is row 1) is line
+    ``r + 1``."""
+    save_model(MlpModel(weights=[np.zeros(shape) for shape in zip(dims, dims[1:])],
                         biases=[np.zeros(width) for width in dims[1:]],
-                        input_scaler=MinMaxScaler(np.zeros(dims[0]), np.ones(dims[0]), "train"),
-                        target_scaler=MinMaxScaler(np.zeros(1), np.ones(1), "train")), path)
-    if short_layer is not None:
-        lines = path.read_text().splitlines()
-        head = lines.index(f"layer {short_layer} {dims[short_layer]} {dims[short_layer + 1]}")
-        for i in range(head + 1, head + 1 + dims[short_layer]):
-            lines[i] = lines[i].rsplit(" ", 1)[0]
-        path.write_text("\n".join(lines) + "\n")
+                        input_scaler=MinMaxScaler(np.zeros(dims[0]), np.ones(dims[0])),
+                        target_scaler=MinMaxScaler(np.zeros(1), np.ones(1))),
+               path, ["an all-zero test model"])
 
 
 # seeds of tiny instances verified to have enumeration-exact grid solutions

@@ -60,11 +60,11 @@ class FullSpace:
         return np.concatenate([v, np.zeros(self.n), spill])
 
 
-def full_space(gamma, lin, grade_window, v_init, params, v_ref=None) -> FullSpace:
+def full_space(gamma, lin, grade_window, v_init, params, v_ref) -> FullSpace:
     grades = np.asarray(grade_window, dtype=float)
     n = len(grades)
     program = mpc.horizon_program(lin, n)
-    v_ref_dev = 0.0 if v_ref is None else float(v_ref - lin.v_lin)
+    v_ref_dev = float(v_ref - lin.v_lin)
     bounds = mpc.deviation_bounds(lin, params)
     zero = np.zeros(3 * n + 1)
     return FullSpace(
@@ -152,8 +152,8 @@ def replay_train(dataset: net.Dataset, config: net.TrainConfig):
     Nesterov step written out of place (no early stop, no snapshot).  Each
     minibatch's error is taken at the weights before its step."""
     rows = fit_rows(config, len(dataset))
-    x = net.MinMaxScaler.fit(dataset.features[rows], "train").transform(dataset.features[rows])
-    y_scaler = net.MinMaxScaler.fit(np.append(dataset.targets[rows], 0.0)[:, None], "train")
+    x = net.MinMaxScaler.fit(dataset.features[rows]).transform(dataset.features[rows])
+    y_scaler = net.MinMaxScaler.fit(np.append(dataset.targets[rows], 0.0)[:, None])
     y = y_scaler.transform(dataset.targets[rows, None])[:, 0]
     rng = np.random.default_rng(config.seed)
     rng.permutation(len(dataset))  # the split

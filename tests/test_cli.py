@@ -224,14 +224,14 @@ class TestCacheIntegrity:
         monkeypatch.setattr(net, "MODEL_VERSION", 1)
         assert main(train) == EXIT_OK
         monkeypatch.undo()
-        assert model.read_text().startswith("# ecocruise mlp v1\n")
+        assert model.read_text().splitlines()[3] == "mlp v1"
         capsys.readouterr()
         sim = ["simulate", "--road", str(road_file), "--controller", "at", "--model", str(model)]
         assert main(sim) == EXIT_VALIDATION
-        assert f"{model}: an ecocruise mlp v1 model" in capsys.readouterr().err
+        assert f"{model}: header row 'mlp v1' is not" in capsys.readouterr().err
         assert main(train) == EXIT_OK
         assert "cache hit" not in capsys.readouterr().out
-        assert model.read_text().startswith(f"# ecocruise mlp v{net.MODEL_VERSION}\n")
+        assert model.read_text().splitlines()[3] == f"mlp v{net.MODEL_VERSION}"
         assert main(sim) == EXIT_OK
 
 
@@ -364,10 +364,11 @@ class TestStageErrors:
 
     def test_truncated_model_is_validation_error(self, tmp_path, road_file, capsys):
         model = tmp_path / "model.txt"
-        model.write_text("# ecocruise mlp v2\ndims 101 64 64 1\n")
+        write_model(model)
+        model.write_text("".join(model.read_text().splitlines(keepends=True)[:100]))
         assert main(["simulate", "--road", str(road_file), "--controller", "at",
                      "--model", str(model)]) == EXIT_VALIDATION
-        assert "model file ends early" in capsys.readouterr().err
+        assert "model file ends at row 99 (line 100)" in capsys.readouterr().err
 
     @staticmethod
     def _sweep_rejects(tmp_path, road_file, capsys, model) -> str:
@@ -385,32 +386,33 @@ class TestStageErrors:
         return capsys.readouterr().err
 
     def test_sweep_with_a_short_layer_is_validation_error(self, tmp_path, road_file, capsys):
+        # every weight row of layer 2, rows 359-438, loses its last value
         model = tmp_path / "model.txt"
-        write_model(model, LAYER_DIMS, short_layer=2)
-        assert "layer 2" in self._sweep_rejects(tmp_path, road_file, capsys, model)
+        write_model(model)
+        lines = model.read_text().splitlines()
+        lines[359:439] = [line.rsplit(" ", 1)[0] for line in lines[359:439]]
+        model.write_text("\n".join(lines) + "\n")
+        assert "row 359 (line 360): holds 15 values, expected 16" in self._sweep_rejects(
+            tmp_path, road_file, capsys, model)
 
     def test_sweep_with_a_nan_weight_is_validation_error(self, tmp_path, road_file, capsys):
         # read as is, AT_MPC would drive with a NaN fuel weight
+        # the first weight of layer 1, in row 108
         model = tmp_path / "model.txt"
-        write_model(model, LAYER_DIMS)
-        head = f"layer 1 {LAYER_DIMS[1]} {LAYER_DIMS[2]}\n"
-        model.write_text(model.read_text().replace(head + "0 ", head + "nan "))
-        assert "layer 1 row 0 holds a non-finite value" in self._sweep_rejects(
+        write_model(model)
+        lines = model.read_text().splitlines()
+        lines[108] = "nan" + lines[108][1:]
+        model.write_text("\n".join(lines) + "\n")
+        assert "row 108 (line 109): holds a non-finite value" in self._sweep_rejects(
             tmp_path, road_file, capsys, model)
 
     def test_predictor_of_another_input_width_is_validation_error(self, tmp_path, road_file,
                                                                   capsys):
-        from ecocruise.net import MinMaxScaler, MlpModel, save_model
-
         model = tmp_path / "model.txt"
-        save_model(MlpModel(layer_dims=(51, 1), weights=[np.zeros((51, 1))],
-                            biases=[np.zeros(1)],
-                            input_scaler=MinMaxScaler(np.zeros(51), np.ones(51), "train"),
-                            target_scaler=MinMaxScaler(np.zeros(1), np.ones(1), "train")), model)
+        write_model(model, (51, *LAYER_DIMS[1:]))
         assert main(["simulate", "--road", str(road_file), "--controller", "at",
                      "--model", str(model)]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "takes 51 inputs" in err and "101" in err
+        assert "row 2 (line 3): holds 51 values, expected 101" in capsys.readouterr().err
 
 
 class TestReportCache:

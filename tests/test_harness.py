@@ -288,14 +288,10 @@ def _constant_model(value: float, inputs: int = 101):
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
     biases[-1][:] = 1.0
     return MlpModel(
-        layer_dims=dims,
         weights=weights,
         biases=biases,
-        input_scaler=MinMaxScaler(mins=np.zeros(inputs), ranges=np.ones(inputs),
-                                  fitted_on="train"),
-        target_scaler=MinMaxScaler(
-            mins=np.array([0.0]), ranges=np.array([value]), fitted_on="train"
-        ),
+        input_scaler=MinMaxScaler(mins=np.zeros(inputs), ranges=np.ones(inputs)),
+        target_scaler=MinMaxScaler(mins=np.array([0.0]), ranges=np.array([value])),
     )
 
 

@@ -333,7 +333,7 @@ class TestGammaSeries:
         cfg = DpConfig.default(params, 30.0, v_span=4.0)
         solution = dp_solve(params, short, cfg)
         with pytest.raises(ValueError, match="cover"):
-            gamma_series(solution, road, lin, params, 60)
+            gamma_series(solution, road, lin, params, 60, lin.v_lin)
 
     def test_csv_roundtrip(self, flat_setup, tmp_path):
         _, series = flat_setup

@@ -48,11 +48,11 @@ class TestBuild:
     def test_negative_weight_rejected(self, params, lin):
         for gamma in (-1e-6, np.nan, np.inf):  # a NaN passes a bare ``< 0`` test
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                mpc.build(gamma, lin, np.zeros(10), 0.0, params)
+                mpc.build(gamma, lin, np.zeros(10), 0.0, params, lin.v_lin)
 
     def test_hessian_positive_semidefinite(self, params, lin):
         for gamma in (0.0, 1e-4, 0.003, 0.05, 1.0):
-            _, full = build_pair(gamma, lin, np.zeros(8), 0.3, params)
+            _, full = build_pair(gamma, lin, np.zeros(8), 0.3, params, lin.v_lin)
             eigvals = np.linalg.eigvalsh(full.h_mat)
             assert eigvals.min() >= -1e-12
 
@@ -208,7 +208,7 @@ class TestKktResidual:
         assert kkt_residual(full, np.zeros(full.n_vars)) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, params, lin):
-        _, full = build_pair(0.0, lin, np.zeros(5), 0.0, params)
+        _, full = build_pair(0.0, lin, np.zeros(5), 0.0, params, lin.v_lin)
         with pytest.raises(ValueError):
             kkt_residual(full, np.zeros(3))
 

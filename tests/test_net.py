@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from ecocruise import invopt, net
+from ecocruise.cli import EXIT_VALIDATION, main
 from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.invopt import GammaSeries
 from ecocruise.net import (
@@ -26,7 +28,7 @@ from ecocruise.net import (
     train,
 )
 from conftest import write_model
-from ecocruise.road import gen_sinusoidal, preview
+from ecocruise.road import gen_sinusoidal, preview, write_road_csv
 from ecocruise.vehicle import linearize
 from oracles import fit_rows, loss_and_grads, replay_train
 
@@ -43,23 +45,19 @@ class TestScaler:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(40, 7)) * rng.uniform(0.1, 100.0, 7)
-        scaler = MinMaxScaler.fit(data, fitted_on="train")
+        scaler = MinMaxScaler.fit(data)
         assert np.max(np.abs(scaler.inverse(scaler.transform(data)) - data)) < 1e-12
 
     def test_range_is_unit_interval(self):
         data = np.array([[2.0], [4.0], [3.0]])
-        scaler = MinMaxScaler.fit(data, fitted_on="train")
+        scaler = MinMaxScaler.fit(data)
         out = scaler.transform(data)
         assert out.min() == 0.0 and out.max() == 1.0
 
     def test_constant_feature_maps_to_zero(self):
         data = np.full((5, 2), 3.3)
-        scaler = MinMaxScaler.fit(data, fitted_on="train")
+        scaler = MinMaxScaler.fit(data)
         assert np.all(scaler.transform(data) == 0.0)
-
-    def test_provenance_marker(self):
-        scaler = MinMaxScaler.fit(np.zeros((3, 1)), fitted_on="train")
-        assert scaler.fitted_on == "train"
 
 
 @pytest.fixture(scope="module")
@@ -223,10 +221,8 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model, hist = train(ds, TrainConfig(epochs=5, seed=0))
-        assert model.input_scaler.fitted_on == "train"
-        assert model.target_scaler.fitted_on == "train"
         # refitting on the held-out rows gives a measurably different scaler
-        test_scaler = MinMaxScaler.fit(ds.targets[hist.test_indices, None], fitted_on="test")
+        test_scaler = MinMaxScaler.fit(ds.targets[hist.test_indices, None])
         assert not np.allclose(test_scaler.mins, model.target_scaler.mins)
 
     def test_epoch_loss_is_the_mean_squared_error_of_its_minibatches(self):
@@ -324,9 +320,9 @@ class TestLinearOutput:
         weights = [np.zeros((LAYER_DIMS[i], LAYER_DIMS[i + 1])) for i in range(len(LAYER_DIMS) - 1)]
         biases = [np.zeros(LAYER_DIMS[i + 1]) for i in range(len(LAYER_DIMS) - 1)]
         biases[-1][:] = -0.5  # half the target range below its minimum
-        target_scaler = MinMaxScaler.fit(ds.targets[:, None], fitted_on="train")
-        model = MlpModel(layer_dims=LAYER_DIMS, weights=weights, biases=biases,
-                         input_scaler=MinMaxScaler.fit(ds.features, fitted_on="train"),
+        target_scaler = MinMaxScaler.fit(ds.targets[:, None])
+        model = MlpModel(weights=weights, biases=biases,
+                         input_scaler=MinMaxScaler.fit(ds.features),
                          target_scaler=target_scaler)
         out = net._forward(weights, biases, np.zeros((1, 101)))[-1]
         assert target_scaler.inverse(out)[0, 0] < 0.0
@@ -383,7 +379,7 @@ class TestEvaluate:
 
     def test_constant_mean_predictor_scores_variance(self):
         ds = toy_dataset(n=40, seed=3)
-        scaler = MinMaxScaler.fit(ds.targets[:, None], fitted_on="train")
+        scaler = MinMaxScaler.fit(ds.targets[:, None])
         scaled = scaler.transform(ds.targets[:, None])[:, 0]
         mean_scaled = float(np.mean(scaled))
         # constant-output network: zero weights, output bias at the mean
@@ -391,100 +387,127 @@ class TestEvaluate:
         biases = [np.zeros(LAYER_DIMS[i + 1]) for i in range(len(LAYER_DIMS) - 1)]
         biases[-1][:] = mean_scaled
         model = MlpModel(
-            layer_dims=LAYER_DIMS,
             weights=weights,
             biases=biases,
-            input_scaler=MinMaxScaler.fit(ds.features, fitted_on="train"),
+            input_scaler=MinMaxScaler.fit(ds.features),
             target_scaler=scaler,
         )
         m = evaluate(model, ds.features, ds.targets)
         assert m.mse_scaled == pytest.approx(float(np.var(scaled)), rel=1e-10)
 
 
+OLD_HEADER, HEADER = f"mlp v{net.MODEL_VERSION - 1}", f"mlp v{net.MODEL_VERSION}"
+
+
+@pytest.fixture(scope="module")
+def road_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("road") / "road.csv"
+    write_road_csv(gen_sinusoidal(seed=7, length_m=3000.0), path)
+    return path
+
+
 class TestSerialization:
+    """A model file is a table: one ``#`` line per header line, the header
+    row, then one row per parameter row.  In :func:`write_model`'s files row
+    ``r`` (the header row is row 1) is line ``r + 1``, which is
+    ``splitlines()[r]``: the input-scaler rows
+    are rows 2-3, the target scaler's rows 4-5, layer 0's weight rows 6-106
+    and its bias row 107, layer 1's rows 108-357 and 358, layer 2's rows
+    359-438 and 439, and layer 3's rows 440-455 and 456."""
+
     def test_roundtrip_preserves_predictions(self, tmp_path):
         ds = toy_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model, _ = train(ds, TrainConfig(epochs=10, seed=4))
         path = tmp_path / "model.txt"
-        save_model(model, path, fingerprint="abc123")
+        save_model(model, path, ["fingerprint: abc123"])
         loaded = load_model(path)
-        assert loaded.layer_dims == model.layer_dims
+        assert [w.shape for w in loaded.weights] == [w.shape for w in model.weights]
         rng = np.random.default_rng(9)
         for _ in range(10):
             window = rng.uniform(-0.05, 0.05, 100)
             assert predict(loaded, window, 30.0) == predict(model, window, 30.0)
-        assert "abc123" in path.read_text()
+        assert path.read_text().startswith(f"# fingerprint: abc123\n{HEADER}\n")
 
-    @pytest.mark.parametrize("text", ["", "# ecocruise mlp v2\ndims 2 3 1\n"],
-                             ids=["empty", "dims_only"])
-    def test_truncated_file_is_bad_input(self, tmp_path, text):
+    @pytest.mark.parametrize("text, message", [("", "empty file"),
+                                               (f"{HEADER}\n", "ends at its header row")],
+                             ids=["empty", "header_only"])
+    def test_truncated_file_is_bad_input(self, tmp_path, text, message):
         path = tmp_path / "model.txt"
         path.write_text(text)
-        with pytest.raises(ValueError, match="model file ends early"):
+        with pytest.raises(ValueError, match=message):
             load_model(path)
 
     def test_model_of_an_earlier_version_is_rejected(self, tmp_path):
-        # version 1 had a rectified output unit: its weights would drive the
-        # linear forward pass to other predictions
+        # a version 2 file: a block format whose first block heads "dims"
         path = tmp_path / "model.txt"
-        write_model(path, (3, 4, 2, 1))
-        path.write_text(path.read_text().replace(f"mlp v{net.MODEL_VERSION}\n", "mlp v1\n"))
-        with pytest.raises(ValueError, match=f"{path}: an ecocruise mlp v1 model"):
+        path.write_text("# ecocruise mlp v2\ndims 101 250 80 16 1\nscaler input train\n")
+        with pytest.raises(ValueError, match=f"{path}: header row 'dims 101 250 80 16 1' is "
+                                             f"not '{HEADER}'.*train it again"):
             load_model(path)
 
     def test_layer_with_short_rows_is_rejected(self, tmp_path):
         # every row of layer 2 lost a value: read as is, it would load as an
-        # (80, 15) weight under dims (..., 16, 1)
+        # (80, 15) weight under LAYER_DIMS (..., 16, 1)
         path = tmp_path / "model.txt"
-        write_model(path, LAYER_DIMS, short_layer=2)
-        with pytest.raises(ValueError, match="layer 2 row 0 holds 15 values, expected 16"):
+        write_model(path)
+        lines = path.read_text().splitlines()
+        lines[359:439] = [line.rsplit(" ", 1)[0] for line in lines[359:439]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "row 359 (line 360): holds 15 values, expected 16")):
             load_model(path)
 
-    @pytest.mark.parametrize("old, new, message", [
-        ("scaler input train", "scaler input", "malformed scaler block input"),
-        ("scaler target train", "scaler input train", "malformed scaler block target"),
-        ("0 0 0\n1 1 1\n", "0 0\n1 1 1\n", "scaler input mins holds 2 values, expected 3"),
-        ("layer 1 4 2", "layer 1 4", "malformed layer block 1"),
-        ("layer 1 4 2", "layer 1 4 3", "layer 1 is 4x3, but dims make it 4x2"),
-        ("layer 2 2 1\n0\n", "layer 2 2 1\nx\n", "layer 2 row 0 is not a row of numbers"),
-        ("layer 2 2 1\n0\n", "layer 2 2 1\nnan\n", "layer 2 row 0 holds a non-finite value"),
-        ("dims 3 4 2 1", "dims 3 4 two 1", "not a model file"),
-    ], ids=["scaler_head", "scaler_order", "scaler_width", "layer_head", "layer_shape",
-            "layer_text", "layer_nan", "dims"])
-    def test_malformed_block_is_named(self, tmp_path, old, new, message):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: ls[:1] + [OLD_HEADER] + ls[2:],
+         f"header row '{OLD_HEADER}' is not '{HEADER}'"),
+        (lambda ls: ls[:1] + ["position_m,elevation_m"] + ls[2:],
+         "header row 'position_m,elevation_m' is not"),
+        (lambda ls: ls[:-1],
+         "model file ends at row 455 (line 456), but a model has 456 rows"),
+        (lambda ls: ls + ls[-1:],
+         "model file ends at row 457 (line 458), but a model has 456 rows"),
+        (lambda ls: ls[:2] + [ls[2].rsplit(" ", 1)[0]] + ls[3:],
+         "row 2 (line 3): holds 100 values, expected 101"),
+        (lambda ls: ls[:2] + ls[4:6] + ls[2:4] + ls[6:],
+         "row 2 (line 3): holds 1 values, expected 101"),
+        (lambda ls: ls[:108] + [line + " 0" for line in ls[108:358]] + ls[358:],
+         "row 108 (line 109): holds 81 values, expected 80"),
+        (lambda ls: ls[:108] + ["x" + ls[108][1:]] + ls[109:],
+         "row 108 (line 109): not a row of numbers"),
+        (lambda ls: ls[:108] + ["nan" + ls[108][1:]] + ls[109:],
+         "row 108 (line 109): holds a non-finite value"),
+        (lambda ls: ls[:108] + ["-inf" + ls[108][1:]] + ls[109:],
+         "row 108 (line 109): holds a non-finite value"),
+    ], ids=["old_header", "foreign_header", "missing_row", "extra_row", "scaler_width",
+            "scaler_order", "layer_shape", "layer_text", "layer_nan", "layer_inf"])
+    def test_malformed_block_is_named(self, tmp_path, road_csv, capsys, edit, message):
         path = tmp_path / "model.txt"
-        write_model(path, (3, 4, 2, 1))
-        text = path.read_text()
-        assert text.count(old) == 1
-        path.write_text(text.replace(old, new))
-        with pytest.raises(ValueError, match=message):
+        write_model(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_model(path)
+        assert main(["simulate", "--road", str(road_csv), "--controller", "at",
+                     "--model", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_values_written_as_shortest_round_trip_text(self, tmp_path):
-        special = [0.1, -0.0, 5e-324, 1e-300, 1.7976931348623157e308]
-        dims = (2, 3, 1)
-        model = MlpModel(
-            layer_dims=dims,
-            weights=[np.array([special[:3], special[2:]]), np.array([[-0.0], [0.1], [5e-324]])],
-            biases=[np.array(special[2:]), np.array([1e-300])],
-            input_scaler=MinMaxScaler(np.array(special[:2]), np.array(special[3:]), "train"),
-            target_scaler=MinMaxScaler(np.array([5e-324]), np.array([0.1]), "train"),
-        )
+        """Every number of a model, the extremes of a double among them,
+        reads back to the bits written, and the model to the same weights."""
+        rng = np.random.default_rng(6)
+        weights, biases = net._layers(_init_params(LAYER_DIMS, rng), LAYER_DIMS)
+        weights[-1][:] = rng.normal(0.0, 0.3, size=weights[-1].shape)  # a live output unit
+        special = [-0.0, 5e-324, 1e-300]
+        weights[1][3, :3] = special
+        biases[2][:3] = special
+        ranges = rng.uniform(0.01, 0.1, LAYER_DIMS[0])
+        ranges[7] = 1.7976931348623157e308
+        model = MlpModel(weights=weights, biases=biases,
+                         input_scaler=MinMaxScaler(np.array([-0.0] * LAYER_DIMS[0]), ranges),
+                         target_scaler=MinMaxScaler(np.array([5e-324]), np.array([0.01])))
         path = tmp_path / "model.txt"
-        save_model(model, path)
-
-        def row(values):
-            return " ".join(f"{v:.17g}" for v in values) + "\n"
-
-        expected = "# ecocruise mlp v2\ndims 2 3 1\n" + "".join(
-            ["scaler input train\n", row(special[:2]), row(special[3:]),
-             "scaler target train\n", row([5e-324]), row([0.1]),
-             "layer 0 2 3\n", row(special[:3]), row(special[2:]), row(special[2:]),
-             "layer 1 3 1\n", row([-0.0]), row([0.1]), row([5e-324]), row([1e-300])]
-        )
-        assert path.read_bytes() == expected.encode()
+        save_model(model, path, [])
         loaded = load_model(path)
         for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
             assert got.tobytes() == want.tobytes()
@@ -492,6 +515,10 @@ class TestSerialization:
             for field in ("mins", "ranges"):
                 got = getattr(getattr(loaded, name), field)
                 assert got.tobytes() == getattr(getattr(model, name), field).tobytes()
+        features = np.column_stack([rng.uniform(-0.05, 0.05, (20, 100)), np.full(20, 30.0)])
+        expected = net.predict_batch(model, features)
+        assert np.ptp(expected) > 0.0
+        assert net.predict_batch(loaded, features).tobytes() == expected.tobytes()
 
 
 class TestInPlacePasses:

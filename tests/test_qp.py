@@ -23,8 +23,12 @@ class TestUnconstrained:
     def test_matches_closed_form_newton(self):
         rng = np.random.default_rng(0)
         h, c, _, _, _ = random_convex_qp(rng, 8, 0)
-        res = solve_qp(h, c, None, None, np.zeros(8))
-        assert np.allclose(res.x, -np.linalg.solve(h, c), atol=1e-9)
+        newton = -np.linalg.solve(h, c)
+        # a box ten times wider than the minimizer: its rows never bind
+        box = 10.0 * (1.0 + np.max(np.abs(newton)))
+        res = solve_qp(h, c, np.vstack([np.eye(8), -np.eye(8)]), np.full(16, box), np.zeros(8))
+        assert res.working == [] and not res.in_mult.any()
+        assert np.allclose(res.x, newton, atol=1e-9)
         assert res.stationarity < 1e-9
 
 

@@ -82,7 +82,7 @@ def test_tracer_reads_the_solver_result():
     lin = vehicle.linearize(params, 30.0)
     tracer = _tracer()
     with tracer.installed():
-        mpc.solve(mpc.build(0.003, lin, np.zeros(10), 0.5, params))
+        mpc.solve(mpc.build(0.003, lin, np.zeros(10), 0.5, params, lin.v_lin))
     counts, maxima = tracer.counts, tracer.maxima
     assert counts["mpc.calls"] == counts["qp.calls"] == 1
     assert counts["qp.iterations_total"] == maxima["qp.iterations_max"] == 1
