@@ -2,7 +2,7 @@
 
 Walks the longitudinal dynamics and fuel maps at a 30 m/s cruise, shows how
 good the one-point linear model is around that cruise, then builds a synthetic
-hilly road and round-trips real elevation data through the CSV ingester.
+hilly road and round-trips real elevation data through the road reader.
 """
 
 import tempfile
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ecocruise.road import gen_sinusoidal, ingest_elevation_csv, preview, write_road_csv
+from ecocruise.road import gen_sinusoidal, preview, read_road_csv, write_road_csv
 from ecocruise.vehicle import (
     VehicleParams,
     accel,
@@ -60,7 +60,7 @@ with tempfile.TemporaryDirectory() as tmp:
         f"{d},{50 + 8 * np.sin(d / 900.0):.3f}" for d in range(0, 9001, 45)
     ]
     raw.write_text("\n".join(rows) + "\n")
-    ingested = ingest_elevation_csv(raw)
+    ingested = read_road_csv(raw)
     print(f"ingested {len(ingested.elevation)} uniform samples from 45 m survey spacing")
     out = Path(tmp) / "road.csv"
     write_road_csv(ingested, out)

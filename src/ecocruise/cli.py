@@ -88,11 +88,12 @@ def _fingerprint(stage: str, config: dict, input_paths: list[Path] | None = None
 
 
 def _cache_hit(path: Path, fingerprint: str) -> bool:
-    """Whether one of the first 8 lines of ``path`` names ``fingerprint``."""
+    """Whether one of the first 8 lines of ``path`` names ``fingerprint``; a
+    file that cannot be read or decoded is a miss."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return any(f"fingerprint: {fingerprint}" in fh.readline() for _ in range(8))
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return False
 
 

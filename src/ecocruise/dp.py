@@ -37,6 +37,7 @@ DEFAULT_DVAVG = 0.1
 DEFAULT_DTE = 10.0
 DEFAULT_VAVG_BAND = 0.07
 INFEASIBLE_COST = 1e6
+TRAJECTORY_COLUMNS = ("index", "position_m", "v_mps", "vavg_mps", "te_nm", "fuel_kg_per_m")
 
 
 class InfeasibleError(RuntimeError):
@@ -254,7 +255,7 @@ def write_dp_csv(traj: Trajectory, path, header_lines: list[str] | None = None) 
     share the format."""
     formats.write_table(
         path,
-        ["index", "position_m", "v_mps", "vavg_mps", "te_nm", "fuel_kg_per_m"],
+        TRAJECTORY_COLUMNS,
         (
             [i, num(i * DS), num(traj.v[i]), num(traj.vavg[i])]
             + ([num(traj.te[i]), num(traj.fuel_per_m[i])] if i < traj.n_steps else ["", ""])
@@ -267,9 +268,7 @@ def write_dp_csv(traj: Trajectory, path, header_lines: list[str] | None = None) 
 def read_dp_csv(path) -> Trajectory:
     """Read back a trajectory written by :func:`write_dp_csv`; a non-finite
     number is rejected naming its row."""
-    columns, rows = formats.read_table(path)
-    if columns[:2] != ["index", "position_m"]:
-        raise ValueError(f"{path}: not a trajectory export")
+    _, rows = formats.read_table(path, TRAJECTORY_COLUMNS)
     v, vavg = formats.float_columns(path, rows, (2, 3))
     te, fuel = formats.float_columns(path, rows[:-1], (4, 5))
     formats.check_finite(path, rows, "number", v, vavg, te, fuel)

@@ -7,6 +7,12 @@ releases wrote, and name file line numbers in their errors.  Every road,
 trajectory, weight-series, model, sweep and report export goes through
 :func:`write_table` and :func:`read_table`.
 
+A reader of the package's own exports passes :func:`read_table` the
+columns its writer writes: a header row that differs is refused, naming
+its file line, and the cells are then read by position.  Only the road
+reader, whose files may come from outside the package, looks its columns
+up by name.
+
 A key-value file holds one ``key = value`` pair per line; ``#`` starts a
 comment.  Vehicle parameters and CLI configuration use it.
 """
@@ -33,10 +39,11 @@ def write_table(path, columns, rows, header_lines=None) -> None:
         writer.writerows(rows)
 
 
-def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def read_table(path, columns=None) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header row and ``(file line number, cells)`` for every record.
 
-    A file with no header row raises ``ValueError``.
+    A file that is not UTF-8 text, has no header row, or whose header row
+    is not ``columns`` (when given) raises ``ValueError``.
     """
     lineno = 0
 
@@ -46,11 +53,18 @@ def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             if line.strip() and not line.startswith("#"):
                 yield line
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = [(lineno, cells) for cells in csv.reader(content(fh))]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = [(lineno, cells) for cells in csv.reader(content(fh))]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not records:
         raise ValueError(f"{path}: empty file")
-    return records[0][1], records[1:]
+    (lineno, header), rows = records[0], records[1:]
+    if columns is not None and header != list(columns):
+        raise ValueError(f"{path}: row 1 (line {lineno}): header {','.join(header)!r} "
+                         f"is not {','.join(columns)!r}")
+    return header, rows
 
 
 def parse_rows(path, rows, convert) -> list:

@@ -272,22 +272,13 @@ def write_sweep_csv(rows: list[SweepRow], path, header_lines: list[str] | None =
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
-    """Read a sweep export, its columns looked up by header name.  A column
-    it does not know is skipped (earlier releases wrote a ``median_step_s``
-    timing), a missing ``error`` column means no row failed, and any other
-    missing column raises ``ValueError`` naming it."""
-    columns, rows = formats.read_table(path)
-    names = [c.strip() for c in columns]
-    for name in SWEEP_COLUMNS[:-1]:
-        if name not in names:
-            raise ValueError(f"{path}: not a sweep export: no {name} column")
-    c, g, v, e, f = map(names.index, SWEEP_COLUMNS[:-1])
-    err = names.index("error") if "error" in names else None
+    """Read back a sweep written by :func:`write_sweep_csv`."""
+    _, rows = formats.read_table(path, SWEEP_COLUMNS)
     return formats.parse_rows(path, rows, lambda r: SweepRow(
-        controller=r[c],
-        gamma=float(r[g]) if r[g].strip() else None,
-        avg_velocity_mps=float(r[v]),
-        fuel_economy_km_per_kg=float(r[e]),
-        total_fuel_kg=float(r[f]),
-        error="" if err is None else r[err],
+        controller=r[0],
+        gamma=float(r[1]) if r[1].strip() else None,
+        avg_velocity_mps=float(r[2]),
+        fuel_economy_km_per_kg=float(r[3]),
+        total_fuel_kg=float(r[4]),
+        error=r[5],
     ))

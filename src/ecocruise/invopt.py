@@ -45,6 +45,7 @@ from .vehicle import LinearizedModel, VehicleParams, equilibrium_torque
 ACTIVE_TOL = 1e-6
 GAMMA_CAP = 0.05
 DEGENERACY_RCOND = 1e-10
+GAMMA_COLUMNS = ("index", "position_m", "gamma", "residual", "flags")
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def write_gamma_csv(series: GammaSeries, path, header_lines: list[str] | None = 
     """Export ``index,position_m,gamma,residual,flags`` (the training labels)."""
     formats.write_table(
         path,
-        ["index", "position_m", "gamma", "residual", "flags"],
+        GAMMA_COLUMNS,
         (
             [i, num(i * DS), num(series.gamma[i]), num(series.residuals[i]), series.flags[i]]
             for i in range(len(series))
@@ -229,11 +230,16 @@ def write_gamma_csv(series: GammaSeries, path, header_lines: list[str] | None = 
 
 
 def read_gamma_csv(path) -> GammaSeries:
-    columns, rows = formats.read_table(path)
-    if columns[:3] != ["index", "position_m", "gamma"]:
-        raise ValueError(f"{path}: not a gamma-series export")
+    """Read back a series written by :func:`write_gamma_csv`; a non-finite
+    or negative weight is rejected naming its row."""
+    _, rows = formats.read_table(path, GAMMA_COLUMNS)
     gamma, residuals = formats.float_columns(path, rows, (2, 3))
+    flags = formats.parse_rows(path, rows, lambda cells: cells[4])
     # not the residuals: a "failed" window's is inf
     formats.check_finite(path, rows, "gamma", gamma)
-    return GammaSeries(gamma=gamma, residuals=residuals,
-                       flags=tuple(r[4] if len(r) > 4 else "" for _, r in rows))
+    negative = np.flatnonzero(gamma < 0.0)
+    if len(negative):
+        i = negative[0]
+        raise ValueError(f"{path}: {formats.where(i, rows[i][0])}: negative gamma "
+                         f"in {rows[i][1]!r}")
+    return GammaSeries(gamma=gamma, residuals=residuals, flags=tuple(flags))

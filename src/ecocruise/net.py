@@ -38,6 +38,7 @@ MOMENTUM = 0.9  # Nesterov momentum of every training step
 # drive with.  Version 1 had a rectified output unit; version 2 was a
 # block format of its own, before model files became tables.
 MODEL_VERSION = 3
+MODEL_COLUMNS = (f"mlp v{MODEL_VERSION}",)
 
 
 class TrainingError(RuntimeError):
@@ -347,7 +348,7 @@ def save_model(model: MlpModel, path, header_lines) -> None:
             model.target_scaler.mins, model.target_scaler.ranges]
     for w, b in zip(model.weights, model.biases):
         rows += [*w, b]
-    formats.write_table(path, [f"mlp v{MODEL_VERSION}"],
+    formats.write_table(path, MODEL_COLUMNS,
                         ([" ".join(["%.17g"] * len(r)) % tuple(r.tolist())] for r in rows),
                         header_lines)
 
@@ -357,11 +358,7 @@ def load_model(path) -> MlpModel:
     another format version, a missing or extra row, or a row of the wrong
     width or with a bad or non-finite number is a ``ValueError`` that names
     it."""
-    columns, rows = formats.read_table(path)
-    header = f"mlp v{MODEL_VERSION}"
-    if columns != [header]:
-        raise ValueError(f"{path}: header row {','.join(columns)!r} is not {header!r}: "
-                         "not a model this release can drive with; train it again")
+    _, rows = formats.read_table(path, MODEL_COLUMNS)
     # the scaler rows, then each layer's weight rows and bias row
     widths = [LAYER_DIMS[0]] * 2 + [LAYER_DIMS[-1]] * 2 + [
         cols for n_in, cols in zip(LAYER_DIMS, LAYER_DIMS[1:]) for _ in range(n_in + 1)]

@@ -1,4 +1,4 @@
-"""Road elevation profiles: synthetic hill generation, CSV ingestion, previews.
+"""Road elevation profiles: synthetic hill generation, CSV reading, previews.
 
 Every road lives on one grid: elevation samples ``DS`` = 30 m apart, with the
 segment grades derived from them.  Position ``k`` is the step index and its
@@ -6,8 +6,13 @@ distance is ``k * DS``; the plant advances one step per grade sample, and the
 predictor's preview and the controller's horizon are counted in these steps.
 Synthetic roads are sums of 3-8 seeded sinusoids rescaled so the steepest
 slope stays within +/-5%; real elevation data comes in through a two-column
-CSV and is resampled onto the grid.  A profile CSV spaced otherwise is
-rejected when it is read.
+``distance_m,elevation_m`` survey and is resampled onto the grid.  A
+profile CSV spaced otherwise is rejected when it is read.
+
+:func:`read_road_csv` is the one reader for both.  A road or survey may
+come from outside the package, so unlike the readers of the other exports
+it looks its columns up by name instead of requiring its writer's header
+row.
 """
 
 from __future__ import annotations
@@ -96,42 +101,6 @@ def gen_sinusoidal(seed: int, length_m: float) -> RoadProfile:
     return RoadProfile.from_elevation(elev)
 
 
-def ingest_elevation_csv(path) -> RoadProfile:
-    """Load a ``distance_m,elevation_m`` CSV and resample it to the 30 m grid.
-
-    Distances must be strictly increasing; resampling is linear so no
-    curvature is fabricated between survey points.
-    """
-    columns, rows = formats.read_table(path)
-    d_arr, e_arr = _samples(path, columns, rows, "distance_m")
-    bad = np.flatnonzero(np.diff(d_arr) <= 0)
-    if len(bad):
-        i = bad[0] + 1
-        raise ValueError(
-            f"{path}: {formats.where(i, rows[i][0])}: distance {d_arr[i]} not increasing "
-            f"(previous {d_arr[i - 1]})"
-        )
-    n_segments = int(np.floor((d_arr[-1] - d_arr[0]) / DS + 1e-9))
-    if n_segments < 1:
-        raise ValueError(
-            f"{path}: span {d_arr[-1] - d_arr[0]:.1f} m shorter than one {DS} m step")
-    grid = d_arr[0] + np.arange(n_segments + 1) * DS
-    return RoadProfile.from_elevation(np.interp(grid, d_arr, e_arr))
-
-
-def _samples(path, columns, rows, x_name: str):
-    """The ``x_name`` and ``elevation_m`` columns of a table, at least two rows, all finite."""
-    names = [c.strip().lower() for c in columns]
-    if x_name not in names or "elevation_m" not in names:
-        raise ValueError(f"{path}: header must contain {x_name} and elevation_m, got {columns!r}")
-    x, elevation = formats.float_columns(
-        path, rows, [names.index(x_name), names.index("elevation_m")])
-    formats.check_finite(path, rows, "number", x, elevation)
-    if len(x) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {len(x)}")
-    return x, elevation
-
-
 def preview(road: RoadProfile, position_index: int, window_len: int) -> np.ndarray:
     """Read-only grades over [position_index, position_index + window_len),
     zero-padded with flat road past the end."""
@@ -160,21 +129,40 @@ def write_road_csv(road: RoadProfile, path, header_lines: list[str] | None = Non
 
 
 def read_road_csv(path) -> RoadProfile:
-    """Read back a profile written by :func:`write_road_csv` (or any CSV with
-    position_m/elevation_m columns ``DS`` apart); grades are rederived from
-    elevation.
+    """Read a road: a :func:`write_road_csv` export (or any CSV with
+    ``position_m,elevation_m`` columns ``DS`` apart), or a
+    ``distance_m,elevation_m`` survey, which is resampled onto the grid.
 
-    A ``distance_m,elevation_m`` survey without ``position_m`` is handed to
-    :func:`ingest_elevation_csv` and resampled."""
+    A road or survey may come from outside the package, so its columns are
+    looked up by name.  Grades are rederived from elevation.  A survey's
+    distances must be strictly increasing, and it is resampled linearly so
+    that no curvature is invented between survey points.
+    """
     columns, rows = formats.read_table(path)
     names = [c.strip().lower() for c in columns]
-    if "distance_m" in names and "position_m" not in names:
-        return ingest_elevation_csv(path)
-    positions, elevations = _samples(path, columns, rows, "position_m")
-    steps = np.diff(positions)
-    bad = np.flatnonzero(~(np.abs(steps - DS) <= 1e-6))
+    x_name = "distance_m" if "distance_m" in names and "position_m" not in names else "position_m"
+    if x_name not in names or "elevation_m" not in names:
+        raise ValueError(f"{path}: header must contain {x_name} and elevation_m, got {columns!r}")
+    x, elevation = formats.float_columns(
+        path, rows, [names.index(x_name), names.index("elevation_m")])
+    formats.check_finite(path, rows, "number", x, elevation)
+    if len(x) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(x)}")
+    steps = np.diff(x)
+    if x_name == "position_m":
+        bad = np.flatnonzero(~(np.abs(steps - DS) <= 1e-6))
+        if len(bad):
+            i = bad[0] + 1
+            raise ValueError(f"{path}: {formats.where(i, rows[i][0])}: positions are not on "
+                             f"the uniform {DS:g} m grid (step {steps[i - 1]:g} m)")
+        return RoadProfile.from_elevation(elevation)
+    bad = np.flatnonzero(steps <= 0)
     if len(bad):
         i = bad[0] + 1
-        raise ValueError(f"{path}: {formats.where(i, rows[i][0])}: positions are not on "
-                         f"the uniform {DS:g} m grid (step {steps[i - 1]:g} m)")
-    return RoadProfile.from_elevation(elevations)
+        raise ValueError(f"{path}: {formats.where(i, rows[i][0])}: distance {x[i]} not "
+                         f"increasing (previous {x[i - 1]})")
+    n_segments = int(np.floor((x[-1] - x[0]) / DS + 1e-9))
+    if n_segments < 1:
+        raise ValueError(f"{path}: span {x[-1] - x[0]:.1f} m shorter than one {DS} m step")
+    grid = x[0] + np.arange(n_segments + 1) * DS
+    return RoadProfile.from_elevation(np.interp(grid, x, elevation))

@@ -159,8 +159,8 @@ class TestPipelineAndReport:
     def test_report_malformed_sweep_is_validation_error(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text(
-            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg\n"
-            "FIXED_LMPC,0.003,not_a_number,22.0,1.31\n"
+            "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,error\n"
+            "FIXED_LMPC,0.003,not_a_number,22.0,1.31,\n"
         )
         assert main(["report", "--sweep", str(sweep)]) == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
@@ -222,13 +222,14 @@ class TestCacheIntegrity:
                  "--out", str(model)]
         # the file an earlier release wrote: same inputs, older model version
         monkeypatch.setattr(net, "MODEL_VERSION", 1)
+        monkeypatch.setattr(net, "MODEL_COLUMNS", ("mlp v1",))
         assert main(train) == EXIT_OK
         monkeypatch.undo()
         assert model.read_text().splitlines()[3] == "mlp v1"
         capsys.readouterr()
         sim = ["simulate", "--road", str(road_file), "--controller", "at", "--model", str(model)]
         assert main(sim) == EXIT_VALIDATION
-        assert f"{model}: header row 'mlp v1' is not" in capsys.readouterr().err
+        assert f"{model}: row 1 (line 4): header 'mlp v1' is not" in capsys.readouterr().err
         assert main(train) == EXIT_OK
         assert "cache hit" not in capsys.readouterr().out
         assert model.read_text().splitlines()[3] == f"mlp v{net.MODEL_VERSION}"
@@ -436,18 +437,18 @@ class TestReportCache:
     def _bytes(self, tmp_path):
         return {n: (tmp_path / "out" / n).read_bytes() for n in self.NAMES}
 
-    # a sweep.csv as earlier releases wrote it, with a median_step_s timing
-    # column, and what report printed and tabulated for it then
-    OLD_SWEEP = (
-        "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
-        "FIXED_LMPC,0.001,30.2,21.7,1.38,0.00047,\n"
-        "FIXED_LMPC,0.003,30.5,22.0,1.31,0.004,\n"
-        'AT_MPC,,nan,nan,nan,nan,"stopped at k=3, v=1.5"\n'
-        "PT_MPC,,29.9,22.2,1.29,0.0005,\n"
-        "PI,,29.98,21.5,1.33,1e-05,\n"
-        "DP_REPLAY,,30.1,22.4,1.28,1e-05,\n"
+    # a sweep with a failed drive, and what report printed and tabulated for
+    # it when sweeps still carried a median_step_s timing column
+    FAILED_SWEEP = (
+        "controller,gamma,avg_velocity_mps,fuel_economy_km_per_kg,total_fuel_kg,error\n"
+        "FIXED_LMPC,0.001,30.2,21.7,1.38,\n"
+        "FIXED_LMPC,0.003,30.5,22.0,1.31,\n"
+        'AT_MPC,,nan,nan,nan,"stopped at k=3, v=1.5"\n'
+        "PT_MPC,,29.9,22.2,1.29,\n"
+        "PI,,29.98,21.5,1.33,\n"
+        "DP_REPLAY,,30.1,22.4,1.28,\n"
     )
-    OLD_PRINTED = (
+    PRINTED = (
         "controller        gamma  avg v (m/s)  economy (km/kg)    fuel (kg)\n"
         "AT_MPC       failed: stopped at k=3, v=1.5\n"
         "DP_REPLAY             -         30.1             22.4         1.28\n"
@@ -458,22 +459,30 @@ class TestReportCache:
         "DP_REPLAY fuel economy vs PI: +4.18604651%\n"
         "PT_MPC fuel economy vs PI: +3.25581395%\n"
     )
-    OLD_TABLES = {
+    TABLES = {
         "pareto_fixed_front.csv": b"gamma,avg_velocity_mps,fuel_economy_km_per_kg\n"
                                   b"0.001,30.2,21.7\n0.003,30.5,22\n",
         "pareto_controllers.csv": b"controller,avg_velocity_mps,fuel_economy_km_per_kg\n"
                                   b"DP_REPLAY,30.1,22.4\nPI,29.98,21.5\nPT_MPC,29.9,22.2\n",
     }
 
-    def test_a_sweep_with_the_old_timing_column_reports_as_before(self, tmp_path, capsys):
-        printed = self._report(tmp_path, capsys, self.OLD_SWEEP)
-        assert printed.startswith(self.OLD_PRINTED)
+    def test_a_sweep_with_a_failed_row_reports_as_before(self, tmp_path, capsys):
+        printed = self._report(tmp_path, capsys, self.FAILED_SWEEP)
+        assert printed.startswith(self.PRINTED)
         assert printed.endswith(" (2 fixed-weight points, 3 controllers)\n")
         # the tables below the "# " lines, whose fingerprint hashes the sweep's bytes
         tables = {n: b"".join(line for line in data.splitlines(keepends=True)
                               if not line.startswith(b"# "))
                   for n, data in self._bytes(tmp_path).items()}
-        assert tables == self.OLD_TABLES
+        assert tables == self.TABLES
+
+    def test_a_sweep_with_the_old_timing_column_is_refused(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("# ecocruise sweep\ncontroller,gamma,avg_velocity_mps,"
+                         "fuel_economy_km_per_kg,total_fuel_kg,median_step_s,error\n"
+                         "PI,,29.98,21.5,1.33,1e-05,\n")
+        assert main(["report", "--sweep", str(sweep)]) == EXIT_VALIDATION
+        assert f"{sweep}: row 1 (line 2): header " in capsys.readouterr().err
 
     def test_changed_economy_rewrites_both(self, tmp_path, capsys):
         self._report(tmp_path, capsys)
@@ -562,6 +571,19 @@ class TestIoErrors:
         assert main(["pipeline", "--length-km", "3", "--seed", "1",
                      "--out-dir", str(out_dir)]) == EXIT_IO
         assert capsys.readouterr().err.startswith("I/O error: pipeline stage solve-dp failed: ")
+
+    def test_a_binary_file_is_a_cache_miss(self, tmp_path, capsys):
+        out = tmp_path / "road.csv"
+        out.write_bytes(bytes(range(256)))
+        assert main(["gen-road", "--length-km", "3", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert "wrote" in capsys.readouterr().out
+        assert read_road_csv(out).n_steps == 100
+
+    def test_a_binary_road_is_named(self, tmp_path, capsys):
+        road = tmp_path / "some.bin"
+        road.write_bytes(b"position_m,elevation_m\n\xb4\xff\n")
+        assert main(["simulate", "--road", str(road), "--controller", "pi"]) == EXIT_VALIDATION
+        assert f"{road}: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestOutOfRangeOptions:
@@ -708,3 +730,19 @@ class TestBadNumbers:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["simulate", "--road", str(bad), "--controller", "pi"]) == EXIT_VALIDATION
         assert "row 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--gammas", "GAMMAS", "--epochs", "2"],
+        ["simulate", "--controller", "pt", "--gammas", "GAMMAS"],
+    ], ids=["train", "simulate_pt"])
+    def test_negative_weight_in_a_series(self, tmp_path, road_file, capsys, command):
+        # train used to fit a model to it (exit 0), and simulate named no row
+        gammas = tmp_path / "gammas.csv"
+        gammas.write_text("index,position_m,gamma,residual,flags\n" + "".join(
+            f"{i},{30 * i},{-0.001 if i == 5 else 0.002},0,\n" for i in range(100)))
+        out = tmp_path / "out.csv"
+        argv = [str(gammas) if a == "GAMMAS" else a for a in command]
+        assert main([*argv, "--road", str(road_file), "--out", str(out)]) == EXIT_VALIDATION
+        assert f"{gammas}: row 7 (line 7): negative gamma" in capsys.readouterr().err
+        assert not out.exists()
+

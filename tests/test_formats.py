@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import write_model
 from ecocruise import cli, formats
 from ecocruise.dp import read_dp_csv, write_dp_csv
 from ecocruise.harness import CONTROLLER_KINDS, SweepRow, read_sweep_csv, write_sweep_csv
 from ecocruise.invopt import GammaSeries, read_gamma_csv, write_gamma_csv
-from ecocruise.road import RoadProfile, ingest_elevation_csv, read_road_csv, write_road_csv
+from ecocruise.net import load_model
+from ecocruise.road import RoadProfile, read_road_csv, write_road_csv
 from ecocruise.vehicle import Trajectory, load_vehicle_config
 
 HEADER = ["ecocruise test v0", "fingerprint: 0123456789abcdef", "config: a=1 b=x,y"]
@@ -74,10 +77,12 @@ def test_trajectory_round_trip(columns):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 30).flatmap(lambda n: st.tuples(
-    arrays(np.float64, n, elements=finite), arrays(np.float64, n, elements=anything),
+    arrays(np.float64, n, elements=st.floats(0, 1e6, allow_subnormal=False)),
+    arrays(np.float64, n, elements=anything),
     st.lists(st.sampled_from(["", "degenerate", "clamped", "failed"]), min_size=n, max_size=n))))
 def test_gamma_series_round_trip(columns):
-    # the reader rejects a non-finite weight; a failed window's residual is inf
+    # the reader rejects a non-finite or negative weight; a failed window's
+    # residual is inf
     gamma, residuals, flags = columns
     series = GammaSeries(gamma=gamma, residuals=residuals, flags=tuple(flags))
     assert_round_trip(lambda s, p: write_gamma_csv(s, p, header_lines=HEADER), read_gamma_csv,
@@ -149,14 +154,56 @@ class TestTableReader:
             read_road_csv(path)
 
     def test_road_reader_resamples_a_survey(self, tmp_path):
-        # a distance_m survey without position_m goes through ingestion, so
-        # uneven spacing is resampled instead of rejected
+        # a distance_m survey without position_m is resampled linearly onto
+        # the 30 m grid instead of rejected for its uneven spacing
         path = tmp_path / "survey.csv"
         path.write_text("# surveyed\ndistance_m,elevation_m\n0,0\n45,3\n90,0\n200,11\n")
-        via_reader = read_road_csv(path)
-        direct = ingest_elevation_csv(path)
-        assert np.array_equal(via_reader.elevation, direct.elevation)
-        assert np.array_equal(via_reader.grade, direct.grade)
+        road = read_road_csv(path)
+        assert np.allclose(road.elevation, [0, 2, 2, 0, 3, 6, 9], atol=1e-12)
+        assert np.allclose(road.grade, np.diff(road.elevation) / 30.0, atol=1e-12)
+
+
+def _export(kind: str, path) -> None:
+    """Write a small export of ``kind`` under one ``#`` line, as
+    :func:`write_model` writes a model."""
+    meta = HEADER[:1]
+    if kind == "road":
+        write_road_csv(RoadProfile.from_elevation([0.0, 1.0, 3.0]), path, meta)
+    elif kind == "trajectory":
+        write_dp_csv(Trajectory(v=np.full(3, 30.0), vavg=np.full(3, 30.0), te=np.full(2, 90.0),
+                                fuel_per_m=np.full(2, 5e-5)), path, meta)
+    elif kind == "gammas":
+        write_gamma_csv(GammaSeries(gamma=np.full(2, 0.002), residuals=np.zeros(2),
+                                    flags=("", "")), path, meta)
+    elif kind == "sweep":
+        write_sweep_csv([SweepRow("PI", None, 30.0, 21.5, 1.33)], path, meta)
+    else:
+        write_model(path)
+
+
+STRICT_READERS = {"trajectory": read_dp_csv, "gammas": read_gamma_csv,
+                  "sweep": read_sweep_csv, "model": load_model}
+
+
+@pytest.mark.parametrize("export, reader", [
+    (export, reader) for export in ("road", *STRICT_READERS) for reader in STRICT_READERS
+    if reader != export])
+def test_a_strict_reader_refuses_another_export(tmp_path, export, reader):
+    """Each export given to the reader of another is refused at its header
+    row, which the error names by file and line."""
+    path = tmp_path / "export.csv"
+    _export(export, path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 1 (line 2): header ")):
+        STRICT_READERS[reader](path)
+
+
+def test_simulate_refuses_a_road_as_its_trajectory(tmp_path, capsys):
+    road = tmp_path / "road.csv"
+    _export("road", road)
+    assert cli.main(["simulate", "--road", str(road), "--controller", "dp",
+                     "--dp", str(road)]) == cli.EXIT_VALIDATION
+    assert f"{road}: row 1 (line 2): header 'index,position_m,elevation_m,grade' is not " \
+           "'index,position_m,v_mps,vavg_mps,te_nm,fuel_kg_per_m'" in capsys.readouterr().err
 
 
 class TestKeyValues:

@@ -264,13 +264,14 @@ class TestParetoSweep:
                             path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_columns_are_found_by_name(self, tmp_path):
+    def test_reordered_columns_are_refused(self, tmp_path):
+        # read by position, a reordered file would read as another row
         path = tmp_path / "sweep.csv"
-        path.write_text("error,total_fuel_kg,median_step_s,fuel_economy_km_per_kg,"
+        path.write_text("error,total_fuel_kg,fuel_economy_km_per_kg,"
                         "avg_velocity_mps,gamma,controller\n"
-                        '"stopped, at k=3",1.31,0.004,22.0,30.5,0.003,FIXED_LMPC\n')
-        assert read_sweep_csv(path) == [
-            SweepRow("FIXED_LMPC", 0.003, 30.5, 22.0, 1.31, error="stopped, at k=3")]
+                        '"stopped, at k=3",1.31,22.0,30.5,0.003,FIXED_LMPC\n')
+        with pytest.raises(ValueError, match=r"sweep.csv: row 1 \(line 1\): header 'error,"):
+            read_sweep_csv(path)
 
     def test_a_missing_column_is_named(self, tmp_path):
         path = tmp_path / "sweep.csv"

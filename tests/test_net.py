@@ -443,8 +443,8 @@ class TestSerialization:
         # a version 2 file: a block format whose first block heads "dims"
         path = tmp_path / "model.txt"
         path.write_text("# ecocruise mlp v2\ndims 101 250 80 16 1\nscaler input train\n")
-        with pytest.raises(ValueError, match=f"{path}: header row 'dims 101 250 80 16 1' is "
-                                             f"not '{HEADER}'.*train it again"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 1 (line 2): header 'dims 101 250 80 16 1' is not '{HEADER}'")):
             load_model(path)
 
     def test_layer_with_short_rows_is_rejected(self, tmp_path):
@@ -461,9 +461,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ls: ls[:1] + [OLD_HEADER] + ls[2:],
-         f"header row '{OLD_HEADER}' is not '{HEADER}'"),
+         f"row 1 (line 2): header '{OLD_HEADER}' is not '{HEADER}'"),
         (lambda ls: ls[:1] + ["position_m,elevation_m"] + ls[2:],
-         "header row 'position_m,elevation_m' is not"),
+         f"row 1 (line 2): header 'position_m,elevation_m' is not '{HEADER}'"),
         (lambda ls: ls[:-1],
          "model file ends at row 455 (line 456), but a model has 456 rows"),
         (lambda ls: ls + ls[-1:],

@@ -1,4 +1,4 @@
-"""Unit tests for road generation, ingestion and previews."""
+"""Unit tests for road generation, reading and previews."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from ecocruise.road import (
     DS,
     RoadProfile,
     gen_sinusoidal,
-    ingest_elevation_csv,
     preview,
     read_road_csv,
     write_road_csv,
@@ -60,7 +59,7 @@ class TestIngestion:
     def test_linear_ramp_by_hand(self, tmp_path):
         path = tmp_path / "ramp.csv"
         path.write_text("distance_m,elevation_m\n0,0\n300,15\n")
-        r = ingest_elevation_csv(path)
+        r = read_road_csv(path)
         assert len(r.elevation) == 11
         assert len(r.grade) == 10
         assert np.allclose(r.grade, 0.05, atol=1e-12)
@@ -70,38 +69,38 @@ class TestIngestion:
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{d},100.0" for d in range(0, 3001, 50))
         path.write_text("distance_m,elevation_m\n" + rows + "\n")
-        r = ingest_elevation_csv(path)
+        r = read_road_csv(path)
         assert np.all(r.grade == 0.0)
 
     def test_unsorted_rows_name_the_offender(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("distance_m,elevation_m\n0,0\n60,1\n30,2\n")
         with pytest.raises(ValueError, match="row 4"):
-            ingest_elevation_csv(path)
+            read_road_csv(path)
 
     def test_unparsable_row_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("distance_m,elevation_m\n0,0\nsixty,1\n")
         with pytest.raises(ValueError, match="row 3"):
-            ingest_elevation_csv(path)
+            read_road_csv(path)
 
     def test_non_finite_distance_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("distance_m,elevation_m\n0,0\ninf,1\n60,2\n")
         with pytest.raises(ValueError, match="row 3.*non-finite"):
-            ingest_elevation_csv(path)
+            read_road_csv(path)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("distance_m,elevation_m\n0,0\n")
         with pytest.raises(ValueError, match="at least 2"):
-            ingest_elevation_csv(path)
+            read_road_csv(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "noheader.csv"
         path.write_text("a,b\n0,0\n30,1\n")
         with pytest.raises(ValueError, match="header"):
-            ingest_elevation_csv(path)
+            read_road_csv(path)
 
     def test_resampling_idempotent_on_uniform_input(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -109,13 +108,13 @@ class TestIngestion:
         path = tmp_path / "uniform.csv"
         rows = "\n".join(f"{i * 30.0},{e}" for i, e in enumerate(elev))
         path.write_text("distance_m,elevation_m\n" + rows + "\n")
-        r = ingest_elevation_csv(path)
+        r = read_road_csv(path)
         assert np.array_equal(r.elevation, elev)
 
     def test_interpolation_is_linear(self, tmp_path):
         path = tmp_path / "coarse.csv"
         path.write_text("distance_m,elevation_m\n0,0\n90,9\n180,0\n")
-        r = ingest_elevation_csv(path)
+        r = read_road_csv(path)
         assert np.allclose(r.elevation, [0, 3, 6, 9, 6, 3, 0], atol=1e-12)
 
 
