@@ -2,10 +2,13 @@
 
 Runs the fixed-weight ladder, the auto-tuned and pre-tuned horizon
 controllers, the PI baseline and the global-optimum replay on an unseen road,
-then prints the comparison the way the reporting command does.  The predictor
-is trained on a different road, so this is a generalization test.
+then prints the comparison with ``ecocruise report``.  The predictor is
+trained on a different road, so this is a generalization test.
 """
 
+import sys
+
+from ecocruise.cli import main
 from ecocruise.dp import DpConfig, solve as dp_solve
 from ecocruise.harness import Artifacts, pareto_sweep, write_sweep_csv
 from ecocruise.invopt import gamma_series
@@ -35,20 +38,6 @@ rows = pareto_sweep(
     v_ref,
 )
 
-print(f"\n{'controller':<12} {'weight':>8} {'avg v':>8} {'economy':>9} {'fuel kg':>9}")
-for r in rows:
-    w = f"{r.gamma:.4f}" if r.gamma is not None else "-"
-    if r.error:
-        print(f"{r.controller:<12} failed: {r.error}")
-        continue
-    print(f"{r.controller:<12} {w:>8} {r.avg_velocity_mps:>8.3f} "
-          f"{r.fuel_economy_km_per_kg:>9.3f} {r.total_fuel_kg:>9.4f}")
-
-pi = next(r for r in rows if r.controller == "PI")
-for name in ("DP_REPLAY", "AT_MPC", "PT_MPC"):
-    row = next(r for r in rows if r.controller == name)
-    gain = 100 * (row.fuel_economy_km_per_kg / pi.fuel_economy_km_per_kg - 1)
-    print(f"{name} fuel economy vs PI: {gain:+.2f}%")
-
 write_sweep_csv(rows, "faceoff_sweep.csv", header_lines=["demo 05 export"])
-print("\nwrote faceoff_sweep.csv")
+print("wrote faceoff_sweep.csv\n")
+sys.exit(main(["report", "--sweep", "faceoff_sweep.csv"]))

@@ -120,15 +120,8 @@ def _meta(stage: str, fingerprint: str, config: dict) -> list[str]:
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    if not Path(path).exists():
-        raise ValueError(f"config file not found: {path}")
-    cfg = {}
-    for lineno, key, value in formats.read_key_values(path):
-        name = key.replace("-", "_")
-        if name not in OPTIONS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[name] = value
-    return cfg
+    pairs = formats.read_key_values(_require_file(path, "config file"), OPTIONS)
+    return {key: value for key, (_, value) in pairs.items()}
 
 
 def _finite(text) -> float:
@@ -366,15 +359,9 @@ def cmd_report(args, file_cfg) -> int:
     if not rows:
         print("empty sweep: nothing to report")
         return EXIT_OK
-    by_kind: dict[str, harness.SweepRow] = {}
-    fixed_rows = []
-    for r in rows:
-        if r.error:
-            continue
-        if r.controller == "FIXED_LMPC":
-            fixed_rows.append(r)
-        else:
-            by_kind[r.controller] = r
+    ok = [r for r in rows if not r.error]
+    by_kind = {r.controller: r for r in ok if r.controller != "FIXED_LMPC"}
+    front = sorted((r for r in ok if r.controller == "FIXED_LMPC"), key=lambda r: r.gamma or 0.0)
 
     print(f"{'controller':<12} {'gamma':>10} {'avg v (m/s)':>12} "
           f"{'economy (km/kg)':>16} {'fuel (kg)':>12}")
@@ -396,7 +383,6 @@ def cmd_report(args, file_cfg) -> int:
     if not args.out_dir:
         return EXIT_OK
     out_dir = _out_dir(args.out_dir)
-    front = sorted(fixed_rows, key=lambda r: r.gamma or 0.0)
     points = sorted(by_kind.items())
 
     def make(front_tmp, points_tmp, fp, meta):

@@ -251,8 +251,7 @@ def replay(params: VehicleParams, road: RoadProfile, torque_sequence, v_i: float
 
 def write_dp_csv(traj: Trajectory, path, header_lines: list[str] | None = None) -> None:
     """Export ``index,position_m,v_mps,vavg_mps,te_nm,fuel_kg_per_m``; the final
-    node carries no input so those cells are empty.  Closed-loop drives
-    share the format."""
+    node carries no input so those cells are empty."""
     formats.write_table(
         path,
         TRAJECTORY_COLUMNS,

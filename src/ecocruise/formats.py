@@ -8,13 +8,15 @@ trajectory, weight-series, model, sweep and report export goes through
 :func:`write_table` and :func:`read_table`.
 
 A reader of the package's own exports passes :func:`read_table` the
-columns its writer writes: a header row that differs is refused, naming
-its file line, and the cells are then read by position.  Only the road
-reader, whose files may come from outside the package, looks its columns
-up by name.
+columns its writer writes: a header row that differs, or a data row with
+another number of cells, is refused, naming its file line, and the cells
+are then read by position.  Only the road reader, whose files may come
+from outside the package, looks its columns up by name.
 
 A key-value file holds one ``key = value`` pair per line; ``#`` starts a
-comment.  Vehicle parameters and CLI configuration use it.
+comment.  A key is read in lower case with ``-`` as ``_``; an unknown key
+and a repeated one are refused.  Vehicle parameters and CLI configuration
+use it.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ def write_table(path, columns, rows, header_lines=None) -> None:
 def read_table(path, columns=None) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header row and ``(file line number, cells)`` for every record.
 
-    A file that is not UTF-8 text, has no header row, or whose header row
-    is not ``columns`` (when given) raises ``ValueError``.
+    A file that is not UTF-8 text or has no header row, or, given
+    ``columns``, another header row or a row of another width raises
+    ``ValueError``.
     """
     lineno = 0
 
@@ -61,9 +64,15 @@ def read_table(path, columns=None) -> tuple[list[str], list[tuple[int, list[str]
     if not records:
         raise ValueError(f"{path}: empty file")
     (lineno, header), rows = records[0], records[1:]
-    if columns is not None and header != list(columns):
+    if columns is None:
+        return header, rows
+    if header != list(columns):
         raise ValueError(f"{path}: row 1 (line {lineno}): header {','.join(header)!r} "
                          f"is not {','.join(columns)!r}")
+    for i, (line, cells) in enumerate(rows):
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}: {where(i, line)}: {len(cells)} cells, "
+                             f"but the header has {len(columns)}")
     return header, rows
 
 
@@ -101,16 +110,29 @@ def check_finite(path, rows, what, *columns) -> None:
         raise ValueError(f"{path}: {where(min(bad), lineno)}: non-finite {what} in {cells!r}")
 
 
-def read_key_values(path) -> list[tuple[int, str, str]]:
-    """``(line number, key, value)`` for each ``key = value`` line."""
+def read_key_values(path, keys) -> dict[str, tuple[int, str]]:
+    """``{key: (line number, value)}`` for each ``key = value`` line, the key
+    in lower case with ``-`` read as ``_``.  A line without ``=``, a file
+    that is not UTF-8 text, and then a key not in ``keys`` or one given
+    twice raise ``ValueError`` naming the file."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            pairs.append((lineno, key.strip(), value.strip()))
-    return pairs
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                key, _, value = line.partition("=")
+                pairs.append((lineno, key.strip().lower().replace("-", "_"), value.strip()))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    found: dict[str, tuple[int, str]] = {}
+    for lineno, key, value in pairs:
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in found:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {found[key][0]}")
+        found[key] = (lineno, value)
+    return found

@@ -79,7 +79,7 @@ class Artifacts:
 @dataclass(frozen=True)
 class SimResult:
     """A nonempty drive, with ``step_runtimes`` timing each controller call;
-    fuel, distance and harmonic-average velocity are read off the drive."""
+    fuel, distance and the trip-average velocity are read off the drive."""
 
     trajectory: Trajectory
     step_runtimes: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -98,7 +98,7 @@ class SimResult:
 
     @property
     def avg_velocity_mps(self) -> float:
-        return self.trajectory.n_steps * DS / float(np.sum(DS / self.trajectory.v[:-1]))
+        return float(self.trajectory.vavg[-1])
 
     @property
     def fuel_economy_km_per_kg(self) -> float:

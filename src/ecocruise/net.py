@@ -366,8 +366,7 @@ def load_model(path) -> MlpModel:
     for i, ((lineno, cells), width) in enumerate(zip(rows, widths)):
         at = f"{path}: {formats.where(i, lineno)}"
         try:
-            (text,) = cells
-            row = np.array(text.split(), dtype=float)
+            row = np.array(cells[0].split(), dtype=float)
         except ValueError:
             raise ValueError(f"{at}: not a row of numbers") from None
         if len(row) != width:

@@ -263,13 +263,10 @@ def load_vehicle_config(path) -> VehicleParams:
     """Read vehicle parameters from a key-value text file.
 
     One ``key = value`` pair per line, ``#`` comments allowed; any key left
-    out keeps its default.  Unknown keys are an error.
+    out keeps its default.
     """
     values = _by_name(VehicleParams())
-    for lineno, key, value in read_key_values(path):
-        key = key.lower()
-        if key not in values:
-            raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
+    for key, (lineno, value) in read_key_values(path, values).items():
         try:
             values[key] = float(value)
         except ValueError as exc:

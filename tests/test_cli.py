@@ -539,7 +539,7 @@ class TestRoadSpacing:
         out = tmp_path / "dp.csv"
         assert main(["--vehicle-config", str(cfg), "solve-dp", "--road", str(road_file),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert "unknown parameter 'ds'" in capsys.readouterr().err
+        assert "vehicle.cfg:1: unknown key 'ds'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["solve-dp"], ["invert", "--dp", "DP"],
@@ -584,6 +584,16 @@ class TestIoErrors:
         road.write_bytes(b"position_m,elevation_m\n\xb4\xff\n")
         assert main(["simulate", "--road", str(road), "--controller", "pi"]) == EXIT_VALIDATION
         assert f"{road}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--vehicle-config"])
+    def test_a_binary_config_is_named(self, tmp_path, road_file, capsys, flag):
+        cfg = tmp_path / "some.cfg"
+        cfg.write_bytes(b"v_ref = 30\n\xb4\xff\n")
+        out = tmp_path / "dp.csv"
+        assert main([flag, str(cfg), "solve-dp", "--road", str(road_file),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutOfRangeOptions:

@@ -197,6 +197,21 @@ def test_a_strict_reader_refuses_another_export(tmp_path, export, reader):
         STRICT_READERS[reader](path)
 
 
+@pytest.mark.parametrize("export, width", [
+    ("trajectory", 6), ("gammas", 5), ("sweep", 6), ("model", 1)])
+def test_a_strict_reader_refuses_a_row_of_another_width(tmp_path, export, width):
+    """A cell past the header's, here on the first data row, is refused
+    instead of dropped."""
+    path = tmp_path / "export.csv"
+    _export(export, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rstrip("\n") + ",999\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: row 2 (line 3): {width + 1} cells, but the header has {width}")):
+        STRICT_READERS[export](path)
+
+
 def test_simulate_refuses_a_road_as_its_trajectory(tmp_path, capsys):
     road = tmp_path / "road.csv"
     _export("road", road)
@@ -209,9 +224,20 @@ def test_simulate_refuses_a_road_as_its_trajectory(tmp_path, capsys):
 class TestKeyValues:
     def test_vehicle_and_cli_configs_share_the_parser(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nv-ref = 31  # trailing\n\nepochs=9\n")
-        assert formats.read_key_values(path) == [(2, "v-ref", "31"), (4, "epochs", "9")]
+        path.write_text("# comment\nV-Ref = 31  # trailing\n\nepochs=9\n")
+        assert formats.read_key_values(path, cli.OPTIONS) == {"v_ref": (2, "31"),
+                                                              "epochs": (4, "9")}
         assert cli._load_config_file(str(path)) == {"v_ref": "31", "epochs": "9"}
+        with pytest.raises(ValueError, match=r"run.cfg:2: unknown key 'v_ref'"):
+            load_vehicle_config(path)
+
+    @pytest.mark.parametrize("load, key", [(load_vehicle_config, "te_max"),
+                                           (cli._load_config_file, "v_ref")])
+    def test_repeated_key_names_both_lines(self, tmp_path, load, key):
+        path = tmp_path / "twice.cfg"
+        path.write_text(f"{key} = 30\n# again\n{key.upper().replace('_', '-')} = 31\n")
+        with pytest.raises(ValueError, match=f"twice.cfg:3: key '{key}' repeats line 1"):
+            load(str(path))
 
     @pytest.mark.parametrize("load", [load_vehicle_config, cli._load_config_file])
     def test_missing_equals_names_path_and_line(self, tmp_path, load):

@@ -72,6 +72,24 @@ class TestMetrics:
         )
 
 
+class TestTripAverage:
+    """A drive's average velocity is the last value of the rollout's
+    trip-average recursion, the one the DP constrains."""
+
+    LADDER = [round(g, 4) for g in np.linspace(0.0005, 0.005, 10)]
+
+    @pytest.mark.parametrize("gamma", [None, *LADDER])
+    def test_is_the_rollouts_trip_average(self, params, gamma):
+        road = gen_sinusoidal(seed=1, length_m=3000.0)
+        spec = ControllerSpec(kind="PI" if gamma is None else "FIXED_LMPC", v_ref=30.0,
+                              v_i=30.0, gamma=gamma or 0.0)
+        res = run(spec, road, params)
+        v = res.trajectory.v[:-1]
+        assert res.avg_velocity_mps == res.trajectory.vavg[-1]
+        assert res.avg_velocity_mps == pytest.approx(len(v) * DS / np.sum(DS / v),
+                                                     rel=1e-12, abs=0.0)
+
+
 class TestPiController:
     def test_flat_start_on_speed_stays_locked(self, params, flat_road):
         res = run(ControllerSpec(kind="PI", v_ref=30.0, v_i=30.0), flat_road, params)
