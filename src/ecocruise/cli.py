@@ -3,8 +3,8 @@
 Stages mirror the offline/online split of the approach: generate or ingest a
 road, solve the global fuel optimum, invert it into a per-position weight
 series, train the weight predictor, then simulate and compare controllers.
-``pipeline`` chains everything with content-addressed caching so a rerun with
-an unchanged configuration touches nothing.
+``pipeline`` chains everything with content-addressed caching: a rerun with an
+unchanged configuration, inputs and package source touches nothing.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime failure, 4 I/O error
 (an output or input file that cannot be written or read).
@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -71,19 +71,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of each package module's name and bytes, NUL-separated, by name."""
+    modules = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(b"\0%s\0%s" % (m.name.encode(), m.read_bytes())
+                                   for m in modules)).hexdigest()
+
+
 def _fingerprint(stage: str, config: dict, input_paths: list[Path] | None = None,
                  params: VehicleParams | None = None) -> str:
-    parts = [f"ecocruise={__version__}", f"stage={stage}"]
-    for key in sorted(config):
-        parts.append(f"{key}={config[key]!r}")
-    if params is not None:
-        # the repr the vehicle had while it still carried the road step, so
-        # that caches written by earlier releases stay valid
-        spelled = ", ".join(f"{k}={v!r}" for k, v in {**asdict(params), "ds": road_mod.DS}.items())
-        parts.append(f"vehicle=VehicleParams({spelled})")
-    for path in input_paths or []:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-        parts.append(f"input:{Path(path).name}={digest}")
+    parts = [f"source={_source_digest()}", f"stage={stage}", f"vehicle={params!r}",
+             *(f"{key}={config[key]!r}" for key in sorted(config)),
+             *(f"input:{p.name}={hashlib.sha256(p.read_bytes()).hexdigest()[:16]}"
+               for p in map(Path, input_paths or []))]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
@@ -117,11 +118,13 @@ def _meta(stage: str, fingerprint: str, config: dict) -> list[str]:
             f"config: {kv}".rstrip()]
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
+def _load_config_file(path: str | None) -> dict[str, tuple[str, str]]:
+    """``{key: (source, value)}``, the source naming file, line and key."""
     if not path:
         return {}
     pairs = formats.read_key_values(_require_file(path, "config file"), OPTIONS)
-    return {key: value for key, (_, value) in pairs.items()}
+    return {key: (f"{path}:{line}: config key {key}", value)
+            for key, (line, value) in pairs.items()}
 
 
 def _finite(text) -> float:
@@ -132,7 +135,8 @@ def _finite(text) -> float:
     return value
 
 
-def _resolve(stage: str, args: argparse.Namespace, file_cfg: dict[str, str]) -> dict:
+def _resolve(stage: str, args: argparse.Namespace,
+             file_cfg: dict[str, tuple[str, str]]) -> dict:
     """The stage's options: flag, else config file, else default; an unset
     ``v_i`` starts the drive at ``v_ref``.  A non-finite float is a usage
     error in a flag and a validation error in the config file."""
@@ -141,7 +145,7 @@ def _resolve(stage: str, args: argparse.Namespace, file_cfg: dict[str, str]) -> 
         flag, cast, default = OPTIONS[dest]
         value, source, error = getattr(args, dest), f"argument {flag}", UsageError
         if value is None and dest in file_cfg:
-            value, source, error = file_cfg[dest], f"config key {dest}", ValueError
+            (source, value), error = file_cfg[dest], ValueError
         try:
             cfg[dest] = default if value is None else (_finite if cast is float else cast)(value)
         except ValueError as exc:
@@ -216,10 +220,6 @@ def _train_config(cfg: dict) -> net.TrainConfig:
                            batch_size=cfg["batch_size"], l2=cfg["l2"], seed=cfg["nn_seed"])
 
 
-def _read_solution(path: Path) -> DpSolution:
-    return DpSolution(trajectory=dp_mod.read_dp_csv(path))
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_road(args, file_cfg) -> int:
@@ -259,7 +259,8 @@ def cmd_invert(args, file_cfg) -> int:
     def make(tmp, fp, meta):
         profile = road_mod.read_road_csv(road_path)
         lin = linearize(params, cfg["v_ref"])
-        series = invopt.gamma_series(_read_solution(dp_path), profile, lin, params,
+        solution = DpSolution(dp_mod.read_dp_csv(dp_path))
+        series = invopt.gamma_series(solution, profile, lin, params,
                                      cfg["horizon"], v_ref=cfg["v_ref"])
         invopt.write_gamma_csv(series, tmp, header_lines=meta)
         clean = sum(1 for f in series.flags if not f)
@@ -284,9 +285,7 @@ def cmd_train(args, file_cfg) -> int:
         return (f"held-out scaled mse {test.mse_scaled:.3e}, "
                 f"mae {test.mae_scaled:.3e}; {len(history.train_loss)} epochs")
 
-    # a model trained by an earlier algorithm is never a cache hit
-    return _produce("train", [args.out], {**cfg, "model_version": net.MODEL_VERSION},
-                    [road_path, gam_path], None, make)
+    return _produce("train", [args.out], cfg, [road_path, gam_path], None, make)
 
 
 _KIND_ALIASES = {"at": "AT_MPC", "pt": "PT_MPC", "fixed": "FIXED_LMPC",
@@ -308,7 +307,7 @@ def _artifacts_for(files: dict[str, Path]) -> harness.Artifacts:
     if "PT_MPC" in files:
         series = invopt.read_gamma_csv(files["PT_MPC"])
     if "DP_REPLAY" in files:
-        solution = _read_solution(files["DP_REPLAY"])
+        solution = DpSolution(dp_mod.read_dp_csv(files["DP_REPLAY"]))
     return harness.Artifacts(model=model, series=series, dp_solution=solution)
 
 
@@ -429,7 +428,7 @@ def cmd_pipeline(args, file_cfg) -> int:
 
 
 class _Command(NamedTuple):
-    run: Callable[[argparse.Namespace, dict[str, str]], int]
+    run: Callable[[argparse.Namespace, dict[str, tuple[str, str]]], int]
     help: str
     files: tuple[str, ...]  # path flags, by dest
     options: tuple[str, ...]  # keys of OPTIONS

@@ -33,10 +33,10 @@ from .road import RoadProfile, preview
 PREVIEW_LEN = 100
 LAYER_DIMS = (PREVIEW_LEN + 1, 250, 80, 16, 1)
 MOMENTUM = 0.9  # Nesterov momentum of every training step
-# Heads every model file and keys the train stage's cache: raised whenever a
-# change to training or to the forward pass makes older model files wrong to
-# drive with.  Version 1 had a rectified output unit; version 2 was a
-# block format of its own, before model files became tables.
+# Heads every model file, which the loader refuses under another version:
+# raised whenever a change to training or to the forward pass makes older
+# model files wrong to drive with.  Version 1 had a rectified output unit;
+# version 2 was a block format of its own, before model files became tables.
 MODEL_VERSION = 3
 MODEL_COLUMNS = (f"mlp v{MODEL_VERSION}",)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from ecocruise.harness import read_sweep_csv
 from ecocruise.invopt import read_gamma_csv
 from ecocruise.net import LAYER_DIMS
 from ecocruise.road import read_road_csv
+from ecocruise.vehicle import VehicleParams
 
 
 @pytest.fixture()
@@ -220,7 +222,8 @@ class TestCacheIntegrity:
                      "--out", str(gammas)]) == EXIT_OK
         train = ["train", "--road", str(road_file), "--gammas", str(gammas), "--epochs", "2",
                  "--out", str(model)]
-        # the file an earlier release wrote: same inputs, older model version
+        # the file an earlier release wrote: same inputs, other source, older model version
+        monkeypatch.setattr(cli, "_source_digest", lambda: "an earlier release")
         monkeypatch.setattr(net, "MODEL_VERSION", 1)
         monkeypatch.setattr(net, "MODEL_COLUMNS", ("mlp v1",))
         assert main(train) == EXIT_OK
@@ -287,15 +290,18 @@ class TestPublicSurface:
             assert own.items() <= pipeline.items(), stage
 
     def test_solve_dp_header_is_stable(self, tmp_path):
-        # fingerprints written by earlier releases must keep matching, or
-        # every cached trajectory would be recomputed
+        # the header names the resolved configuration, and the fingerprint is
+        # the one this source computes for that stage, configuration, road and vehicle
         road = tmp_path / "hills.csv"
         rows = [f"{d},{abs(d % 1200 - 600) / 50}" for d in range(0, 3001, 30)]
         road.write_text("distance_m,elevation_m\n" + "\n".join(rows) + "\n")
         out = tmp_path / "dp.csv"
         assert main(["solve-dp", "--road", str(road), "--out", str(out)]) == EXIT_OK
+        config = {"dte": 10.0, "dv": 0.25, "dvavg": 0.1, "v_i": 30.0, "v_ref": 30.0,
+                  "v_span": 8.0, "vavg_band": 0.07}
+        fingerprint = cli._fingerprint("solve-dp", config, [road], VehicleParams())
         head = out.read_text().splitlines()[1:3]
-        assert head == ["# fingerprint: 33180d4ab1f82cb0",
+        assert head == [f"# fingerprint: {fingerprint}",
                         "# config: dte=10.0 dv=0.25 dvavg=0.1 v_i=30.0 v_ref=30.0 "
                         "v_span=8.0 vavg_band=0.07"]
 
@@ -338,7 +344,19 @@ class TestStageErrors:
     def test_ladder_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma-ladder = 0.001:0.002:2\n")
-        assert cli._load_config_file(str(cfg)) == {"gamma_ladder": "0.001:0.002:2"}
+        assert cli._load_config_file(str(cfg)) == {
+            "gamma_ladder": (f"{cfg}:1: config key gamma_ladder", "0.001:0.002:2")}
+
+    @pytest.mark.parametrize("line, key", [("v_ref = abc", "v_ref"), ("epochs = 2.5", "epochs")],
+                             ids=["float", "int"])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        out_dir = tmp_path / "run"
+        assert main(["--config", str(cfg), "pipeline", "--length-km", "3",
+                     "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+        assert f"validation error: {cfg}:2: config key {key}: " in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_simulate_fingerprint_covers_horizon(self, tmp_path, road_file):
         heads = []
@@ -526,6 +544,24 @@ class TestReportCache:
         assert main(list(argv)) == EXIT_OK
         assert capsys.readouterr().out.count("cache hit") == 6
         assert {n: (out_dir / n).stat().st_mtime_ns for n in self.NAMES} == stamps
+
+    def test_a_source_edit_misses_every_stage(self, tmp_path, capsys, monkeypatch):
+        run, edited = tmp_path / "run", tmp_path / "edited"
+        argv = ["pipeline", "--length-km", "3", "--seed", "5", "--epochs", "20",
+                "--gammas", "0.001:0.005:2", "--out-dir"]
+        assert main([*argv, str(run)]) == EXIT_OK
+        shutil.copytree(run, edited)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_source_digest", lambda: "an edited module")
+        assert main([*argv, str(edited)]) == EXIT_OK
+        assert "cache hit:" not in capsys.readouterr().out
+        for name in ("road.csv", "dp.csv", "gammas.csv", "model.txt", "sweep.csv", *self.NAMES):
+            old, new = ((d / name).read_text().splitlines() for d in (run, edited))
+            assert old[1] != new[1] and old[1].startswith("# fingerprint: "), name
+            assert old[:1] + old[2:] == new[:1] + new[2:], name
+        monkeypatch.undo()
+        assert main([*argv, str(run)]) == EXIT_OK
+        assert capsys.readouterr().out.count("cache hit: ") == 6
 
 
 class TestRoadSpacing:

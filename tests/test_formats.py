@@ -227,7 +227,9 @@ class TestKeyValues:
         path.write_text("# comment\nV-Ref = 31  # trailing\n\nepochs=9\n")
         assert formats.read_key_values(path, cli.OPTIONS) == {"v_ref": (2, "31"),
                                                               "epochs": (4, "9")}
-        assert cli._load_config_file(str(path)) == {"v_ref": "31", "epochs": "9"}
+        assert cli._load_config_file(str(path)) == {
+            "v_ref": (f"{path}:2: config key v_ref", "31"),
+            "epochs": (f"{path}:4: config key epochs", "9")}
         with pytest.raises(ValueError, match=r"run.cfg:2: unknown key 'v_ref'"):
             load_vehicle_config(path)
 
